@@ -24,6 +24,7 @@ Weights are strings "p/q" or bare integers; subsets are written
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -43,15 +44,18 @@ from .equivalence import (
     SEMANTICS,
     build_output_lts,
     cts_conditional_bisim,
+    lwa_classes,
     lwa_equiv,
     lwa_trace,
     moore_equiv,
+    moore_pair_oracle,
     nda_language_equiv,
     nda_pair_oracle,
 )
 from .liftings import check_lifting_laws
 from .logic import (
     check_adequacy_expressivity,
+    cts_logical_analysis,
     eval_cts,
     eval_word_nda,
     parse_cts_formula,
@@ -84,9 +88,31 @@ class SchemaError(ValueError):
 # ----------------------------------------------------------------- loading
 
 def _require(data: dict, *keys):
+    if not isinstance(data, dict):
+        raise SchemaError(f"expected an object with fields {list(keys)}, "
+                          f"got {type(data).__name__}")
     for key in keys:
         if key not in data:
             raise SchemaError(f"missing field {key!r}")
+
+
+def _typed(data: dict, key: str, kind: type):
+    """data[key], which must be a JSON list or object (`kind`)."""
+    value = data[key]
+    if not isinstance(value, kind):
+        what = "list" if kind is list else "object"
+        raise SchemaError(f"field {key!r} must be a {what}")
+    return value
+
+
+def _rational(value) -> Fraction:
+    """A weight: a "p/q" string, an integer or a decimal literal."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"not an exact rational: {value!r}")
 
 
 def _carrier(data, key) -> Carrier:
@@ -110,12 +136,12 @@ def load_system(data: dict):
         states = _carrier(data, "states")
         alphabet = _carrier(data, "alphabet")
         edges = [set() for _ in range(len(states))]
-        for t in data["transitions"]:
+        for t in _typed(data, "transitions", list):
             _require(t, "from", "action", "to")
             edges[states.index(t["from"])].add(
                 (alphabet.index(t["action"]), states.index(t["to"])))
         accepting = 0
-        for label in data["accepting"]:
+        for label in _typed(data, "accepting", list):
             accepting |= 1 << states.index(label)
         system = Nda(states, alphabet, tuple(frozenset(e) for e in edges),
                      accepting)
@@ -125,16 +151,18 @@ def load_system(data: dict):
         alphabet = _carrier(data, "alphabet")
         n = len(states)
         out = [Fraction(0)] * n
-        for label, value in data["output"].items():
-            out[states.index(label)] = Fraction(str(value))
+        for label, value in _typed(data, "output", dict).items():
+            out[states.index(label)] = _rational(value)
+        matrices = _typed(data, "matrices", dict)
         mats = []
         for a in alphabet.names:
-            rows = data["matrices"].get(a)
+            rows = matrices.get(a)
             if rows is None:
                 raise SchemaError(f"missing matrix for action {a!r}")
-            if len(rows) != n or any(len(r) != n for r in rows):
+            if (not isinstance(rows, list) or len(rows) != n
+                    or any(not isinstance(r, list) or len(r) != n for r in rows)):
                 raise SchemaError(f"matrix for {a!r} is not {n}x{n}")
-            mats.append(tuple(tuple(Fraction(str(v)) for v in row)
+            mats.append(tuple(tuple(_rational(v) for v in row)
                               for row in rows))
         system = Lwa(states, alphabet, tuple(out), tuple(mats))
     elif kind == "cts":
@@ -142,7 +170,7 @@ def load_system(data: dict):
         conditions = _carrier(data, "conditions")
         states = _carrier(data, "states")
         table = [[0] * len(states) for _ in range(len(conditions))]
-        for t in data["transitions"]:
+        for t in _typed(data, "transitions", list):
             _require(t, "cond", "from", "to")
             k = conditions.index(t["cond"])
             table[k][states.index(t["from"])] |= 1 << states.index(t["to"])
@@ -152,7 +180,7 @@ def load_system(data: dict):
         states = _carrier(data, "states")
         alphabet = _carrier(data, "alphabet")
         table = [[0] * len(alphabet) for _ in range(len(states))]
-        for t in data["transitions"]:
+        for t in _typed(data, "transitions", list):
             _require(t, "from", "action", "to")
             table[states.index(t["from"])][alphabet.index(t["action"])] |= (
                 1 << states.index(t["to"]))
@@ -161,17 +189,20 @@ def load_system(data: dict):
             _require(data, "outputs")
             lat_data = data["lattice"]
             _require(lat_data, "elements", "join", "bottom")
-            elements = tuple(lat_data["elements"])
+            elements = _carrier(lat_data, "elements").names
             pos = {e: i for i, e in enumerate(elements)}
             try:
                 join_table = tuple(
                     tuple(pos[v] for v in row) for row in lat_data["join"])
                 lattice = Semilattice.create(
                     elements, join_table, pos[lat_data["bottom"]])
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"bad lattice: {exc}") from None
-            outputs = tuple(
-                pos[data["outputs"][label]] for label in states.names)
+            output_of = _typed(data, "outputs", dict)
+            try:
+                outputs = tuple(pos[output_of[label]] for label in states.names)
+            except (KeyError, TypeError) as exc:
+                raise SchemaError(f"bad outputs: {exc}") from None
             system = OutputLts(states, alphabet, delta, outputs, lattice)
         else:
             semantics = data.get("semantics", "trace")
@@ -292,7 +323,7 @@ def _parse_vector(system: Lwa, text: str) -> tuple[Fraction, ...]:
             raise SchemaError(f"malformed vector {text!r}")
         body = text[1:-1].strip()
         parts = [p.strip() for p in body.split(",")] if body else []
-        vec = tuple(Fraction(p) for p in parts)
+        vec = tuple(_rational(p) for p in parts)
         if len(vec) != len(system.states):
             raise SchemaError(
                 f"vector has {len(vec)} entries for {len(system.states)} states")
@@ -328,7 +359,6 @@ def cmd_equiv(args) -> int:
             oracle = lambda u, v: nda_pair_oracle(system, u, v)
         else:
             equiv = moore_equiv(system, initials, cap=args.cap)
-            from .equivalence import moore_pair_oracle
             oracle = lambda u, v: moore_pair_oracle(system, u, v)
         payload = {
             "kind": "moore" if isinstance(system, OutputLts) else "nda",
@@ -364,11 +394,10 @@ def cmd_equiv(args) -> int:
             if not verdict:
                 exit_code = 1
                 n = len(system.states)
-                import itertools as _it
                 for length in range(n + 1):
                     found = False
-                    for w in _it.product(range(len(system.alphabet)),
-                                         repeat=length):
+                    for w in itertools.product(range(len(system.alphabet)),
+                                               repeat=length):
                         if lwa_trace(system, p, w) != lwa_trace(system, q, w):
                             payload["witness"] = render_word(system.alphabet, w)
                             payload["weights"] = [
@@ -380,9 +409,9 @@ def cmd_equiv(args) -> int:
                         break
             _emit(payload, as_json, _equiv_lines)
             return exit_code
-        report = check_adequacy_expressivity(system)
         payload = {"kind": "lwa",
-                   "classes": [list(c) for c in report.behavioural_classes]}
+                   "classes": [[system.states.label(x) for x in cls]
+                               for cls in lwa_classes(system)]}
         _emit(payload, as_json, _equiv_lines)
         return 0
 
@@ -391,10 +420,9 @@ def cmd_equiv(args) -> int:
         payload = {"kind": "cts", "iterations": result.iterations,
                    "classes": {}}
         for k in range(len(system.conditions)):
-            rel = result.relation.slice_rel(k)
             payload["classes"][system.conditions.label(k)] = [
                 [system.states.label(x) for x in cls]
-                for cls in rel.classes()]
+                for cls in result.classes(k)]
         exit_code = 0
         if args.pair:
             x = system.states.index(args.pair[0].strip("{}"))
@@ -567,7 +595,6 @@ def cmd_eval(args) -> int:
     system = load_file(args.file)
     if isinstance(system, Cts):
         if args.formula is None and args.depth is not None:
-            from .logic import cts_logical_analysis
             _, gens = cts_logical_analysis(system, args.depth)
             n = len(system.states)
             payload = {"formulas": [

@@ -7,6 +7,11 @@ form, and finite join-semilattices.  All values are immutable after
 construction and all operations are pure, so they are safe to share
 across threads.
 
+Two fixpoint routines sit on top: `gfp`, Kleene iteration on any
+relation lattice (the law suite's engine and the tests' reference),
+and `refine`, signature refinement to the coarsest stable partition
+(the automaton, Moore and conditional engines).
+
 Rationals are `fractions.Fraction` (re-exported as `Rational`): always
 in lowest terms, positive denominator, arbitrary-precision integers,
 never floats.
@@ -87,7 +92,7 @@ class Carrier:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"unknown label {label!r}") from None
 
     def label(self, i: int) -> str:
@@ -161,6 +166,15 @@ class BitRel:
             rows[i] |= 1 << j
         return cls(size, tuple(rows))
 
+    @classmethod
+    def from_blocks(cls, blocks: Sequence[int]) -> "BitRel":
+        """The equivalence whose classes are the blocks of a block array;
+        related elements share one row mask."""
+        masks: dict[int, int] = {}
+        for i, b in enumerate(blocks):
+            masks[b] = masks.get(b, 0) | 1 << i
+        return cls(len(blocks), tuple(masks[b] for b in blocks))
+
     def has(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
@@ -188,15 +202,18 @@ class BitRel:
         )
 
     def is_equivalence(self) -> bool:
-        for i in range(self.size):
-            if not self.has(i, i):
-                return False
+        """Reflexive, and related elements have equal rows.  Each row is
+        compared once per member, so an equivalence costs N row
+        comparisons rather than N^2 bit probes."""
+        seen = 0
         for i, row in enumerate(self.rows):
-            for j in bits(row):
-                if not self.has(j, i):
-                    return False
-                if self.rows[j] & ~row:
-                    return False
+            if seen >> i & 1:
+                continue
+            if not row >> i & 1:
+                return False
+            if any(self.rows[j] != row for j in bits(row)):
+                return False
+            seen |= row
         return True
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -244,6 +261,39 @@ def gfp(step: Callable, top, *, debug: bool = False) -> GfpResult:
         if nxt == cur:
             return GfpResult(cur, iterations)
         cur = nxt
+
+
+def refine(size: int, signature: Callable) -> tuple[tuple[int, ...], int]:
+    """Coarsest stable partition of 0..size-1 by signature refinement.
+
+    Starting from the one-block partition, each round re-keys every
+    element by (its block, signature(element, blocks)), numbering the
+    new blocks by first occurrence.  The first round that splits no
+    block confirms stability and is counted, so round t yields the
+    relation that gfp reaches at iteration t from the full relation
+    when the step relates two elements iff their signatures agree.
+    Returns (block ids, rounds).
+    """
+    blocks = [0] * size
+    count = min(size, 1)
+    rounds = 0
+    while True:
+        rounds += 1
+        keys: dict = {}
+        nxt = [keys.setdefault((blocks[i], signature(i, blocks)), len(keys))
+               for i in range(size)]
+        if len(keys) == count:
+            return tuple(blocks), rounds
+        blocks, count = nxt, len(keys)
+
+
+def block_classes(blocks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Members of each block, ascending, ordered by least member (the
+    order of `BitRel.classes`)."""
+    groups: dict[int, list[int]] = {}
+    for i, b in enumerate(blocks):
+        groups.setdefault(b, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def rel_pullback(rel: BitRel, fn: Sequence[int]) -> BitRel:

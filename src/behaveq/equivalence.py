@@ -1,9 +1,12 @@
 """Behavioural-equivalence engines for the four families.
 
-Each engine computes a greatest fixpoint on a finite relation lattice;
-each is paired with an independent brute-force oracle (product search,
-word tables, partition refinement) that the test suite replays against
-it.  Relations on weighted configuration spaces are represented as
+The automaton, Moore and conditional engines compute the greatest
+fixpoint of their relation lifting as the coarsest stable partition,
+by the signature-refinement rounds of `core.refine`; the weighted
+engine computes the largest invariant subspace.  Each engine is paired
+with an independent brute-force oracle (product search, word tables,
+partition refinement) that the test suite replays against it.
+Relations on weighted configuration spaces are represented as
 difference subspaces: p related to q iff p - q lies in the subspace.
 """
 
@@ -21,15 +24,15 @@ from .core import (
     Semilattice,
     Subspace,
     bits,
+    block_classes,
     dot,
     echelonize,
-    gfp,
     mat_vec,
     nullspace,
     orthogonal_tests,
+    refine,
     subspace_contains,
 )
-from .liftings import cts_rel_lift
 from .systems import (
     Cts,
     DeterminizedMachine,
@@ -45,46 +48,36 @@ from .systems import (
 
 @dataclass(frozen=True)
 class MachineEquiv:
-    """Greatest bisimulation on a determinized machine.
+    """Coarsest bisimulation on a determinized machine.
 
-    `relation` is over machine positions; `related` answers queries by
-    subset mask.
+    `blocks` assigns each machine position its class id; `relation` is
+    the same equivalence as a bit relation; `related` answers queries
+    by subset mask.
     """
 
     machine: DeterminizedMachine
     relation: BitRel
     iterations: int
+    blocks: tuple[int, ...]
 
     def related(self, mask_u: int, mask_v: int) -> bool:
-        return self.relation.has(self.machine.pos(mask_u), self.machine.pos(mask_v))
+        pos = self.machine.pos
+        return self.blocks[pos(mask_u)] == self.blocks[pos(mask_v)]
 
     def classes(self) -> tuple[tuple[str, ...], ...]:
         return tuple(
             tuple(self.machine.label(i) for i in cls)
-            for cls in self.relation.classes()
+            for cls in block_classes(self.blocks)
         )
 
 
 def machine_equiv(machine: DeterminizedMachine) -> MachineEquiv:
-    """gfp of: outputs agree and every action successor pair stays related."""
-    size = len(machine.subset_states)
-    num_actions = len(machine.alphabet)
-
-    def step(rel: BitRel) -> BitRel:
-        rows = []
-        for i in range(size):
-            row = 0
-            for j in range(size):
-                if machine.out[i] != machine.out[j]:
-                    continue
-                if all(rel.has(machine.trans[i][a], machine.trans[j][a])
-                       for a in range(num_actions)):
-                    row |= 1 << j
-            rows.append(row)
-        return BitRel(size, tuple(rows))
-
-    result = gfp(step, BitRel.full(size))
-    return MachineEquiv(machine, result.relation, result.iterations)
+    """Refine by output and the block of every action successor."""
+    out, trans = machine.out, machine.trans
+    blocks, rounds = refine(
+        len(machine.subset_states),
+        lambda i, blocks: (out[i], tuple(blocks[t] for t in trans[i])))
+    return MachineEquiv(machine, BitRel.from_blocks(blocks), rounds, blocks)
 
 
 def nda_language_equiv(nda: Nda, initials: Iterable[int] | None = None,
@@ -215,6 +208,20 @@ def lwa_unobservable_subspace(lwa: Lwa) -> Subspace:
     return lwa_observability_chain(lwa)[-1]
 
 
+def lwa_classes(lwa: Lwa) -> tuple[tuple[int, ...], ...]:
+    """Classes of states whose unit configurations are equivalent.
+
+    e_x - e_y lies in the unobservable subspace iff every test vector
+    of its orthogonal complement takes the same value at x and at y,
+    so states are grouped by their column of test values.
+    """
+    tests = orthogonal_tests(lwa_unobservable_subspace(lwa))
+    keys: dict[tuple, int] = {}
+    return block_classes([
+        keys.setdefault(tuple(z[x] for z in tests), len(keys))
+        for x in range(len(lwa.states))])
+
+
 def lwa_equiv(lwa: Lwa, p: Sequence, q: Sequence) -> bool:
     if len(p) != len(lwa.states) or len(q) != len(lwa.states):
         raise DimensionMismatch("configuration length does not match state count")
@@ -307,29 +314,35 @@ class CondRel:
 
 @dataclass(frozen=True)
 class CtsBisimResult:
+    """`blocks[k]` is the bisimilarity partition of condition k's slice,
+    as a block id per state; `relation` holds the same triples."""
+
     relation: CondRel
     iterations: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    def classes(self, k: int) -> tuple[tuple[int, ...], ...]:
+        return block_classes(self.blocks[k])
 
 
 def cts_conditional_bisim(cts: Cts) -> CtsBisimResult:
     """Greatest conditional bisimulation as a triple relation.
 
-    step keeps a triple when the successor sets under that condition
-    simulate each other two-sidedly through the current relation.
+    Conditions never interact, so each slice is refined on its own by
+    the blocks of its successor set; the rounds of the joint fixpoint
+    are the most any slice takes (one when there are no conditions).
     """
     nk, n = len(cts.conditions), len(cts.states)
-
-    def step(rel: CondRel) -> CondRel:
-        keep = []
-        for k in range(nk):
-            for x in range(n):
-                for y in range(n):
-                    if cts_rel_lift(rel, k, cts.delta[k][x], cts.delta[k][y]):
-                        keep.append((k, x, y))
-        return CondRel.from_triples(nk, n, keep)
-
-    result = gfp(step, CondRel.full(nk, n))
-    return CtsBisimResult(result.relation, result.iterations)
+    blocks, rounds = [], 1
+    mask = 0
+    for k, succ in enumerate(cts.delta):
+        slice_blocks, slice_rounds = refine(
+            n, lambda x, blocks: frozenset(blocks[y] for y in bits(succ[x])))
+        blocks.append(slice_blocks)
+        rounds = max(rounds, slice_rounds)
+        for x, row in enumerate(BitRel.from_blocks(slice_blocks).rows):
+            mask |= row << (k * n + x) * n
+    return CtsBisimResult(CondRel(nk, n, mask), rounds, tuple(blocks))
 
 
 def cts_slice_bisim_oracle(cts: Cts, k: int) -> tuple[tuple[int, ...], ...]:

@@ -40,6 +40,10 @@ Word = tuple[int, ...]
 
 _FORMULA_CAP_BITS = 16
 
+# Deepest formula nesting accepted by `parse_cts_formula`: far enough
+# inside the interpreter's recursion limit for evaluation and rendering.
+_FORMULA_MAX_DEPTH = 256
+
 
 def render_word(alphabet: Carrier, word: Sequence[int]) -> str:
     return "".join(f"[{alphabet.label(a)}]" for a in word) + "↓"
@@ -118,40 +122,58 @@ def disj_all(fs: Sequence[CtsFormula]) -> CtsFormula:
 
 
 def parse_cts_formula(text: str) -> CtsFormula:
+    """Parse tt, !/¬, []/□, &/∧ and parentheses.
+
+    Parsing, evaluation and rendering all recurse on the formula, so
+    both the parser's own nesting and the height of the built formula
+    are bounded by `_FORMULA_MAX_DEPTH`; deeper input is a ValueError.
+    """
     src = (text.replace("¬", "!").replace("∧", "&")
            .replace("□", "[]").replace("not ", "!").replace("box ", "[]"))
     pos = 0
+
+    def bounded(depth: int) -> int:
+        if depth > _FORMULA_MAX_DEPTH:
+            raise ValueError(
+                f"formula nests deeper than {_FORMULA_MAX_DEPTH} levels")
+        return depth
 
     def skip():
         nonlocal pos
         while pos < len(src) and src[pos].isspace():
             pos += 1
 
-    def formula() -> CtsFormula:
+    # Each returns the parsed formula with its height; `depth` is the
+    # number of parser frames on the stack, this one included.
+    def formula(depth: int) -> tuple[CtsFormula, int]:
         nonlocal pos
-        left = unary()
+        left, height = unary(depth + 1)
         skip()
         while pos < len(src) and src[pos] == "&":
             pos += 1
-            left = conj(left, unary())
+            right, right_height = unary(depth + 1)
+            left, height = conj(left, right), bounded(max(height, right_height) + 1)
             skip()
-        return left
+        return left, height
 
-    def unary() -> CtsFormula:
+    def unary(depth: int) -> tuple[CtsFormula, int]:
         nonlocal pos
+        bounded(depth)
         skip()
         if src.startswith("!", pos):
             pos += 1
-            return neg(unary())
+            inner, height = unary(depth + 1)
+            return neg(inner), bounded(height + 1)
         if src.startswith("[]", pos):
             pos += 2
-            return box(unary())
+            inner, height = unary(depth + 1)
+            return box(inner), bounded(height + 1)
         if src.startswith("tt", pos):
             pos += 2
-            return TT
+            return TT, 0
         if src.startswith("(", pos):
             pos += 1
-            inner = formula()
+            inner = formula(depth + 1)
             skip()
             if not src.startswith(")", pos):
                 raise ValueError(f"unbalanced parenthesis in {text!r}")
@@ -159,7 +181,7 @@ def parse_cts_formula(text: str) -> CtsFormula:
             return inner
         raise ValueError(f"cannot parse formula at {src[pos:]!r}")
 
-    out = formula()
+    out, _ = formula(1)
     skip()
     if pos != len(src):
         raise ValueError(f"trailing input in formula {text!r}")

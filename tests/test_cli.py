@@ -263,3 +263,31 @@ def test_input_error_exit_two(tmp_path):
     assert run_cli(["equiv", str(bad)]).returncode == 2
     missing = tmp_path / "missing.json"
     assert run_cli(["equiv", str(missing)]).returncode == 2
+
+
+def assert_input_error(res):
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+def test_lwa_zero_denominator_weight_exit_two(tmp_path):
+    doc = dict(LWA_DOC, matrices={"a": [["0", "1/0"], ["0", "0"]]})
+    path = tmp_path / "lwa.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(run_cli(["equiv", str(path)]))
+    path.write_text(json.dumps(LWA_DOC))
+    assert_input_error(run_cli(["equiv", str(path), "--pair", "[1/0,0]", "x"]))
+
+
+def test_non_list_transitions_exit_two(tmp_path):
+    path = tmp_path / "nda.json"
+    path.write_text(json.dumps(dict(json.load(open(GOLDEN)), transitions=5)))
+    assert_input_error(run_cli(["equiv", str(path)]))
+
+
+def test_deeply_nested_formula_exit_two(tmp_path):
+    path = tmp_path / "cts.json"
+    path.write_text(json.dumps(CTS_DOC))
+    assert_input_error(
+        run_cli(["eval", str(path), "--formula", "!" * 5000 + "tt"]))

@@ -12,6 +12,7 @@ from behaveq import (
     echelonize,
     gfp,
     powerset_carrier,
+    refine,
     rel_pullback,
     subspace_contains,
 )
@@ -39,6 +40,44 @@ def test_bitrel_invariants():
         BitRel(2, (0b100, 0))
     assert BitRel.identity(3) <= BitRel.full(3)
     assert (BitRel.full(3) & BitRel.identity(3)) == BitRel.identity(3)
+
+
+def test_is_equivalence_matches_definition():
+    rng = Lcg(17)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        size = rng.randint(0, 4)
+        # a random partition, then a few random bits flipped
+        blocks = [rng.randint(0, 2) for _ in range(size)]
+        rows = list(BitRel.from_blocks(blocks).rows)
+        for _ in range(rng.randint(0, 2) if size else 0):
+            rows[rng.randint(0, size - 1)] ^= 1 << rng.randint(0, size - 1)
+        rel = BitRel(size, tuple(rows))
+        pairs = set(rel.pairs())
+        want = (all((i, i) in pairs for i in range(size))
+                and all((j, i) in pairs for i, j in pairs)
+                and all((i, k) in pairs
+                        for i, j in pairs for j2, k in pairs if j == j2))
+        assert rel.is_equivalence() == want
+        seen[want] += 1
+    assert min(seen.values()) > 50
+
+
+def test_refine_rounds_and_block_order():
+    assert refine(0, lambda i, blocks: 0) == ((), 1)
+    # a constant signature splits nothing: the confirming round is round 1
+    assert refine(3, lambda i, blocks: "same") == ((0, 0, 0), 1)
+    # successor chain 0 -> 1 -> 2 -> 3 with 3 marked: one split per round
+    succ, marked = (1, 2, 3, 3), (False, False, False, True)
+    blocks, rounds = refine(
+        4, lambda i, blocks: (marked[i], blocks[succ[i]]))
+    assert blocks == (0, 1, 2, 3)
+    assert rounds == 4
+    # blocks are numbered by first occurrence
+    blocks, rounds = refine(4, lambda i, blocks: i % 2 == 0)
+    assert blocks == (0, 1, 0, 1) and rounds == 2
+    assert BitRel.from_blocks(blocks) == BitRel.from_pairs(
+        4, [(i, j) for i in range(4) for j in range(4) if i % 2 == j % 2])
 
 
 def test_powerset_carrier_order_and_cap():

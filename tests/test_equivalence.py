@@ -12,6 +12,7 @@ from behaveq import (
     build_output_lts,
     cts_conditional_bisim,
     cts_slice_bisim_oracle,
+    lwa_classes,
     lwa_equiv,
     lwa_trace,
     lwa_unobservable_subspace,
@@ -191,6 +192,31 @@ def test_lwa_equiv_agrees_with_word_oracle():
                 by_words = all(lwa_trace(lwa, p, w) == lwa_trace(lwa, q, w)
                                for w in words)
                 assert by_subspace == by_words
+
+
+def test_lwa_classes_match_subspace_membership():
+    # each random automaton next to a copy of itself, so that every
+    # state has at least one equivalent partner
+    rng = Lcg(2002)
+    for _ in range(40):
+        one = random_lwa(rng, max_states=3)
+        k = len(one.states)
+        zero = (Fraction(0),) * k
+        lwa = Lwa(Carrier(tuple(f"q{i}" for i in range(2 * k))), one.alphabet,
+                  one.out * 2,
+                  tuple(tuple(row + zero for row in mat)
+                        + tuple(zero + row for row in mat) for mat in one.mat))
+        n = 2 * k
+        space = lwa_unobservable_subspace(lwa)
+        classes = lwa_classes(lwa)
+        assert sorted(x for cls in classes for x in cls) == list(range(n))
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+        block = {x: cls for cls in classes for x in cls}
+        for x in range(n):
+            assert block[x] is block[(x + k) % n]
+            for y in range(n):
+                diff = [int(i == x) - int(i == y) for i in range(n)]
+                assert (block[x] is block[y]) == space.contains(diff)
 
 
 # ------------------------------------------------------------------- cts
