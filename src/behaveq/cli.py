@@ -24,7 +24,6 @@ Weights are strings "p/q" or bare integers; subsets are written
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -46,6 +45,7 @@ from .equivalence import (
     cts_conditional_bisim,
     lwa_classes,
     lwa_equiv,
+    lwa_pair_oracle,
     lwa_trace,
     moore_equiv,
     moore_pair_oracle,
@@ -57,7 +57,6 @@ from .logic import (
     check_adequacy_expressivity,
     cts_logical_analysis,
     eval_cts,
-    eval_word_nda,
     parse_cts_formula,
     parse_word,
     render_word,
@@ -75,6 +74,7 @@ from .systems import (
     Lwa,
     Nda,
     OutputLts,
+    eval_word,
     forward_determinize,
     moore_determinize,
     validate,
@@ -345,21 +345,15 @@ def cmd_equiv(args) -> int:
         if isinstance(system, OutputLts) and args.semantics:
             system = build_output_lts(
                 system.states, system.alphabet, system.delta, args.semantics)
-        n = len(system.states)
+        initials = None
         if args.pair:
-            masks = [_parse_state_set(system, s) for s in args.pair]
-            initials = masks
-        else:
-            if n > args.cap:
-                raise CapExceeded(
-                    f"--all over {n} states exceeds cap {args.cap}")
-            initials = range(1 << n)
+            initials = [_parse_state_set(system, s) for s in args.pair]
         if isinstance(system, Nda):
             equiv = nda_language_equiv(system, initials, cap=args.cap)
-            oracle = lambda u, v: nda_pair_oracle(system, u, v)
+            oracle = nda_pair_oracle
         else:
             equiv = moore_equiv(system, initials, cap=args.cap)
-            oracle = lambda u, v: moore_pair_oracle(system, u, v)
+            oracle = moore_pair_oracle
         payload = {
             "kind": "moore" if isinstance(system, OutputLts) else "nda",
             "iterations": equiv.iterations,
@@ -369,13 +363,13 @@ def cmd_equiv(args) -> int:
             payload["assumptions"] = [REFUSAL_ASSUMPTION]
         exit_code = 0
         if args.pair:
-            u, v = masks
+            u, v = initials
             verdict = equiv.related(u, v)
             payload["pair"] = [subset_label(system.states, u),
                                subset_label(system.states, v)]
             payload["equivalent"] = verdict
             if not verdict:
-                witness = oracle(u, v).witness
+                witness = oracle(system, u, v).witness
                 payload["witness"] = render_word(system.alphabet, witness)
                 exit_code = 1
         _emit(payload, as_json, _equiv_lines)
@@ -393,20 +387,11 @@ def cmd_equiv(args) -> int:
             exit_code = 0
             if not verdict:
                 exit_code = 1
-                n = len(system.states)
-                for length in range(n + 1):
-                    found = False
-                    for w in itertools.product(range(len(system.alphabet)),
-                                               repeat=length):
-                        if lwa_trace(system, p, w) != lwa_trace(system, q, w):
-                            payload["witness"] = render_word(system.alphabet, w)
-                            payload["weights"] = [
-                                format_rational(lwa_trace(system, p, w)),
-                                format_rational(lwa_trace(system, q, w))]
-                            found = True
-                            break
-                    if found:
-                        break
+                witness = lwa_pair_oracle(system, p, q).witness
+                payload["witness"] = render_word(system.alphabet, witness)
+                payload["weights"] = [
+                    format_rational(lwa_trace(system, vec, witness))
+                    for vec in (p, q)]
             _emit(payload, as_json, _equiv_lines)
             return exit_code
         payload = {"kind": "lwa",
@@ -527,6 +512,14 @@ def _run_law_checks(args, results: list) -> None:
         })
 
 
+# Random instances for `check --adequacy --random FAMILY`, by family.
+_ADEQUACY_SYSTEMS = {
+    "nda": lambda rng: random_nda(rng, max_states=4),
+    "lwa": lambda rng: random_lwa(rng, max_states=4),
+    "cts": lambda rng: random_cts(rng, max_conditions=3, max_states=4),
+}
+
+
 def _run_adequacy_checks(args, results: list) -> None:
     if args.file:
         raw = read_json(args.file)
@@ -543,18 +536,9 @@ def _run_adequacy_checks(args, results: list) -> None:
         })
         return
     family = args.random or "nda"
-    builders = {"nda": random_nda, "lwa": random_lwa, "cts": random_cts}
-    if family not in builders:
-        raise SchemaError(f"unknown random family {family!r}")
     failures = []
     for i in range(args.trials):
-        rng = Lcg(subseed(args.seed, i))
-        if family == "nda":
-            system = random_nda(rng, max_states=4)
-        elif family == "lwa":
-            system = random_lwa(rng, max_states=4)
-        else:
-            system = random_cts(rng, max_conditions=3, max_states=4)
+        system = _ADEQUACY_SYSTEMS[family](Lcg(subseed(args.seed, i)))
         report = check_adequacy_expressivity(system)
         ok = (report.adequate and report.expressive
               and report.depth_saturated is not False)
@@ -627,47 +611,29 @@ def cmd_eval(args) -> int:
               lambda p: (f"{e['cond']}:{e['state']}" for e in p["satisfied"]))
         return 0
 
+    # nda, lwa and moore: the observation after one word, or the table
     if isinstance(system, Lwa):
-        vec = _parse_vector(system, args.vector or args.state or "")
-        if args.word is not None:
-            word = parse_word(system.alphabet, args.word)
-            weight = lwa_trace(system, vec, word)
-            payload = {"word": render_word(system.alphabet, word),
-                       "weight": format_rational(weight)}
-            _emit(payload, args.json,
-                  lambda p: [f"{p['word']} = {p['weight']}"])
-            return 0
-        table = theory_word(system, vec, args.maxlen)
-        payload = {"theory": {render_word(system.alphabet, w):
-                              format_rational(v)
-                              for w, v in sorted(table.items())}}
-        _emit(payload, args.json,
-              lambda p: (f"{w} = {v}" for w, v in sorted(p["theory"].items())))
-        return 0
-
-    # nda / moore
-    mask = _parse_state_set(system, args.subset or args.state or "")
+        start = _parse_vector(system, args.vector or args.state or "")
+        key, shown = "weight", format_rational
+    else:
+        start = _parse_state_set(system, args.subset or args.state or "")
+        if isinstance(system, Nda):
+            key, shown = "accepted", bool
+        else:
+            key, shown = "output", lambda v: system.lattice.names[v]
     if args.word is not None:
         word = parse_word(system.alphabet, args.word)
-        if isinstance(system, Nda):
-            verdict = eval_word_nda(system, mask, word)
-            payload = {"word": render_word(system.alphabet, word),
-                       "accepted": verdict}
+        payload = {"word": render_word(system.alphabet, word),
+                   key: shown(eval_word(system, start, word))}
+        if isinstance(system, Lwa):
+            lines = lambda p: [f"{p['word']} = {p['weight']}"]
         else:
-            table = theory_word(system, mask, len(word))
-            value = table[word]
-            payload = {"word": render_word(system.alphabet, word),
-                       "output": system.lattice.names[value]}
-        _emit(payload, args.json, lambda p: [json.dumps(p, sort_keys=True)])
+            lines = lambda p: [json.dumps(p, sort_keys=True)]
+        _emit(payload, args.json, lines)
         return 0
-    table = theory_word(system, mask, args.maxlen)
-    if isinstance(system, Nda):
-        shown = {render_word(system.alphabet, w): bool(v)
-                 for w, v in table.items()}
-    else:
-        shown = {render_word(system.alphabet, w): system.lattice.names[v]
-                 for w, v in table.items()}
-    payload = {"theory": dict(sorted(shown.items()))}
+    table = theory_word(system, start, args.maxlen)
+    payload = {"theory": dict(sorted(
+        (render_word(system.alphabet, w), shown(v)) for w, v in table.items()))}
     _emit(payload, args.json,
           lambda p: (f"{w} = {v}" for w, v in sorted(p["theory"].items())))
     return 0
@@ -740,23 +706,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "with side effects")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cap=False):
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")
-        p.add_argument("--text", action="store_true",
-                       help="emit a plain-text report (the default)")
-        p.add_argument("--cap", type=int, default=12,
-                       help="powerset size cap (default 12)")
+        if cap:
+            p.add_argument("--cap", type=int, default=12,
+                           help="powerset size cap (default 12)")
 
     p = sub.add_parser("equiv", help="equivalence classes or a pairwise verdict")
     p.add_argument("file")
     p.add_argument("--pair", nargs=2, metavar="SPEC",
                    help="two subset/state/vector specs to compare")
-    p.add_argument("--all", action="store_true",
-                   help="classes over the full powerset (default)")
     p.add_argument("--semantics", choices=SEMANTICS,
                    help="override output semantics for bare moore inputs")
-    common(p)
+    common(p, cap=True)
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("quotient",
@@ -771,8 +734,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--random", choices=("nda", "lwa", "cts"),
                    help="run on random instances of this family")
-    p.add_argument("--kind", dest="random", choices=("nda", "lwa", "cts"),
-                   help="alias for --random")
     p.add_argument("--laws", action="store_true")
     p.add_argument("--adequacy", action="store_true")
     p.add_argument("--trials", type=int, default=50)
@@ -803,7 +764,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="forward")
     p.add_argument("--initials", nargs="*",
                    help="initial subset specs (default: full powerset)")
-    common(p)
+    common(p, cap=True)
     p.set_defaults(fn=cmd_determinize)
     return parser
 

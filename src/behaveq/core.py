@@ -8,9 +8,9 @@ construction and all operations are pure, so they are safe to share
 across threads.
 
 Two fixpoint routines sit on top: `gfp`, Kleene iteration on any
-relation lattice (the law suite's engine and the tests' reference),
-and `refine`, signature refinement to the coarsest stable partition
-(the automaton, Moore and conditional engines).
+relation lattice (the conditional-slice oracle and the tests'
+reference), and `refine`, signature refinement to the coarsest stable
+partition (the automaton, Moore and conditional engines).
 
 Rationals are `fractions.Fraction` (re-exported as `Rational`): always
 in lowest terms, positive denominator, arbitrary-precision integers,
@@ -51,10 +51,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def as_rational(value) -> Fraction:

@@ -4,8 +4,10 @@ The automaton, Moore and conditional engines compute the greatest
 fixpoint of their relation lifting as the coarsest stable partition,
 by the signature-refinement rounds of `core.refine`; the weighted
 engine computes the largest invariant subspace.  Each engine is paired
-with an independent brute-force oracle (product search, word tables,
-partition refinement) that the test suite replays against it.
+with an independent brute-force oracle (a breadth-first word search
+over configuration pairs, shared by the automaton, Moore and weighted
+families, and the relation-lifting fixpoint for conditional slices)
+that the test suite replays against it.
 Relations on weighted configuration spaces are represented as
 difference subspaces: p related to q iff p - q lies in the subspace.
 """
@@ -27,21 +29,22 @@ from .core import (
     block_classes,
     dot,
     echelonize,
+    gfp,
     mat_vec,
     nullspace,
     orthogonal_tests,
     refine,
     subspace_contains,
 )
+from .liftings import cts_rel_lift
 from .systems import (
     Cts,
     DeterminizedMachine,
     Lwa,
     Nda,
     OutputLts,
+    eval_word,
     forward_determinize,
-    lwa_output,
-    lwa_step,
     moore_determinize,
 )
 
@@ -98,47 +101,44 @@ class OracleVerdict:
     witness: tuple[int, ...] | None
 
 
-def nda_pair_oracle(nda: Nda, mask_u: int, mask_v: int) -> OracleVerdict:
-    """Breadth-first product search for a shortest distinguishing word.
+def _word_search(system, u, v, maxlen: int | None = None) -> OracleVerdict:
+    """Breadth-first product search for the first word, in
+    length-then-action order, at which u and v are observed apart.
 
-    Works straight off the transition sets, independently of the
-    determinized machine and the fixpoint engine.
+    A configuration pair reached again by a later word is skipped: every
+    extension of the later word is preceded by the same extension of
+    the earlier one.  Words longer than `maxlen` are not explored.
     """
-    queue = deque([(mask_u, mask_v, ())])
-    seen = {(mask_u, mask_v)}
-    num_actions = len(nda.alphabet)
-    while queue:
-        u, v, word = queue.popleft()
-        if nda.is_accepting(u) != nda.is_accepting(v):
-            return OracleVerdict(False, word)
-        for a in range(num_actions):
-            nu, nv = nda.post(u, a), nda.post(v, a)
-            if (nu, nv) not in seen:
-                seen.add((nu, nv))
-                queue.append((nu, nv, word + (a,)))
-    return OracleVerdict(True, None)
-
-
-def moore_pair_oracle(lts: OutputLts, mask_u: int, mask_v: int) -> OracleVerdict:
-    """Product search comparing joined outputs along every word."""
-    lat = lts.lattice
-
-    def observe(mask: int) -> int:
-        return lat.join_all(lts.output[x] for x in bits(mask))
-
-    queue = deque([(mask_u, mask_v, ())])
-    seen = {(mask_u, mask_v)}
-    num_actions = len(lts.alphabet)
+    post, observe = system.post, system.observe
+    num_actions = len(system.alphabet)
+    queue = deque([(u, v, ())])
+    seen = {(u, v)}
     while queue:
         u, v, word = queue.popleft()
         if observe(u) != observe(v):
             return OracleVerdict(False, word)
+        if len(word) == maxlen:
+            continue
         for a in range(num_actions):
-            nu, nv = lts.post(u, a), lts.post(v, a)
-            if (nu, nv) not in seen:
-                seen.add((nu, nv))
-                queue.append((nu, nv, word + (a,)))
+            pair = post(u, a), post(v, a)
+            if pair not in seen:
+                seen.add(pair)
+                queue.append((*pair, word + (a,)))
     return OracleVerdict(True, None)
+
+
+def nda_pair_oracle(nda: Nda, mask_u: int, mask_v: int) -> OracleVerdict:
+    """Shortest distinguishing word by product search over subset masks.
+
+    Works straight off the transition sets, independently of the
+    determinized machine and the fixpoint engine.
+    """
+    return _word_search(nda, mask_u, mask_v)
+
+
+def moore_pair_oracle(lts: OutputLts, mask_u: int, mask_v: int) -> OracleVerdict:
+    """Product search comparing joined outputs along every word."""
+    return _word_search(lts, mask_u, mask_v)
 
 
 def moore_equiv(lts: OutputLts, initials: Iterable[int] | None = None,
@@ -156,12 +156,7 @@ def moore_equiv(lts: OutputLts, initials: Iterable[int] | None = None,
 
 def lwa_trace(lwa: Lwa, p: Sequence, word: Sequence[int]) -> Fraction:
     """Weight of `word` from configuration p: (p . M_w1 ... M_wn) . out."""
-    vec = tuple(p)
-    for a in word:
-        if not (0 <= a < len(lwa.alphabet)):
-            raise ValueError(f"unknown action index {a}")
-        vec = lwa_step(lwa, vec, a)
-    return lwa_output(lwa, vec)
+    return eval_word(lwa, tuple(p), word)
 
 
 def lwa_observability_chain(lwa: Lwa) -> list[Subspace]:
@@ -227,6 +222,18 @@ def lwa_equiv(lwa: Lwa, p: Sequence, q: Sequence) -> bool:
         raise DimensionMismatch("configuration length does not match state count")
     diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(p, q))
     return subspace_contains(lwa_unobservable_subspace(lwa), diff)
+
+
+def lwa_pair_oracle(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
+    """First word, in length-then-action order, whose weights from p
+    and q differ.
+
+    Words of |states| letters suffice: level i of the observability
+    chain holds the differences that every word of at most i letters
+    weighs 0, and the chain stops after at most |states| strict steps.
+    """
+    return _word_search(lwa, tuple(map(Fraction, p)), tuple(map(Fraction, q)),
+                        len(lwa.states))
 
 
 # ------------------------------------------------------------ conditional
@@ -304,13 +311,6 @@ class CondRel:
             rows.append((self.mask >> base) & ((1 << n) - 1))
         return BitRel(n, tuple(rows))
 
-    def all_conditions_rel(self) -> BitRel:
-        """Pairs related under every condition."""
-        out = self.slice_rel(0)
-        for k in range(1, self.num_conditions):
-            out = out & self.slice_rel(k)
-        return out
-
 
 @dataclass(frozen=True)
 class CtsBisimResult:
@@ -346,28 +346,21 @@ def cts_conditional_bisim(cts: Cts) -> CtsBisimResult:
 
 
 def cts_slice_bisim_oracle(cts: Cts, k: int) -> tuple[tuple[int, ...], ...]:
-    """Strong-bisimilarity partition of the one-condition slice by plain
-    partition refinement, independent of the fixpoint engine."""
+    """Strong-bisimilarity partition of the one-condition slice, as the
+    greatest fixpoint of the two-sided relation lifting over the slice's
+    triples, independent of the refinement engine."""
     if not (0 <= k < len(cts.conditions)):
         raise ValueError(f"condition index {k} out of range")
-    n = len(cts.states)
+    nk, n = len(cts.conditions), len(cts.states)
     succ = cts.delta[k]
-    block = [0] * n
-    while True:
-        keys: dict[tuple, int] = {}
-        nxt = []
-        for x in range(n):
-            sig = (block[x], frozenset(block[y] for y in bits(succ[x])))
-            keys.setdefault(sig, len(keys))
-            nxt.append(keys[sig])
-        if nxt == block:
-            break
-        block = nxt
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(block[x], []).append(x)
-    return tuple(tuple(sorted(g)) for g in
-                 sorted(groups.values(), key=lambda g: min(g)))
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+
+    def step(rel: CondRel) -> CondRel:
+        return CondRel.from_triples(nk, n, (
+            (k, x, y) for x, y in pairs if cts_rel_lift(rel, k, succ[x], succ[y])))
+
+    top = CondRel.from_triples(nk, n, ((k, x, y) for x, y in pairs))
+    return gfp(step, top).relation.slice_rel(k).classes()
 
 
 # ------------------------------------------------------------------ Moore

@@ -1,7 +1,8 @@
 """Formula syntax, theory maps, and adequacy/expressivity verdicts.
 
-Words are action-index tuples evaluated against determinized machines
-or weighted steps; conditional systems get a box/Boolean modal grammar.
+Words are action-index tuples read through a system's one-step
+dynamics (`post`/`observe` in `systems`); conditional systems get a
+box/Boolean modal grammar.
 An adequacy check compares the behavioural relation (fixpoint engine)
 against a logical relation computed along an independent route: product
 search for automata and Moore systems, word tables for weighted
@@ -10,7 +11,6 @@ automata, formula enumeration for conditional systems.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,14 +19,12 @@ from .core import (
     BitRel,
     CapExceeded,
     Carrier,
-    bits,
     format_rational,
 )
 from .equivalence import (
-    REFUSAL_ASSUMPTION,
     CondRel,
     cts_conditional_bisim,
-    lwa_trace,
+    lwa_trace,  # unused here; perfbench/spans.py counts calls through this name
     lwa_unobservable_subspace,
     moore_equiv,
     moore_pair_oracle,
@@ -34,7 +32,7 @@ from .equivalence import (
     nda_pair_oracle,
 )
 from .liftings import cts_box
-from .systems import Cts, Lwa, Nda, OutputLts, forward_determinize, lwa_step
+from .systems import Cts, Lwa, Nda, OutputLts, word_dynamics
 
 Word = tuple[int, ...]
 
@@ -188,12 +186,6 @@ def parse_cts_formula(text: str) -> CtsFormula:
     return out
 
 
-def eval_word_nda(nda: Nda, mask: int, word: Sequence[int]) -> bool:
-    """Acceptance of `word` from a subset state, via the determinized machine."""
-    machine = forward_determinize(nda, [mask])
-    return bool(machine.out[machine.run(mask, word)])
-
-
 def eval_cts(cts: Cts, formula: CtsFormula) -> int:
     """Satisfaction set of a formula as a bitmask over condition/state pairs."""
     total = len(cts.conditions) * len(cts.states)
@@ -208,46 +200,25 @@ def eval_cts(cts: Cts, formula: CtsFormula) -> int:
 
 
 def theory_word(system, start, maxlen: int) -> dict[Word, object]:
-    """Observation table over all words up to `maxlen`.
+    """Observation table over all words up to `maxlen`, in
+    length-then-action order.
 
     Automata observe acceptance, weighted automata the trace weight,
     Moore systems the joined lattice output (as an element index).
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
+    post, observe = word_dynamics(system)
+    actions = range(len(system.alphabet))
     table: dict[Word, object] = {}
-    if isinstance(system, Nda):
-        frontier = {(): start}
-        for _ in range(maxlen + 1):
-            nxt = {}
-            for word, mask in frontier.items():
-                table[word] = bool(mask & system.accepting)
-                for a in range(len(system.alphabet)):
-                    nxt[word + (a,)] = system.post(mask, a)
-            frontier = {w: m for w, m in nxt.items() if len(w) <= maxlen}
-        return table
-    if isinstance(system, Lwa):
-        frontier = {(): tuple(start)}
-        for _ in range(maxlen + 1):
-            nxt = {}
-            for word, vec in frontier.items():
-                table[word] = lwa_trace(system, vec, ())
-                for a in range(len(system.alphabet)):
-                    nxt[word + (a,)] = lwa_step(system, vec, a)
-            frontier = {w: v for w, v in nxt.items() if len(w) <= maxlen}
-        return table
-    if isinstance(system, OutputLts):
-        lat = system.lattice
-        frontier = {(): start}
-        for _ in range(maxlen + 1):
-            nxt = {}
-            for word, mask in frontier.items():
-                table[word] = lat.join_all(system.output[x] for x in bits(mask))
-                for a in range(len(system.alphabet)):
-                    nxt[word + (a,)] = system.post(mask, a)
-            frontier = {w: m for w, m in nxt.items() if len(w) <= maxlen}
-        return table
-    raise ValueError(f"no theory map for {type(system).__name__}")
+    frontier = [((), start)]
+    for length in range(maxlen + 1):
+        for word, config in frontier:
+            table[word] = observe(config)
+        if length < maxlen:
+            frontier = [(word + (a,), post(config, a))
+                        for word, config in frontier for a in actions]
+    return table
 
 
 # ------------------------------------------------------------ CTS formulas
@@ -438,13 +409,7 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             labels = ["[" + ",".join(format_rational(v) for v in vec) + "]"
                       for vec in vectors]
         space = lwa_unobservable_subspace(system)
-        words = [()]
-        for length in range(1, n + 1):
-            words.extend(itertools.product(range(len(system.alphabet)),
-                                           repeat=length))
-        tables = [
-            {w: lwa_trace(system, vec, w) for w in words} for vec in vectors
-        ]
+        tables = [theory_word(system, vec, n) for vec in vectors]
         size = len(vectors)
         beh_rows, log_rows = [], []
         counterexamples = []
@@ -461,7 +426,7 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
                 if beh != log:
                     pair = [labels[i], labels[j]]
                     if beh:
-                        word = next(w for w in words
+                        word = next(w for w in tables[i]
                                     if tables[i][w] != tables[j][w])
                         counterexamples.append({
                             "pair": pair, "kind": "adequacy",

@@ -4,6 +4,14 @@ Nondeterministic automata, rational-weighted automata, conditional
 transition systems and LTSs with semilattice outputs, all as validated
 immutable values.  Subsets of a state carrier are n-bit little-endian
 masks throughout.
+
+The three word-reading families share one-step dynamics:
+`post(config, a)` is the configuration after action a and
+`observe(config)` what is seen of it.  Configurations are subset masks
+observed by acceptance (Nda) or by the joined lattice output
+(OutputLts), and weight vectors observed by their output weight (Lwa).
+Determinization, word search, theory tables and word evaluation are all
+built on this pair.
 """
 
 from __future__ import annotations
@@ -65,6 +73,8 @@ class Nda:
     def is_accepting(self, mask: int) -> bool:
         return bool(mask & self.accepting)
 
+    observe = is_accepting
+
 
 @dataclass(frozen=True)
 class Lwa:
@@ -79,6 +89,12 @@ class Lwa:
     alphabet: Carrier
     out: tuple[Fraction, ...]
     mat: tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+    def post(self, p: Sequence, a: int) -> tuple[Fraction, ...]:
+        return lwa_step(self, p, a)
+
+    def observe(self, p: Sequence) -> Fraction:
+        return lwa_output(self, p)
 
 
 @dataclass(frozen=True)
@@ -112,6 +128,10 @@ class OutputLts:
         for x in bits(mask):
             out |= self.delta[x][a]
         return out
+
+    def observe(self, mask: int) -> int:
+        """Join of the members' outputs; the empty subset observes bottom."""
+        return self.lattice.join_all(self.output[x] for x in bits(mask))
 
     def enabled(self, x: int) -> int:
         mask = 0
@@ -167,8 +187,11 @@ def _check_masks(n: int, initials: Iterable[int]) -> list[int]:
     return masks
 
 
-def _determinize(base, n: int, num_actions: int, initials, post, observe):
-    order = _check_masks(n, initials)
+def _determinize(system, initials: Iterable[int]) -> DeterminizedMachine:
+    """Reachable subset machine of `system` under its post/observe pair."""
+    post, observe = system.post, system.observe
+    num_actions = len(system.alphabet)
+    order = _check_masks(len(system.states), initials)
     pos = {m: i for i, m in enumerate(order)}
     trans: list[list[int]] = []
     queue = list(order)
@@ -185,8 +208,8 @@ def _determinize(base, n: int, num_actions: int, initials, post, observe):
             row.append(pos[target])
         trans.append(row)
     return DeterminizedMachine(
-        base=base,
-        alphabet=base.alphabet,
+        base=system,
+        alphabet=system.alphabet,
         subset_states=tuple(queue),
         trans=tuple(tuple(r) for r in trans),
         out=tuple(observe(m) for m in queue),
@@ -195,26 +218,12 @@ def _determinize(base, n: int, num_actions: int, initials, post, observe):
 
 def forward_determinize(nda: Nda, initials: Iterable[int]) -> DeterminizedMachine:
     """Subset construction restricted to the part reachable from `initials`."""
-    return _determinize(
-        nda, len(nda.states), len(nda.alphabet), initials,
-        nda.post, nda.is_accepting,
-    )
+    return _determinize(nda, initials)
 
 
 def moore_determinize(lts: OutputLts, initials: Iterable[int]) -> DeterminizedMachine:
-    """Subset construction with outputs joined in the lattice.
-
-    The empty subset gets the lattice bottom (join over an empty index
-    set).
-    """
-    lat = lts.lattice
-
-    def observe(mask: int) -> int:
-        return lat.join_all(lts.output[x] for x in bits(mask))
-
-    return _determinize(
-        lts, len(lts.states), len(lts.alphabet), initials, lts.post, observe,
-    )
+    """Subset construction with outputs joined in the lattice."""
+    return _determinize(lts, initials)
 
 
 def lwa_step(lwa: Lwa, p: Sequence, a: int) -> tuple[Fraction, ...]:
@@ -231,6 +240,22 @@ def lwa_output(lwa: Lwa, p: Sequence) -> Fraction:
     if len(p) != len(lwa.states):
         raise DimensionMismatch("vector length does not match state count")
     return dot(p, lwa.out)
+
+
+def word_dynamics(system):
+    """The post/observe pair of an automaton, weighted automaton or Moore
+    system; other systems read no words."""
+    if not isinstance(system, (Nda, Lwa, OutputLts)):
+        raise ValueError(f"{type(system).__name__} reads no words")
+    return system.post, system.observe
+
+
+def eval_word(system, start, word: Sequence[int]):
+    """What is observed of configuration `start` after reading `word`."""
+    post, observe = word_dynamics(system)
+    for a in word:
+        start = post(start, a)
+    return observe(start)
 
 
 def validate(system) -> list[str]:

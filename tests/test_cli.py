@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from behaveq.cli import load_system, save_system
+from behaveq.cli import load_system, main, save_system
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -13,11 +13,11 @@ GOLDEN = str(DATA / "paper-nda.json")
 MOORE = str(DATA / "trace-vs-failure.json")
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, timeout=None):
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"}
     return subprocess.run(
         [sys.executable, "-m", "behaveq.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd)
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout)
 
 
 LWA_DOC = {
@@ -75,7 +75,7 @@ def test_equiv_pair_inequivalent_exit_one_with_witness():
 
 
 def test_equiv_all_classes(tmp_path):
-    res = run_cli(["equiv", GOLDEN, "--all", "--json"])
+    res = run_cli(["equiv", GOLDEN, "--json"])
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     classes = {frozenset(c) for c in payload["classes"]}
@@ -229,6 +229,59 @@ def test_eval_moore_word_and_cts_depth(tmp_path):
     payload = json.loads(res.stdout)
     rendered = {e["formula"] for e in payload["formulas"]}
     assert "tt" in rendered and any("□" in f for f in rendered)
+
+
+def test_eval_long_moore_word_reads_only_that_word():
+    # one word of 64 letters; a table of all 3^64 words would never end
+    res = run_cli(["eval", MOORE, "--subset", "{p0}", "--word", "[a]" * 64,
+                   "--json"], timeout=30)
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["word"] == "[a]" * 64 + "↓"
+    assert payload["output"] == "0"
+
+
+def test_eval_word_on_nda_with_large_subset_machine(tmp_path):
+    # "a at the 18th position from the end": the subset machine reachable
+    # from {q0} has 2^18 states, and evaluating one word needs none of them
+    k = 19
+    names = [f"q{i}" for i in range(k)]
+    transitions = [{"from": "q0", "action": c, "to": "q0"} for c in "ab"]
+    transitions.append({"from": "q0", "action": "a", "to": "q1"})
+    transitions += [{"from": names[i], "action": c, "to": names[i + 1]}
+                    for i in range(1, k - 1) for c in "ab"]
+    path = tmp_path / "nda.json"
+    path.write_text(json.dumps({
+        "kind": "nda", "states": names, "alphabet": ["a", "b"],
+        "transitions": transitions, "accepting": [names[-1]]}))
+    res = run_cli(["eval", str(path), "--state", "q0", "--word", "ab",
+                   "--json"], timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["accepted"] is False
+    word = "a" + "b" * (k - 2)
+    res = run_cli(["eval", str(path), "--state", "q0", "--word", word,
+                   "--json"], timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["accepted"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", GOLDEN, "--all"],
+    ["equiv", GOLDEN, "--text"],
+    ["quotient", GOLDEN, "--text"],
+    ["quotient", GOLDEN, "--cap", "1"],
+    ["check", GOLDEN, "--adequacy", "--text"],
+    ["check", GOLDEN, "--adequacy", "--cap", "1"],
+    ["check", "--kind", "nda", "--adequacy"],
+    ["eval", GOLDEN, "--state", "x", "--text"],
+    ["eval", GOLDEN, "--state", "x", "--cap", "1"],
+    ["determinize", GOLDEN, "--text"],
+])
+def test_removed_flags_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- determinize

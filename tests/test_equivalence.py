@@ -14,6 +14,7 @@ from behaveq import (
     cts_slice_bisim_oracle,
     lwa_classes,
     lwa_equiv,
+    lwa_pair_oracle,
     lwa_trace,
     lwa_unobservable_subspace,
     moore_equiv,
@@ -22,9 +23,17 @@ from behaveq import (
     nda_pair_oracle,
     ready_output,
     refusal_output,
+    theory_word,
 )
 from behaveq.equivalence import lwa_observability_chain
-from behaveq.rng import Lcg, random_cts, random_lwa, random_nda, random_vector
+from behaveq.rng import (
+    Lcg,
+    random_cts,
+    random_lts,
+    random_lwa,
+    random_nda,
+    random_vector,
+)
 
 from conftest import mask_of
 
@@ -364,3 +373,73 @@ def test_ready_output_cases():
     # union of two ready outputs keeps both ready sets
     joined = ready_output(delta, 0) | ready_output(delta, 1)
     assert joined == frozenset({frozenset(), frozenset({0})})
+
+
+# ------------------------------------------------------ shared word search
+
+def first_lwa_difference(lwa, p, q):
+    """The exhaustive |A|^<=n loop the CLI used for lwa witnesses: the
+    first word in length-then-action order whose weights differ."""
+    for length in range(len(lwa.states) + 1):
+        for w in itertools.product(range(len(lwa.alphabet)), repeat=length):
+            if lwa_trace(lwa, p, w) != lwa_trace(lwa, q, w):
+                return w
+    return None
+
+
+def test_lwa_pair_oracle_matches_exhaustive_word_loop():
+    rng = Lcg(3003)
+    refuted = equivalent = 0
+    for _ in range(20):
+        lwa = random_lwa(rng, max_states=5)
+        n = len(lwa.states)
+        units = [tuple(Fraction(int(i == x)) for i in range(n))
+                 for x in range(n)]
+        probes = units + [random_vector(rng, n), random_vector(rng, n)]
+        # a second configuration equivalent to the first, when one exists
+        space = lwa_unobservable_subspace(lwa)
+        if space.basis:
+            probes.append(tuple(a + b for a, b in zip(probes[0], space.basis[0])))
+        for i, p in enumerate(probes):
+            for q in probes[i:]:
+                verdict = lwa_pair_oracle(lwa, p, q)
+                want = first_lwa_difference(lwa, p, q)
+                assert verdict.witness == want
+                assert verdict.equivalent == (want is None) == lwa_equiv(lwa, p, q)
+                refuted += want is not None and len(want) > 0
+                equivalent += want is None and p != q
+    assert refuted and equivalent
+
+
+def first_table_difference(system, u, v, depth):
+    left, right = theory_word(system, u, depth), theory_word(system, v, depth)
+    return next((w for w in left if left[w] != right[w]), None)
+
+
+def assert_oracle_is_first_table_difference(system, oracle, engine, masks):
+    for u in masks:
+        for v in masks:
+            verdict = oracle(system, u, v)
+            assert verdict.equivalent == engine.related(u, v)
+            depth = len(verdict.witness) if verdict.witness is not None else 5
+            assert first_table_difference(system, u, v, depth) == verdict.witness
+
+
+def test_nda_pair_oracle_is_first_theory_table_difference():
+    rng = Lcg(3004)
+    for _ in range(25):
+        nda = random_nda(rng, max_states=4, max_actions=3)
+        masks = range(1 << len(nda.states))
+        assert_oracle_is_first_table_difference(
+            nda, nda_pair_oracle, nda_language_equiv(nda), masks)
+
+
+def test_moore_pair_oracle_is_first_theory_table_difference():
+    rng = Lcg(3005)
+    for _ in range(10):
+        states, alphabet, delta = random_lts(rng, max_states=3)
+        for semantics in ("trace", "failure", "ready"):
+            lts = build_output_lts(states, alphabet, delta, semantics)
+            masks = range(1 << len(states))
+            assert_oracle_is_first_table_difference(
+                lts, moore_pair_oracle, moore_equiv(lts), masks)

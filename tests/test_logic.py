@@ -10,14 +10,22 @@ from behaveq import (
     check_adequacy_expressivity,
     cts_slice_bisim_oracle,
     eval_cts,
-    eval_word_nda,
+    eval_word,
     parse_cts_formula,
     parse_word,
     render_word,
     theory_word,
 )
 from behaveq.logic import TT, box, cts_logical_analysis, neg
-from behaveq.rng import Lcg, random_cts, random_lwa, random_nda, subseed
+from behaveq.rng import (
+    Lcg,
+    random_cts,
+    random_lts,
+    random_lwa,
+    random_nda,
+    random_vector,
+    subseed,
+)
 
 from conftest import mask_of
 
@@ -29,13 +37,13 @@ def test_eval_word_nda_cases(golden_nda):
     y = mask_of(golden_nda.states, "y")
     a = parse_word(golden_nda.alphabet, "a")
     b = parse_word(golden_nda.alphabet, "b")
-    assert eval_word_nda(golden_nda, x, a)
-    assert not eval_word_nda(golden_nda, x, b)
-    assert eval_word_nda(golden_nda, y, a)
-    assert eval_word_nda(golden_nda, y, b)
+    assert eval_word(golden_nda, x, a)
+    assert not eval_word(golden_nda, x, b)
+    assert eval_word(golden_nda, y, a)
+    assert eval_word(golden_nda, y, b)
     # empty word observes acceptance of the subset itself
-    assert not eval_word_nda(golden_nda, x, ())
-    assert eval_word_nda(golden_nda, mask_of(golden_nda.states, "z"), ())
+    assert not eval_word(golden_nda, x, ())
+    assert eval_word(golden_nda, mask_of(golden_nda.states, "z"), ())
 
 
 def test_word_render_and_parse_roundtrip(golden_nda):
@@ -61,7 +69,7 @@ def test_theory_word_agrees_with_eval_word(golden_nda):
     for start in range(8):
         table = theory_word(golden_nda, start, 3)
         for word, value in table.items():
-            assert eval_word_nda(golden_nda, start, word) == value
+            assert eval_word(golden_nda, start, word) == value
 
 
 def test_theory_word_lwa():
@@ -79,6 +87,30 @@ def test_theory_word_moore_bottom_for_empty():
     table = theory_word(lts, 1, 1)
     assert table[()] == 1
     assert table[(0,)] == 0  # empty successor set observes bottom
+
+
+def test_eval_word_is_the_theory_table_entry():
+    rng = Lcg(4004)
+    for _ in range(10):
+        nda = random_nda(rng, max_states=4, max_actions=3)
+        lwa = random_lwa(rng, max_states=4, max_actions=3)
+        states, alphabet, delta = random_lts(rng, max_states=4)
+        starts = [(nda, rng.randint(0, (1 << len(nda.states)) - 1)),
+                  (lwa, random_vector(rng, len(lwa.states)))]
+        for semantics in ("trace", "failure", "ready"):
+            lts = build_output_lts(states, alphabet, delta, semantics)
+            starts.append((lts, rng.randint(0, (1 << len(states)) - 1)))
+        for system, start in starts:
+            for word, value in theory_word(system, start, 3).items():
+                assert eval_word(system, start, word) == value
+
+
+def test_systems_without_words_raise_value_error():
+    cts = cts_for_formulas()
+    with pytest.raises(ValueError):
+        theory_word(cts, 1, 2)
+    with pytest.raises(ValueError):
+        eval_word(cts, 1, (0,))
 
 
 # ------------------------------------------------------------- cts logic
