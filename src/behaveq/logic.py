@@ -329,39 +329,27 @@ class EquivReport:
         }
 
 
-def _machine_report(family, machine, behavioural, iterations, oracle, alphabet,
-                    assumptions=()) -> EquivReport:
-    size = len(machine.subset_states)
-    verdicts = {}
-    rows = []
-    for i in range(size):
-        row = 0
-        for j in range(size):
-            v = oracle(machine.subset_states[i], machine.subset_states[j])
-            verdicts[i, j] = v
-            if v.equivalent:
-                row |= 1 << j
-        rows.append(row)
-    logical = BitRel(size, tuple(rows))
+def _report(family, labels, behavioural: BitRel, logical: BitRel, formula,
+            note: str, iterations: int, **extra) -> EquivReport:
+    """Compare two relations over labelled positions, pair by pair in
+    (i, j) order: a behavioural pair the logic separates is an adequacy
+    counterexample with `formula(i, j)`, a logical pair the behaviour
+    separates an expressivity counterexample with `note`."""
     counterexamples = []
-    for i in range(size):
-        for j in range(size):
+    for i in range(len(labels)):
+        for j in range(len(labels)):
             beh = behavioural.has(i, j)
-            log = logical.has(i, j)
-            if beh == log:
+            if beh == logical.has(i, j):
                 continue
-            pair = [machine.label(i), machine.label(j)]
-            if beh and not log:
-                counterexamples.append({
-                    "pair": pair, "kind": "adequacy",
-                    "formula": render_word(alphabet, verdicts[i, j].witness)})
+            pair = [labels[i], labels[j]]
+            if beh:
+                counterexamples.append({"pair": pair, "kind": "adequacy",
+                                        "formula": formula(i, j)})
             else:
-                counterexamples.append({
-                    "pair": pair, "kind": "expressivity",
-                    "note": "no distinguishing word exists but the "
-                            "behavioural relation separates the pair"})
+                counterexamples.append({"pair": pair, "kind": "expressivity",
+                                        "note": note})
     labelled = lambda rel: tuple(
-        tuple(machine.label(i) for i in cls) for cls in rel.classes())
+        tuple(labels[i] for i in cls) for cls in rel.classes())
     return EquivReport(
         family=family,
         adequate=behavioural <= logical,
@@ -370,7 +358,7 @@ def _machine_report(family, machine, behavioural, iterations, oracle, alphabet,
         logical_classes=labelled(logical),
         counterexamples=tuple(counterexamples),
         iterations=iterations,
-        assumptions=tuple(assumptions),
+        **extra,
     )
 
 
@@ -386,17 +374,24 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
     fixpoint vs formula enumeration to the fixpoint depth, with a
     saturation check one level deeper.
     """
-    if isinstance(system, Nda):
-        equiv = nda_language_equiv(system, initials, cap)
-        return _machine_report(
-            "nda", equiv.machine, equiv.relation, equiv.iterations,
-            lambda u, v: nda_pair_oracle(system, u, v), system.alphabet)
-
-    if isinstance(system, OutputLts):
-        equiv = moore_equiv(system, initials, cap)
-        return _machine_report(
-            "moore", equiv.machine, equiv.relation, equiv.iterations,
-            lambda u, v: moore_pair_oracle(system, u, v), system.alphabet)
+    if isinstance(system, (Nda, OutputLts)):
+        if isinstance(system, Nda):
+            family, engine, oracle = "nda", nda_language_equiv, nda_pair_oracle
+        else:
+            family, engine, oracle = "moore", moore_equiv, moore_pair_oracle
+        equiv = engine(system, initials, cap)
+        masks = equiv.machine.subset_states
+        size = len(masks)
+        verdicts = {(i, j): oracle(system, masks[i], masks[j])
+                    for i in range(size) for j in range(size)}
+        logical = BitRel.from_pairs(size, (ij for ij, v in verdicts.items()
+                                           if v.equivalent))
+        return _report(
+            family, [equiv.machine.label(i) for i in range(size)],
+            equiv.relation, logical,
+            lambda i, j: render_word(system.alphabet, verdicts[i, j].witness),
+            "no distinguishing word exists but the behavioural relation "
+            "separates the pair", equiv.iterations)
 
     if isinstance(system, Lwa):
         n = len(system.states)
@@ -411,46 +406,20 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
         space = lwa_unobservable_subspace(system)
         tables = [theory_word(system, vec, n) for vec in vectors]
         size = len(vectors)
-        beh_rows, log_rows = [], []
-        counterexamples = []
-        for i in range(size):
-            beh_row = log_row = 0
-            for j in range(size):
-                diff = tuple(a - b for a, b in zip(vectors[i], vectors[j]))
-                beh = space.contains(diff)
-                log = tables[i] == tables[j]
-                if beh:
-                    beh_row |= 1 << j
-                if log:
-                    log_row |= 1 << j
-                if beh != log:
-                    pair = [labels[i], labels[j]]
-                    if beh:
-                        word = next(w for w in tables[i]
-                                    if tables[i][w] != tables[j][w])
-                        counterexamples.append({
-                            "pair": pair, "kind": "adequacy",
-                            "formula": render_word(system.alphabet, word)})
-                    else:
-                        counterexamples.append({
-                            "pair": pair, "kind": "expressivity",
-                            "note": "trace tables agree to the stabilisation "
-                                    "bound but the subspace separates the pair"})
-            beh_rows.append(beh_row)
-            log_rows.append(log_row)
-        behavioural = BitRel(size, tuple(beh_rows))
-        logical = BitRel(size, tuple(log_rows))
-        labelled = lambda rel: tuple(
-            tuple(labels[i] for i in cls) for cls in rel.classes())
-        return EquivReport(
-            family="lwa",
-            adequate=behavioural <= logical,
-            expressive=logical <= behavioural,
-            behavioural_classes=labelled(behavioural),
-            logical_classes=labelled(logical),
-            counterexamples=tuple(counterexamples),
-            iterations=n,
-        )
+        pairs = [(i, j) for i in range(size) for j in range(size)]
+        behavioural = BitRel.from_pairs(size, (
+            (i, j) for i, j in pairs
+            if space.contains(tuple(a - b for a, b in zip(vectors[i], vectors[j])))))
+        logical = BitRel.from_pairs(size, (
+            (i, j) for i, j in pairs if tables[i] == tables[j]))
+
+        def formula(i, j):
+            return render_word(system.alphabet, next(
+                w for w in tables[i] if tables[i][w] != tables[j][w]))
+
+        return _report("lwa", labels, behavioural, logical, formula,
+                       "trace tables agree to the stabilisation bound but the "
+                       "subspace separates the pair", n)
 
     if isinstance(system, Cts):
         result = cts_conditional_bisim(system)
@@ -458,51 +427,20 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
         logical, gens = cts_logical_analysis(system, depth)
         deeper, _ = cts_logical_analysis(system, depth + 1)
         nk, n = len(system.conditions), len(system.states)
-        counterexamples = []
-        for k in range(nk):
-            for x in range(n):
-                for y in range(n):
-                    beh = (k, x, y) in result.relation
-                    log = (k, x, y) in logical
-                    if beh == log:
-                        continue
-                    pair = [f"{system.conditions.label(k)}:{system.states.label(x)}",
-                            f"{system.conditions.label(k)}:{system.states.label(y)}"]
-                    if beh:
-                        counterexamples.append({
-                            "pair": pair, "kind": "adequacy",
-                            "formula": cts_distinguishing_formula(gens, k, x, y, n)})
-                    else:
-                        counterexamples.append({
-                            "pair": pair, "kind": "expressivity",
-                            "note": "no formula separates the pair but the "
-                                    "bisimulation fixpoint does"})
 
-        def pair_classes(rel: CondRel):
-            size = nk * n
-            rows = []
-            for k in range(nk):
-                for x in range(n):
-                    row = 0
-                    for y in range(n):
-                        if (k, x, y) in rel:
-                            row |= 1 << (k * n + y)
-                    rows.append(row)
-            big = BitRel(size, tuple(rows))
-            return tuple(
-                tuple(f"{system.conditions.label(i // n)}:{system.states.label(i % n)}"
-                      for i in cls)
-                for cls in big.classes())
+        # Position k*n + x is state x under condition k; its row is the
+        # triple mask's n bits for (k, x), moved to condition k's block.
+        def positions(rel: CondRel) -> BitRel:
+            return BitRel(nk * n, tuple(
+                ((rel.mask >> (p * n)) & ((1 << n) - 1)) << (p - p % n)
+                for p in range(nk * n)))
 
-        return EquivReport(
-            family="cts",
-            adequate=result.relation <= logical,
-            expressive=logical <= result.relation,
-            behavioural_classes=pair_classes(result.relation),
-            logical_classes=pair_classes(logical),
-            counterexamples=tuple(counterexamples),
-            iterations=result.iterations,
-            depth_saturated=(deeper.mask == logical.mask),
-        )
+        labels = [f"{system.conditions.label(p // n)}:{system.states.label(p % n)}"
+                  for p in range(nk * n)]
+        return _report(
+            "cts", labels, positions(result.relation), positions(logical),
+            lambda i, j: cts_distinguishing_formula(gens, i // n, i % n, j % n, n),
+            "no formula separates the pair but the bisimulation fixpoint does",
+            result.iterations, depth_saturated=(deeper.mask == logical.mask))
 
     raise ValueError(f"no adequacy check for {type(system).__name__}")

@@ -21,7 +21,7 @@ from behaveq import (
     nda_modality,
     nda_rel_lift,
 )
-from behaveq.liftings import CORRUPTIONS
+from behaveq.liftings import CORRUPTIONS, _nda_lift_rel
 from behaveq.rng import Lcg, random_cts
 
 from conftest import mask_of
@@ -139,6 +139,30 @@ def test_nda_rel_lift_cases():
     assert nda_rel_lift(BitRel.full(4), no_stop1, no_stop2, 1)
 
 
+def _set_mask(items) -> int:
+    return sum(1 << x for x in items)
+
+
+def test_nda_lift_rel_on_tables_matches_nda_rel_lift():
+    # every pair of step sets over 2 states and 2 actions; the relation
+    # on successor sets as pairs of sets and as a BitRel over masks
+    steps = [STOP] + [Step.act(a, x) for a in range(2) for x in range(2)]
+    step_sets = [frozenset(s for i, s in enumerate(steps) if bits >> i & 1)
+                 for bits in range(1 << len(steps))]
+    tables = {u: nda_det_step(u, 2) for u in step_sets}
+    subsets = [frozenset(x for x in range(2) if m >> x & 1) for m in range(4)]
+    for seed in range(6):
+        rng = Lcg(seed)
+        rel_pairs = frozenset((u, v) for u in subsets for v in subsets
+                              if rng.bit())
+        rel = BitRel.from_pairs(4, ((_set_mask(u), _set_mask(v))
+                                    for u, v in rel_pairs))
+        for u in step_sets:
+            for v in step_sets:
+                assert (_nda_lift_rel(rel_pairs, tables[u], tables[v])
+                        == nda_rel_lift(rel, u, v, 2)), (seed, u, v)
+
+
 def test_cts_rel_lift_cases():
     rel = {(0, 0, 1)}
     assert cts_rel_lift(rel, 0, 0, 0)
@@ -178,6 +202,26 @@ def test_law_suite_rejects_bad_args():
         check_lifting_laws("unknown")
     with pytest.raises(ValueError):
         check_lifting_laws("nda", corruption="nonsense")
+    # another family's corruption name is unknown here
+    for family, name in (("cts", "det-step"), ("lwa", "meet")):
+        with pytest.raises(ValueError,
+                           match=f"unknown corruption '{name}' for {family}"):
+            check_lifting_laws(family, corruption=name)
+    assert CORRUPTIONS == {
+        "nda": {"dist-law": "kleisli-unit",
+                "det-step": "gamma-theta-mu",
+                "sigma": "pred-sigma-naturality",
+                "lift": "equality-preservation",
+                "meet": "intersection-preservation"},
+        "lwa": {"dist-law": "kleisli-unit",
+                "det-step": "gamma-theta-mu",
+                "sigma": "pred-sigma-naturality",
+                "lift": "equality-preservation"},
+        "cts": {"dist-law": "cokleisli-counit",
+                "sigma": "pred-sigma-naturality",
+                "lift": "equality-preservation",
+                "meet": "box-meet-preservation"},
+    }
 
 
 def test_law_suite_catches_each_corruption():

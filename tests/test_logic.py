@@ -6,6 +6,7 @@ from behaveq import (
     Carrier,
     Cts,
     Lwa,
+    Nda,
     build_output_lts,
     check_adequacy_expressivity,
     cts_slice_bisim_oracle,
@@ -16,6 +17,7 @@ from behaveq import (
     render_word,
     theory_word,
 )
+from behaveq import logic
 from behaveq.logic import TT, box, cts_logical_analysis, neg
 from behaveq.rng import (
     Lcg,
@@ -213,6 +215,111 @@ def test_adequacy_random_cts_with_depth_saturation():
         report = check_adequacy_expressivity(cts)
         assert report.adequate and report.expressive, report.counterexamples
         assert report.depth_saturated is True
+
+
+# Forced disagreements: the patched name answers for a second system, so
+# the two relations differ in both directions.  Each case gives the
+# system checked, the name patched with the system it answers for, the
+# expected (pair, kind) list in report order, the expressivity note, and
+# whether a formula separates two labelled positions in the system the
+# logical side read.
+
+_XY, _XYZ, _A = Carrier(("x", "y")), Carrier(("x", "y", "z")), Carrier(("a",))
+_SUBSETS = {"{}": 0, "{x}": 1, "{y}": 2, "{x,y}": 3}
+_EXPR, _ADEQ = "expressivity", "adequacy"
+
+
+def _forced_nda():
+    # no transitions; x accepts in the checked system, y in the oracle's
+    checked = Nda(_XY, _A, (frozenset(), frozenset()), 0b01)
+    other = Nda(_XY, _A, (frozenset(), frozenset()), 0b10)
+    expected = [(("{}", "{x}"), _EXPR), (("{}", "{y}"), _ADEQ),
+                (("{x}", "{}"), _EXPR), (("{x}", "{x,y}"), _ADEQ),
+                (("{y}", "{}"), _ADEQ), (("{y}", "{x,y}"), _EXPR),
+                (("{x,y}", "{x}"), _ADEQ), (("{x,y}", "{y}"), _EXPR)]
+
+    def separates(text, p, q):
+        word = parse_word(other.alphabet, text)
+        return (eval_word(other, _SUBSETS[p], word)
+                != eval_word(other, _SUBSETS[q], word))
+    return (checked, "nda_pair_oracle", other, expected,
+            "no distinguishing word exists but the behavioural relation "
+            "separates the pair", separates)
+
+
+def _forced_moore():
+    # trace semantics; x loops on a in the checked system, y in the oracle's
+    checked = build_output_lts(_XY, _A, ((0b01,), (0b00,)), "trace")
+    other = build_output_lts(_XY, _A, ((0b00,), (0b10,)), "trace")
+    expected = [(("{x}", "{x,y}"), _ADEQ), (("{y}", "{x,y}"), _EXPR),
+                (("{x,y}", "{x}"), _ADEQ), (("{x,y}", "{y}"), _EXPR)]
+
+    def separates(text, p, q):
+        word = parse_word(other.alphabet, text)
+        return (eval_word(other, _SUBSETS[p], word)
+                != eval_word(other, _SUBSETS[q], word))
+    return (checked, "moore_pair_oracle", other, expected,
+            "no distinguishing word exists but the behavioural relation "
+            "separates the pair", separates)
+
+
+def _forced_lwa():
+    # no transitions; outputs (1,1,2) checked, (2,1,1) for the subspace
+    zero = ((Fraction(0),) * 3,) * 3
+    checked = Lwa(_XYZ, _A, (Fraction(1), Fraction(1), Fraction(2)), (zero,))
+    other = Lwa(_XYZ, _A, (Fraction(2), Fraction(1), Fraction(1)), (zero,))
+    expected = [(("x", "y"), _EXPR), (("y", "x"), _EXPR),
+                (("y", "z"), _ADEQ), (("z", "y"), _ADEQ)]
+
+    def unit(label):
+        return tuple(Fraction(int(s == label)) for s in _XYZ.names)
+
+    def separates(text, p, q):
+        word = parse_word(checked.alphabet, text)
+        return (eval_word(checked, unit(p), word)
+                != eval_word(checked, unit(q), word))
+    return (checked, "lwa_unobservable_subspace", other, expected,
+            "trace tables agree to the stabilisation bound but the "
+            "subspace separates the pair", separates)
+
+
+def _forced_cts():
+    # under k, x loops and y, z deadlock in the checked system; in the
+    # bisimulation's system y loops too; under l everything deadlocks
+    conditions = Carrier(("k", "l"))
+    checked = Cts(conditions, _XYZ, ((0b001, 0, 0), (0, 0, 0)))
+    other = Cts(conditions, _XYZ, ((0b001, 0b010, 0), (0, 0, 0)))
+    expected = [(("k:x", "k:y"), _ADEQ), (("k:y", "k:x"), _ADEQ),
+                (("k:y", "k:z"), _EXPR), (("k:z", "k:y"), _EXPR)]
+
+    def position(label):
+        k, x = label.split(":")
+        return conditions.index(k) * len(_XYZ) + _XYZ.index(x)
+
+    def separates(text, p, q):
+        sat = eval_cts(checked, parse_cts_formula(text))
+        return bool(sat >> position(p) & 1) != bool(sat >> position(q) & 1)
+    return (checked, "cts_conditional_bisim", other, expected,
+            "no formula separates the pair but the bisimulation fixpoint does",
+            separates)
+
+
+@pytest.mark.parametrize("case", [_forced_nda, _forced_moore, _forced_lwa,
+                                  _forced_cts])
+def test_adequacy_counterexamples_on_forced_disagreement(case, monkeypatch):
+    checked, name, other, expected, note, separates = case()
+    honest = getattr(logic, name)
+    monkeypatch.setattr(logic, name,
+                        lambda system, *rest: honest(other, *rest))
+    report = check_adequacy_expressivity(checked)
+    assert not report.adequate and not report.expressive
+    got = [(tuple(ce["pair"]), ce["kind"]) for ce in report.counterexamples]
+    assert got == expected
+    for ce in report.counterexamples:
+        if ce["kind"] == _ADEQ:
+            assert separates(ce["formula"], *ce["pair"]), ce
+        else:
+            assert ce["note"] == note
 
 
 def test_cts_single_condition_matches_hennessy_milner_oracle():
