@@ -17,8 +17,10 @@ System files are JSON documents with a "kind" discriminator:
          or explicit "lattice":{elements,join,bottom} and
          "outputs":{state:element}
 
-Weights are strings "p/q" or bare integers; subsets are written
-"{x,y}"; vectors "[1/2,0,-3]".
+Weights are strings "p/q", integers or decimal numbers, all read
+exactly as written: the JSON number 0.10000000000000000001 is
+10000000000000000001/100000000000000000000, not the nearest double.
+Subsets are written "{x,y}"; vectors "[1/2,0,-3]".
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .core import (
@@ -105,11 +108,21 @@ def _typed(data: dict, key: str, kind: type):
     return value
 
 
+# A decimal exponent beyond this is refused: Fraction builds 10**exponent
+# in full, so one short number could take all memory.
+_MAX_EXPONENT = 4300
+
+
 def _rational(value) -> Fraction:
-    """A weight: a "p/q" string, an integer or a decimal literal."""
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+    """A weight: a "p/q" string, an integer or a decimal literal (a JSON
+    number with a fraction or an exponent arrives as a Decimal), read
+    exactly as written."""
+    if isinstance(value, (str, int, Decimal)) and not isinstance(value, bool):
         try:
-            return Fraction(str(value))
+            text = str(value)
+            exponent = text.lower().partition("e")[2]
+            if not exponent or abs(int(exponent)) <= _MAX_EXPONENT:
+                return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
     raise SchemaError(f"not an exact rational: {value!r}")
@@ -218,13 +231,17 @@ def load_system(data: dict):
 
 
 def read_json(path: str) -> dict:
+    """The JSON document at `path`; numbers with a fraction or an
+    exponent are kept as exact Decimals."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=Decimal)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests too deeply to read") from None
 
 
 def load_file(path: str):
@@ -412,9 +429,10 @@ def cmd_equiv(args) -> int:
         if args.pair:
             x = system.states.index(args.pair[0].strip("{}"))
             y = system.states.index(args.pair[1].strip("{}"))
+            n = len(system.states)
             per_condition = {
-                system.conditions.label(k): (k, x, y) in result.relation
-                for k in range(len(system.conditions))}
+                label: result.relation.has(k * n + x, k * n + y)
+                for k, label in enumerate(system.conditions)}
             payload["pair"] = list(args.pair)
             payload["per_condition"] = per_condition
             payload["equivalent"] = all(per_condition.values())

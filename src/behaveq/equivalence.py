@@ -239,85 +239,12 @@ def lwa_pair_oracle(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
 # ------------------------------------------------------------ conditional
 
 @dataclass(frozen=True)
-class CondRel:
-    """Relation on condition/state/state triples, stored as one bitmask.
-
-    Pairing only happens inside a single condition; the shared first
-    coordinate makes that structural.
-    """
-
-    num_conditions: int
-    num_states: int
-    mask: int
-
-    def _bit(self, k: int, x: int, y: int) -> int:
-        return (k * self.num_states + x) * self.num_states + y
-
-    @classmethod
-    def full(cls, num_conditions: int, num_states: int) -> "CondRel":
-        size = num_conditions * num_states * num_states
-        return cls(num_conditions, num_states, (1 << size) - 1)
-
-    @classmethod
-    def identity(cls, num_conditions: int, num_states: int) -> "CondRel":
-        rel = 0
-        for k in range(num_conditions):
-            for x in range(num_states):
-                rel |= 1 << (k * num_states + x) * num_states + x
-        return cls(num_conditions, num_states, rel)
-
-    @classmethod
-    def from_triples(cls, num_conditions: int, num_states: int,
-                     triples: Iterable[tuple[int, int, int]]) -> "CondRel":
-        rel = cls(num_conditions, num_states, 0)
-        mask = 0
-        for k, x, y in triples:
-            if not (0 <= k < num_conditions and 0 <= x < num_states
-                    and 0 <= y < num_states):
-                raise ValueError(f"triple ({k},{x},{y}) out of range")
-            mask |= 1 << rel._bit(k, x, y)
-        return cls(num_conditions, num_states, mask)
-
-    def __contains__(self, triple) -> bool:
-        k, x, y = triple
-        return bool(self.mask >> self._bit(k, x, y) & 1)
-
-    def __and__(self, other: "CondRel") -> "CondRel":
-        self._check(other)
-        return CondRel(self.num_conditions, self.num_states,
-                       self.mask & other.mask)
-
-    def __le__(self, other: "CondRel") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def _check(self, other):
-        if (self.num_conditions, self.num_states) != (
-                other.num_conditions, other.num_states):
-            raise DimensionMismatch("conditional relations over different carriers")
-
-    def triples(self):
-        n = self.num_states
-        for b in bits(self.mask):
-            k, rest = divmod(b, n * n)
-            x, y = divmod(rest, n)
-            yield k, x, y
-
-    def slice_rel(self, k: int) -> BitRel:
-        n = self.num_states
-        rows = []
-        for x in range(n):
-            base = (k * n + x) * n
-            rows.append((self.mask >> base) & ((1 << n) - 1))
-        return BitRel(n, tuple(rows))
-
-
-@dataclass(frozen=True)
 class CtsBisimResult:
-    """`blocks[k]` is the bisimilarity partition of condition k's slice,
-    as a block id per state; `relation` holds the same triples."""
+    """`relation` is conditional bisimilarity on the condition/state
+    positions k*|X| + x; it relates only positions of one condition.
+    `blocks[k]` is condition k's partition as a block id per state."""
 
-    relation: CondRel
+    relation: BitRel
     iterations: int
     blocks: tuple[tuple[int, ...], ...]
 
@@ -326,41 +253,39 @@ class CtsBisimResult:
 
 
 def cts_conditional_bisim(cts: Cts) -> CtsBisimResult:
-    """Greatest conditional bisimulation as a triple relation.
+    """Greatest conditional bisimulation on condition/state positions.
 
     Conditions never interact, so each slice is refined on its own by
     the blocks of its successor set; the rounds of the joint fixpoint
     are the most any slice takes (one when there are no conditions).
     """
-    nk, n = len(cts.conditions), len(cts.states)
+    n = len(cts.states)
     blocks, rounds = [], 1
-    mask = 0
-    for k, succ in enumerate(cts.delta):
+    for succ in cts.delta:
         slice_blocks, slice_rounds = refine(
             n, lambda x, blocks: frozenset(blocks[y] for y in bits(succ[x])))
         blocks.append(slice_blocks)
         rounds = max(rounds, slice_rounds)
-        for x, row in enumerate(BitRel.from_blocks(slice_blocks).rows):
-            mask |= row << (k * n + x) * n
-    return CtsBisimResult(CondRel(nk, n, mask), rounds, tuple(blocks))
+    relation = BitRel.from_blocks(
+        [(k, b) for k, slice_blocks in enumerate(blocks) for b in slice_blocks])
+    return CtsBisimResult(relation, rounds, tuple(blocks))
 
 
 def cts_slice_bisim_oracle(cts: Cts, k: int) -> tuple[tuple[int, ...], ...]:
     """Strong-bisimilarity partition of the one-condition slice, as the
-    greatest fixpoint of the two-sided relation lifting over the slice's
-    triples, independent of the refinement engine."""
+    greatest fixpoint of the two-sided relation lifting on the slice's
+    states, independent of the refinement engine."""
     if not (0 <= k < len(cts.conditions)):
         raise ValueError(f"condition index {k} out of range")
-    nk, n = len(cts.conditions), len(cts.states)
+    n = len(cts.states)
     succ = cts.delta[k]
-    pairs = [(x, y) for x in range(n) for y in range(n)]
 
-    def step(rel: CondRel) -> CondRel:
-        return CondRel.from_triples(nk, n, (
-            (k, x, y) for x, y in pairs if cts_rel_lift(rel, k, succ[x], succ[y])))
+    def step(rel: BitRel) -> BitRel:
+        return BitRel(n, tuple(
+            sum(1 << y for y in range(n) if cts_rel_lift(rel, succ[x], succ[y]))
+            for x in range(n)))
 
-    top = CondRel.from_triples(nk, n, ((k, x, y) for x, y in pairs))
-    return gfp(step, top).relation.slice_rel(k).classes()
+    return gfp(step, BitRel.full(n)).relation.classes()
 
 
 # ------------------------------------------------------------------ Moore

@@ -186,20 +186,21 @@ def nda_rel_lift(rel: BitRel, ubar: Iterable[Step], ubar2: Iterable[Step],
     return True
 
 
-def cts_rel_lift(rel, k: int, u_mask: int, v_mask: int) -> bool:
-    """Two-sided simulation condition at a fixed condition.
+def cts_rel_lift(rel: BitRel, u: int, v: int) -> bool:
+    """Two-sided simulation condition between two masks over the
+    carrier of `rel`: every member of u is related to a member of v,
+    and every member of v to a member of u.
 
-    `rel` is consulted through `(k, x, x') in rel`; masks are successor
-    sets over the state carrier.
+    On condition/state positions k*|X| + x, the masks of condition k
+    are its successor sets shifted by k*|X|.
     """
-    us, vs = list(bits(u_mask)), list(bits(v_mask))
-    for x in us:
-        if not any((k, x, x2) in rel for x2 in vs):
+    image = 0
+    for x in bits(u):
+        row = rel.rows[x] & v
+        if not row:
             return False
-    for x2 in vs:
-        if not any((k, x, x2) in rel for x in us):
-            return False
-    return True
+        image |= row
+    return image == v
 
 
 # --------------------------------------------------------------------------
@@ -886,9 +887,8 @@ def _cts_sigma_odd_overlap(carrier: Sequence, region: frozenset) -> frozenset:
     return _cts_sigma_pred(carrier, region)
 
 
-def _cts_lift_one_sided(rel, k: int, u_mask: int, v_mask: int) -> bool:
-    vs = list(bits(v_mask))
-    return all(any((k, x, x2) in rel for x2 in vs) for x in bits(u_mask))
+def _cts_lift_one_sided(rel: BitRel, u: int, v: int) -> bool:
+    return all(rel.rows[x] & v for x in bits(u))
 
 
 def _cts_box_overlaps(succ: frozenset, region: frozenset) -> bool:
@@ -911,7 +911,8 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     n = rng.randint(1, 3)
     K, X = range(nk), range(n)
     subsets = _powerset(X)
-    # the relation lifting takes subsets as bit masks
+    # the relation lifting takes subsets as masks over condition/state
+    # positions k*|X| + x: condition k's masks are shifted by k*|X|
     mask = {u: sum(1 << x for x in u) for u in subsets}
 
     # Counit: spreading then dropping the condition is the identity.
@@ -962,16 +963,19 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
                              lhs=lhs, rhs=rhs)
 
     # Naturality of the relation lifting along condition-aware maps.
-    rel = frozenset((k, x, x2) for k in K for x in range(ny) for x2 in range(ny)
-                    if rng.bit())
-    rel_pulled = frozenset((k, x, x2) for k in K for x in X for x2 in X
-                           if (k, g[(k, x)], g[(k, x2)]) in rel)
+    rel = BitRel.from_pairs(nk * ny, (
+        (k * ny + y, k * ny + y2) for k in K for y in range(ny) for y2 in range(ny)
+        if rng.bit()))
+    rel_pulled = BitRel.from_pairs(nk * n, (
+        (k * n + x, k * n + x2) for k in K for x in X for x2 in X
+        if rel.has(k * ny + g[(k, x)], k * ny + g[(k, x2)])))
     for k in K:
-        image = {u: sum(1 << y for y in {g[(k, x)] for x in u}) for u in subsets}
+        image = {u: sum(1 << y for y in {g[(k, x)] for x in u}) << k * ny
+                 for u in subsets}
         for u in subsets:
             for v in subsets:
-                lhs = lift_rel(rel_pulled, k, mask[u], mask[v])
-                rhs = lift_rel(rel, k, image[u], image[v])
+                lhs = lift_rel(rel_pulled, mask[u] << k * n, mask[v] << k * n)
+                rhs = lift_rel(rel, image[u], image[v])
                 if lhs != rhs:
                     suite.record("rel-lift-naturality", condition=k,
                                  pair=(u, v), lhs=lhs, rhs=rhs)
@@ -987,8 +991,10 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
                              lhs=derived, rhs=recipe)
 
     # Derived relation lifting agrees with the full pullback recipe.
-    rel3 = frozenset((k, x, x2) for k in K for x in X for x2 in X if rng.bit())
-    pairs = frozenset(((k, x), (k, x2)) for k, x, x2 in rel3)
+    pairs = frozenset(((k, x), (k, x2)) for k in K for x in X for x2 in X
+                      if rng.bit())
+    rel3 = BitRel.from_pairs(nk * n, (
+        (k * n + x, k * n + x2) for (k, x), (_, x2) in pairs))
 
     def sim(su: frozenset, sv: frozenset) -> bool:
         return (all(any((p, q) in pairs for q in sv) for p in su)
@@ -997,7 +1003,7 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     for k in K:
         for u in subsets:
             for v in subsets:
-                derived = lift_rel(rel3, k, mask[u], mask[v])
+                derived = lift_rel(rel3, mask[u] << k * n, mask[v] << k * n)
                 recipe = sim(dist(k, u), dist(k, v))
                 if derived != recipe:
                     suite.record("rel-recipe-agreement", condition=k,
@@ -1030,11 +1036,11 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
                              regions=(r1, r2), lhs=meet, rhs=both)
 
     # Lifting per-condition equality yields per-condition equality.
-    diag = frozenset((k, x, x) for k in K for x in X)
+    diag = BitRel.identity(nk * n)
     for k in K:
         for u in subsets:
             for v in subsets:
-                related = lift_rel(diag, k, mask[u], mask[v])
+                related = lift_rel(diag, mask[u] << k * n, mask[v] << k * n)
                 if related != (u == v):
                     suite.record("equality-preservation", condition=k,
                                  pair=(u, v), lhs=related, rhs=u == v)

@@ -22,7 +22,6 @@ from .core import (
     format_rational,
 )
 from .equivalence import (
-    CondRel,
     cts_conditional_bisim,
     lwa_trace,  # unused here; perfbench/spans.py counts calls through this name
     lwa_unobservable_subspace,
@@ -226,10 +225,12 @@ def theory_word(system, start, maxlen: int) -> dict[Word, object]:
 def cts_logical_analysis(cts: Cts, depth: int):
     """Semantically deduplicated formula enumeration to a box depth.
 
-    Returns (relation, generators): the logical equivalence as a triple
-    relation, and the generator predicates with their formulas.  Each
-    level closes the current predicates under Boolean combinations
-    (unions of profile atoms) and applies box to every combination.
+    Returns (relation, generators): the logical equivalence on the
+    condition/state positions k*|X| + x, which relates two positions of
+    one condition that every generator treats alike, and the generator
+    predicates with their formulas.  Each level closes the current
+    predicates under Boolean combinations (unions of profile atoms) and
+    applies box to every combination.
     """
     nk, n = len(cts.conditions), len(cts.states)
     total = nk * n
@@ -278,19 +279,15 @@ def cts_logical_analysis(cts: Cts, depth: int):
             fresh.append((boxed_empty, box(neg(TT))))
         gens.extend(fresh)
 
-    triples = []
-    for k in range(nk):
-        for x in range(n):
-            for y in range(n):
-                i, j = k * n + x, k * n + y
-                if all((g >> i & 1) == (g >> j & 1) for g, _ in gens):
-                    triples.append((k, x, y))
-    return CondRel.from_triples(nk, n, triples), gens
+    relation = BitRel.from_blocks(
+        [(i // n, tuple(g >> i & 1 for g, _ in gens)) for i in range(total)])
+    return relation, gens
 
 
-def cts_distinguishing_formula(gens, k: int, x: int, y: int, n: int) -> str | None:
+def cts_distinguishing_formula(gens, i: int, j: int) -> str | None:
+    """The first generator that holds at exactly one of positions i, j."""
     for mask, formula in gens:
-        if (mask >> (k * n + x) & 1) != (mask >> (k * n + y) & 1):
+        if (mask >> i & 1) != (mask >> j & 1):
             return formula.render()
     return None
 
@@ -426,21 +423,13 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
         depth = result.iterations
         logical, gens = cts_logical_analysis(system, depth)
         deeper, _ = cts_logical_analysis(system, depth + 1)
-        nk, n = len(system.conditions), len(system.states)
-
-        # Position k*n + x is state x under condition k; its row is the
-        # triple mask's n bits for (k, x), moved to condition k's block.
-        def positions(rel: CondRel) -> BitRel:
-            return BitRel(nk * n, tuple(
-                ((rel.mask >> (p * n)) & ((1 << n) - 1)) << (p - p % n)
-                for p in range(nk * n)))
-
+        n = len(system.states)
         labels = [f"{system.conditions.label(p // n)}:{system.states.label(p % n)}"
-                  for p in range(nk * n)]
+                  for p in range(len(system.conditions) * n)]
         return _report(
-            "cts", labels, positions(result.relation), positions(logical),
-            lambda i, j: cts_distinguishing_formula(gens, i // n, i % n, j % n, n),
+            "cts", labels, result.relation, logical,
+            lambda i, j: cts_distinguishing_formula(gens, i, j),
             "no formula separates the pair but the bisimulation fixpoint does",
-            result.iterations, depth_saturated=(deeper.mask == logical.mask))
+            result.iterations, depth_saturated=(deeper == logical))
 
     raise ValueError(f"no adequacy check for {type(system).__name__}")

@@ -215,86 +215,64 @@ class CtsQuotientResult:
     class_of: tuple[tuple[int, ...], ...]
 
 
-def cts_quotient(cts: Cts, rel, require_equivalence: bool = False) -> CtsQuotientResult:
+def cts_quotient(cts: Cts, rel: BitRel) -> CtsQuotientResult:
     """Quotient a conditional system by a conditional bisimulation.
 
-    `rel` must be a post-fixpoint of the bisimulation step; a violating
-    triple is reported otherwise.  Unless `require_equivalence`, the
-    least equivalence containing the induced pairs is taken first.
-    Classwise consistency of the successor map is verified.
+    `rel` relates condition/state positions k*|X| + x, never two of
+    different conditions, and must be a post-fixpoint of the
+    bisimulation step; a violating pair is reported otherwise.  The
+    least equivalence containing `rel` is taken.  Classwise consistency
+    of the successor map is verified.
     """
     nk, n = len(cts.conditions), len(cts.states)
-    for k, x, y in rel.triples():
-        if not cts_rel_lift(rel, k, cts.delta[k][x], cts.delta[k][y]):
+    if rel.size != nk * n:
+        raise ValueError(f"relation over {rel.size} positions, "
+                         f"expected {nk} conditions x {n} states")
+    name = lambda i: f"{cts.conditions.label(i // n)}:{cts.states.label(i % n)}"
+    for i, j in rel.pairs():
+        k = i // n
+        if j // n != k:
+            raise ValueError(f"pair ({name(i)},{name(j)}) crosses conditions")
+        if not cts_rel_lift(rel, cts.delta[k][i % n] << k * n,
+                            cts.delta[k][j % n] << k * n):
             raise ValueError(
-                f"not a conditional bisimulation: triple "
-                f"({cts.conditions.label(k)},{cts.states.label(x)},"
-                f"{cts.states.label(y)}) fails the transfer condition")
+                f"not a conditional bisimulation: pair ({name(i)},{name(j)}) "
+                "fails the transfer condition")
 
-    # Union-find over condition/state pairs; only same-condition pairs
-    # ever merge because triples share their condition.
-    parent = list(range(nk * n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    if require_equivalence:
-        ids = {(k, x, x) for k in range(nk) for x in range(n)}
-        triples = set(rel.triples())
-        if not ids <= triples:
-            raise ValueError("relation is not reflexive per condition")
-        for k, x, y in triples:
-            if (k, y, x) not in triples:
-                raise ValueError("relation is not symmetric per condition")
-        for k, x, y in triples:
-            for k2, y2, z in triples:
-                if k2 == k and y2 == y and (k, x, z) not in triples:
-                    raise ValueError("relation is not transitive per condition")
-    for k, x, y in rel.triples():
-        union(k * n + x, k * n + y)
-
-    roots = sorted({find(i) for i in range(nk * n)})
-    root_pos = {r: c for c, r in enumerate(roots)}
-    class_of = tuple(
-        tuple(root_pos[find(k * n + x)] for x in range(n)) for k in range(nk)
-    )
-
-    members: dict[int, list[tuple[int, int]]] = {}
-    for k in range(nk):
-        for x in range(n):
-            members.setdefault(class_of[k][x], []).append((k, x))
-
-    def label(pairs: list[tuple[int, int]]) -> str:
-        return "{" + ",".join(
-            f"{cts.conditions.label(k)}:{cts.states.label(x)}"
-            for k, x in sorted(pairs)) + "}"
+    # The least equivalence: close under reflexivity and symmetry, then
+    # under transitivity by Warshall's algorithm on the row masks.
+    rows = [row | 1 << i for i, row in enumerate(rel.rows)]
+    for i, j in rel.pairs():
+        rows[j] |= 1 << i
+    for m in range(len(rows)):
+        for i in range(len(rows)):
+            if rows[i] >> m & 1:
+                rows[i] |= rows[m]
+    classes = BitRel(len(rows), tuple(rows)).classes()
+    class_of = [[0] * n for _ in range(nk)]
+    for c, cls in enumerate(classes):
+        for i in cls:
+            class_of[i // n][i % n] = c
+    class_of = tuple(map(tuple, class_of))
+    labels = ["{" + ",".join(map(name, cls)) + "}" for cls in classes]
 
     succ_class: list[int] = []
-    for c in range(len(roots)):
+    for cls, label in zip(classes, labels):
         masks = set()
-        for k, x in members[c]:
+        for i in cls:
+            k = i // n
             mask = 0
-            for y in bits(cts.delta[k][x]):
+            for y in bits(cts.delta[k][i % n]):
                 mask |= 1 << class_of[k][y]
             masks.add(mask)
         if len(masks) != 1:
-            k, x = members[c][0]
             raise ValueError(
-                "quotient dynamics not classwise well-defined at class "
-                f"{label(members[c])}")
+                f"quotient dynamics not classwise well-defined at class {label}")
         succ_class.append(masks.pop())
 
     quotient = Cts(
         conditions=cts.conditions,
-        states=Carrier(tuple(label(members[c]) for c in range(len(roots)))),
+        states=Carrier(tuple(labels)),
         delta=tuple(tuple(succ_class) for _ in range(nk)),
     )
     return CtsQuotientResult(quotient, class_of)

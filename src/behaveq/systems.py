@@ -105,9 +105,6 @@ class Cts:
     states: Carrier
     delta: tuple[tuple[int, ...], ...]
 
-    def succ(self, k: int, x: int) -> int:
-        return self.delta[k][x]
-
 
 @dataclass(frozen=True)
 class OutputLts:
@@ -132,13 +129,6 @@ class OutputLts:
     def observe(self, mask: int) -> int:
         """Join of the members' outputs; the empty subset observes bottom."""
         return self.lattice.join_all(self.output[x] for x in bits(mask))
-
-    def enabled(self, x: int) -> int:
-        mask = 0
-        for a in range(len(self.alphabet)):
-            if self.delta[x][a]:
-                mask |= 1 << a
-        return mask
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,75 @@ def test_non_list_transitions_exit_two(tmp_path):
     assert_input_error(run_cli(["equiv", str(path)]))
 
 
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+
+
+def run_main(argv, capsys):
+    """main(argv) in-process: (exit code, stdout, stderr lines)."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.splitlines()
+
+
+@pytest.mark.parametrize("argv", [["equiv"], ["eval", "--formula", "tt"],
+                                  ["check", "--adequacy"]])
+def test_deeply_nested_json_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_LIST)
+    code, _, err = run_main([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_json_decimal_weight_read_exactly(tmp_path, capsys):
+    # a JSON number, not a string: a double would round it to 1/10
+    path = tmp_path / "lwa.json"
+    path.write_text(json.dumps(LWA_DOC).replace(
+        '"y": "3"', '"y": 0.10000000000000000001'))
+    code, out, _ = run_main(
+        ["eval", str(path), "--state", "y", "--word", "", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["weight"] == (
+        "10000000000000000001/100000000000000000000")
+    path.write_text(json.dumps(LWA_DOC).replace('"y": "3"', '"y": 1e10000'))
+    code, _, err = run_main(["equiv", str(path)], capsys)
+    assert code == 2 and len(err) == 1, err
+
+
+MOORE_DOC = {
+    "kind": "moore",
+    "states": ["p", "q"],
+    "alphabet": ["a", "b"],
+    "transitions": [{"from": "p", "action": "a", "to": "q"}],
+    "semantics": "failure",
+}
+
+CONTRACT_DOCS = {"nda": json.load(open(GOLDEN)), "lwa": LWA_DOC,
+                 "cts": CTS_DOC, "moore": MOORE_DOC}
+
+# JSON texts put in place of one top-level field
+ODD_VALUES = {"null": "null", "true": "true", "0": "0", "-1": "-1",
+              "1.5": "1.5", "1e400": "1e400", "empty-string": '""',
+              "ratio-1/0": '"1/0"', "empty-list": "[]", "list-of-null": "[null]",
+              "empty-object": "{}", "deep-list": DEEP_LIST}
+
+
+@pytest.mark.parametrize("kind,field,odd", [
+    (kind, field, odd) for kind, doc in CONTRACT_DOCS.items()
+    for field in doc for odd in ODD_VALUES])
+def test_equiv_exit_code_contract(tmp_path, capsys, kind, field, odd):
+    # exit 0 = computed, 1 = inequivalent, 2 = input error with one line
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(CONTRACT_DOCS[kind], **{field: "@odd"}))
+                    .replace('"@odd"', ODD_VALUES[odd]))
+    code, out, err = run_main(["equiv", str(path), "--json"], capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    if code == 1:
+        assert json.loads(out)["equivalent"] is False
+
+
 def test_deeply_nested_formula_exit_two(tmp_path):
     path = tmp_path / "cts.json"
     path.write_text(json.dumps(CTS_DOC))

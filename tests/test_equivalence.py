@@ -235,12 +235,11 @@ def test_cts_single_condition_slice_is_strong_bisimilarity():
     for _ in range(25):
         cts = random_cts(rng, max_conditions=1, max_states=5)
         res = cts_conditional_bisim(cts)
-        slice_rel = res.relation.slice_rel(0)
         partition = cts_slice_bisim_oracle(cts, 0)
         want = BitRel.from_pairs(
             len(cts.states),
             [(x, y) for block in partition for x in block for y in block])
-        assert slice_rel == want
+        assert res.relation == want
 
 
 def test_cts_condition_sensitive_example():
@@ -248,14 +247,13 @@ def test_cts_condition_sensitive_example():
     cts = Cts(Carrier(("k", "k2")), Carrier(("u", "v")),
               ((0b10, 0b00), (0b00, 0b00)))
     res = cts_conditional_bisim(cts)
-    k, k2 = 0, 1
-    u, v = 0, 1
-    assert (k2, u, v) in res.relation
-    assert (k, u, v) not in res.relation
-    # identity triples always present
-    for kk in (k, k2):
-        for x in (u, v):
-            assert (kk, x, x) in res.relation
+    # positions k:u, k:v, k2:u, k2:v
+    ku, kv, k2u, k2v = range(4)
+    assert res.relation.has(k2u, k2v)
+    assert not res.relation.has(ku, kv)
+    # identity pairs always present, no pair across conditions
+    assert res.relation == BitRel.from_pairs(
+        4, [(ku, ku), (kv, kv), (k2u, k2u), (k2u, k2v), (k2v, k2u), (k2v, k2v)])
 
 
 def test_cts_slices_match_oracle_on_random_instances():
@@ -263,12 +261,12 @@ def test_cts_slices_match_oracle_on_random_instances():
     for _ in range(30):
         cts = random_cts(rng, max_conditions=3, max_states=6)
         res = cts_conditional_bisim(cts)
-        for k in range(len(cts.conditions)):
-            partition = cts_slice_bisim_oracle(cts, k)
-            want = BitRel.from_pairs(
-                len(cts.states),
-                [(x, y) for block in partition for x in block for y in block])
-            assert res.relation.slice_rel(k) == want
+        n = len(cts.states)
+        want = BitRel.from_pairs(len(cts.conditions) * n, [
+            (k * n + x, k * n + y) for k in range(len(cts.conditions))
+            for block in cts_slice_bisim_oracle(cts, k)
+            for x in block for y in block])
+        assert res.relation == want
 
 
 def test_cts_slice_oracle_shapes():
@@ -287,8 +285,11 @@ def test_cts_bisim_is_postfixpoint():
     for _ in range(10):
         cts = random_cts(rng, max_conditions=2, max_states=4)
         rel = cts_conditional_bisim(cts).relation
-        for k, x, y in rel.triples():
-            assert cts_rel_lift(rel, k, cts.delta[k][x], cts.delta[k][y])
+        n = len(cts.states)
+        for i, j in rel.pairs():
+            k = i // n
+            assert cts_rel_lift(rel, cts.delta[k][i % n] << k * n,
+                                cts.delta[k][j % n] << k * n)
 
 
 # ----------------------------------------------------------------- moore
@@ -341,10 +342,10 @@ def test_moore_trace_equivalence_matches_naive_trace_sets():
         n = len(states)
         eq = moore_equiv(lts, [1 << x for x in range(n)])
         depth = 1 << n
+        sets = [traces(lts, 1 << x, depth) for x in range(n)]
         for x in range(n):
             for y in range(n):
-                same = traces(lts, 1 << x, depth) == traces(lts, 1 << y, depth)
-                assert eq.related(1 << x, 1 << y) == same
+                assert eq.related(1 << x, 1 << y) == (sets[x] == sets[y])
 
 
 def test_moore_equiv_empty_subset_gets_bottom(trace_failure_lts):

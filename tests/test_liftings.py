@@ -164,10 +164,11 @@ def test_nda_lift_rel_on_tables_matches_nda_rel_lift():
 
 
 def test_cts_rel_lift_cases():
-    rel = {(0, 0, 1)}
-    assert cts_rel_lift(rel, 0, 0, 0)
-    assert not cts_rel_lift(rel, 0, 0b01, 0)
-    assert cts_rel_lift(rel, 0, 0b01, 0b10)
+    rel = BitRel.from_pairs(2, [(0, 1)])
+    assert cts_rel_lift(rel, 0, 0)
+    assert not cts_rel_lift(rel, 0b01, 0)
+    assert cts_rel_lift(rel, 0b01, 0b10)
+    assert not cts_rel_lift(rel, 0b10, 0b01)
 
 
 def test_cts_rel_lift_single_condition_is_classic_lifting():
@@ -176,15 +177,16 @@ def test_cts_rel_lift_single_condition_is_classic_lifting():
     rng = Lcg(17)
     for _ in range(30):
         n = rng.randint(1, 4)
-        rel = {(0, x, y) for x in range(n) for y in range(n) if rng.bit()}
+        rel = BitRel.from_pairs(
+            n, [(x, y) for x in range(n) for y in range(n) if rng.bit()])
         u = rng.randint(0, (1 << n) - 1)
         v = rng.randint(0, (1 << n) - 1)
         classic = (
-            all(any((0, x, y) in rel for y in range(n) if v >> y & 1)
+            all(any(rel.has(x, y) for y in range(n) if v >> y & 1)
                 for x in range(n) if u >> x & 1)
-            and all(any((0, x, y) in rel for x in range(n) if u >> x & 1)
+            and all(any(rel.has(x, y) for x in range(n) if u >> x & 1)
                     for y in range(n) if v >> y & 1))
-        assert cts_rel_lift(rel, 0, u, v) == classic
+        assert cts_rel_lift(rel, u, v) == classic
 
 
 # -------------------------------------------------------------- law suite

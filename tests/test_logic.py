@@ -334,7 +334,7 @@ def test_cts_single_condition_matches_hennessy_milner_oracle():
             for y in range(n):
                 same_block = any(x in block and y in block
                                  for block in partition)
-                assert ((0, x, y) in logical) == same_block
+                assert logical.has(x, y) == same_block
 
 
 def test_cts_distinguishing_formula_is_actually_distinguishing():
@@ -343,7 +343,7 @@ def test_cts_distinguishing_formula_is_actually_distinguishing():
     logical, gens = cts_logical_analysis(cts, d)
     # u and v differ under k; find and re-evaluate a separating formula
     from behaveq.logic import cts_distinguishing_formula
-    text = cts_distinguishing_formula(gens, 0, 0, 1, 2)
+    text = cts_distinguishing_formula(gens, 0, 1)
     assert text is not None
     formula = parse_cts_formula(text)
     sat = eval_cts(cts, formula)

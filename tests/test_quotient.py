@@ -20,7 +20,6 @@ from behaveq import (
     subset_label,
     verify_witness_homomorphism,
 )
-from behaveq.equivalence import CondRel
 from behaveq.rng import Lcg, random_cts, random_nda
 
 from conftest import mask_of
@@ -264,7 +263,7 @@ def test_mutated_accepting_still_verifies(golden_nda):
 def test_cts_quotient_identity_keeps_everything():
     cts = Cts(Carrier(("k", "k2")), Carrier(("u", "v")),
               ((0b10, 0b00), (0b00, 0b00)))
-    rel = CondRel.identity(2, 2)
+    rel = BitRel.identity(4)
     result = cts_quotient(cts, rel)
     assert len(result.quotient.states) == 4
     # class map is injective and successor classes mirror the original
@@ -315,27 +314,38 @@ def test_cts_quotient_minimal_per_condition():
         requotient = cts_conditional_bisim(result.quotient)
         nk = len(cts.conditions)
         n = len(cts.states)
+        m = len(result.quotient.states)
         condition_of = {}
         for k in range(nk):
             for x in range(n):
                 condition_of[result.class_of[k][x]] = k
-        for k, c1, c2 in requotient.relation.triples():
+        for i, j in requotient.relation.pairs():
+            c1, c2 = i % m, j % m
             if c1 != c2 and condition_of[c1] == condition_of[c2]:
                 pytest.fail(f"same-condition classes {c1},{c2} merged again")
 
 
 def test_cts_quotient_rejects_non_bisimulation():
     cts = Cts(Carrier(("k",)), Carrier(("u", "v")), ((0b10, 0b00),))
-    bad = CondRel.from_triples(1, 2, [(0, 0, 0), (0, 1, 1), (0, 0, 1), (0, 1, 0)])
+    bad = BitRel.full(2)
     with pytest.raises(ValueError, match="transfer"):
         cts_quotient(cts, bad)
 
 
-def test_cts_quotient_require_equivalence_flag():
+def test_cts_quotient_takes_least_equivalence():
     cts = Cts(Carrier(("k",)), Carrier(("u", "v")), ((0b00, 0b00),))
-    asymmetric = CondRel.from_triples(1, 2, [(0, 0, 0), (0, 1, 1), (0, 0, 1)])
-    with pytest.raises(ValueError, match="symmetric"):
-        cts_quotient(cts, asymmetric, require_equivalence=True)
-    # without the flag the closure is taken and the states merge
+    asymmetric = BitRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
+    # the closure is taken and the states merge
     result = cts_quotient(cts, asymmetric)
     assert len(result.quotient.states) == 1
+
+
+def test_cts_quotient_rejects_cross_condition_pair():
+    # u under k and u under k2 both deadlock, so the pair passes the
+    # transfer condition, but a conditional relation never crosses
+    # conditions
+    cts = Cts(Carrier(("k", "k2")), Carrier(("u", "v")),
+              ((0b00, 0b00), (0b00, 0b00)))
+    crossing = BitRel.identity(4) | BitRel.from_pairs(4, [(0, 2), (2, 0)])
+    with pytest.raises(ValueError, match="crosses conditions"):
+        cts_quotient(cts, crossing)

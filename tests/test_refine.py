@@ -20,7 +20,6 @@ from behaveq import (
     nda_language_equiv,
     nda_pair_oracle,
 )
-from behaveq.equivalence import CondRel
 from behaveq.rng import Lcg, random_cts, random_lts, random_nda
 from behaveq.systems import forward_determinize, moore_determinize
 
@@ -47,20 +46,22 @@ def gfp_machine_equiv(machine):
 
 
 def gfp_cts_bisim(cts):
-    """gfp of: a triple stays when the successor sets under its
+    """gfp on condition/state positions k*n + x, from the relation of all
+    same-condition pairs: a pair stays when the successor sets under its
     condition simulate each other two-sidedly."""
     nk, n = len(cts.conditions), len(cts.states)
 
-    def step(rel: CondRel) -> CondRel:
+    def step(rel: BitRel) -> BitRel:
         keep = []
         for k in range(nk):
             for x in range(n):
                 for y in range(n):
-                    if cts_rel_lift(rel, k, cts.delta[k][x], cts.delta[k][y]):
-                        keep.append((k, x, y))
-        return CondRel.from_triples(nk, n, keep)
+                    if cts_rel_lift(rel, cts.delta[k][x] << k * n,
+                                    cts.delta[k][y] << k * n):
+                        keep.append((k * n + x, k * n + y))
+        return BitRel.from_pairs(nk * n, keep)
 
-    return gfp(step, CondRel.full(nk, n))
+    return gfp(step, BitRel.from_blocks([p // n for p in range(nk * n)]))
 
 
 def assert_matches_gfp(equiv, machine):
@@ -98,14 +99,17 @@ def test_cts_refinement_matches_gfp():
             got, want = cts_conditional_bisim(cts), gfp_cts_bisim(cts)
             assert got.relation == want.relation
             assert got.iterations == want.iterations
+            n = len(cts.states)
             for k in range(len(cts.conditions)):
-                assert got.classes(k) == got.relation.slice_rel(k).classes()
+                assert got.classes(k) == tuple(
+                    tuple(p - k * n for p in cls)
+                    for cls in got.relation.classes() if cls[0] // n == k)
 
 
 def test_cts_without_conditions_takes_one_round():
     cts = Cts(Carrier(()), Carrier(("u", "v")), ())
     got, want = cts_conditional_bisim(cts), gfp_cts_bisim(cts)
-    assert got.relation == want.relation == CondRel.full(0, 2)
+    assert got.relation == want.relation == BitRel.empty(0)
     assert got.iterations == want.iterations == 1
 
 
