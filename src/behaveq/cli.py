@@ -47,8 +47,7 @@ from .equivalence import (
     build_output_lts,
     cts_conditional_bisim,
     lwa_classes,
-    lwa_equiv,
-    lwa_pair_oracle,
+    lwa_pair,
     lwa_trace,
     moore_equiv,
     moore_pair_oracle,
@@ -230,12 +229,27 @@ def load_system(data: dict):
     return system
 
 
+class _JsonNumber(Decimal):
+    """A JSON number with a fraction or an exponent, kept exactly and
+    shown in messages as written."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str):
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+    def __repr__(self) -> str:
+        return self.text
+
+
 def read_json(path: str) -> dict:
     """The JSON document at `path`; numbers with a fraction or an
     exponent are kept as exact Decimals."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=Decimal)
+            return json.load(fh, parse_float=_JsonNumber)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -395,16 +409,16 @@ def cmd_equiv(args) -> int:
     if isinstance(system, Lwa):
         if args.pair:
             p, q = (_parse_vector(system, s) for s in args.pair)
-            verdict = lwa_equiv(system, p, q)
+            verdict = lwa_pair(system, p, q)
             payload = {
                 "kind": "lwa",
                 "pair": list(args.pair),
-                "equivalent": verdict,
+                "equivalent": verdict.equivalent,
             }
             exit_code = 0
-            if not verdict:
+            if not verdict.equivalent:
                 exit_code = 1
-                witness = lwa_pair_oracle(system, p, q).witness
+                witness = verdict.witness
                 payload["witness"] = render_word(system.alphabet, witness)
                 payload["weights"] = [
                     format_rational(lwa_trace(system, vec, witness))
@@ -794,6 +808,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (SchemaError, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # last resort: exit 2 (input error), never 1
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}" + (f": {detail}" if detail else ""),
+              file=sys.stderr)
         return 2
 
 

@@ -3,11 +3,14 @@
 The automaton, Moore and conditional engines compute the greatest
 fixpoint of their relation lifting as the coarsest stable partition,
 by the signature-refinement rounds of `core.refine`; the weighted
-engine computes the largest invariant subspace.  Each engine is paired
-with an independent brute-force oracle (a breadth-first word search
-over configuration pairs, shared by the automaton, Moore and weighted
-families, and the relation-lifting fixpoint for conditional slices)
-that the test suite replays against it.
+engine answers from Krylov bases: a forward basis of p - q for a pair
+verdict and its witness, a backward basis of the output vector for the
+classes.  Each engine is paired with an independent reference (a
+breadth-first word search over configuration pairs, shared by the
+automaton, Moore and weighted families; the observability chain, the
+greatest fixpoint of the weighted relation lifting, for the weighted
+family; and the relation-lifting fixpoint for conditional slices) that
+the test suite replays against it.
 Relations on weighted configuration spaces are represented as
 difference subspaces: p related to q iff p - q lies in the subspace.
 """
@@ -17,7 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     BitRel,
@@ -34,7 +39,6 @@ from .core import (
     nullspace,
     orthogonal_tests,
     refine,
-    subspace_contains,
 )
 from .liftings import cts_rel_lift
 from .systems import (
@@ -203,25 +207,114 @@ def lwa_unobservable_subspace(lwa: Lwa) -> Subspace:
     return lwa_observability_chain(lwa)[-1]
 
 
+def _integral(vec: Sequence[Fraction]) -> list[int]:
+    """The integer vector with coprime entries that is a positive
+    multiple of `vec` (all zeros for the zero vector)."""
+    scale = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (scale // v.denominator) for v in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _krylov(start: Sequence[Fraction], mats: Sequence[Sequence[Sequence[Fraction]]],
+            row_vector: bool) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Kept words of a breadth-first Krylov search from `start`, each
+    with a positive multiple of its vector, in coprime integers.
+
+    Words are visited in length-then-action order.  The vector of w.a
+    is the vector of w times mats[a] when `row_vector`, else mats[a]
+    times it.  A word is kept, yielded and extended only when its
+    vector is independent of the vectors kept before it, so at most
+    dim vectors are kept and at most 1 + dim * |mats| words are
+    visited.  The vectors kept up to length i span those of all words
+    up to length i: a dropped vector is a combination of earlier kept
+    ones, and so are its extensions.  Scaling a vector changes neither
+    its independence nor whether a weight is 0, so the search runs on
+    integers; the independence test is fraction-free (Bareiss)
+    elimination, whose exact divisions keep every entry a minor of the
+    kept vectors.
+    """
+    # lines[a][j] is the line of mats[a] whose dot product with a vector
+    # gives entry j of its image: a column for a row vector, else a row
+    lines = []
+    for mat in mats:
+        scale = lcm(*(v.denominator for row in mat for v in row))
+        ints = [[v.numerator * (scale // v.denominator) for v in row] for row in mat]
+        lines.append(list(zip(*ints)) if row_vector else ints)
+    # each kept vector eliminated against the ones before it: (pivot, row)
+    echelon: list[tuple[int, list[int]]] = []
+    queue = deque([((), _integral(start))])
+    while queue:
+        word, vec = queue.popleft()
+        rest, prev = vec, 1
+        for pivot, row in echelon:
+            f, lead = rest[pivot], row[pivot]
+            rest = [(lead * a - f * b) // prev for a, b in zip(rest, row)]
+            prev = lead
+        pivot = next((i for i, v in enumerate(rest) if v), None)
+        if pivot is None:
+            continue
+        echelon.append((pivot, rest))
+        yield word, vec
+        for a, image_lines in enumerate(lines):
+            image = [sum(map(mul, vec, line)) for line in image_lines]
+            g = gcd(*image)
+            if g > 1:
+                image = [v // g for v in image]
+            queue.append((word + (a,), image))
+
+
+def lwa_observation_basis(lwa: Lwa) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Backward Krylov basis, breadth-first from out (Schützenberger's
+    minimisation): the kept words w, each with a positive multiple of
+    M_w . out in coprime integers.
+
+    The words kept up to length i number |states| minus the rank of
+    level i of the observability chain, whose vectors are exactly those
+    that these vectors annihilate.
+    """
+    return list(_krylov(lwa.out, lwa.mat, row_vector=False))
+
+
 def lwa_classes(lwa: Lwa) -> tuple[tuple[int, ...], ...]:
     """Classes of states whose unit configurations are equivalent.
 
-    e_x - e_y lies in the unobservable subspace iff every test vector
-    of its orthogonal complement takes the same value at x and at y,
-    so states are grouped by their column of test values.
+    e_x - e_y weighs 0 on every word iff every vector M_w . out of the
+    backward basis takes the same value at x and at y (a property that
+    scaling a vector keeps), so states are grouped by their column of
+    basis values.
     """
-    tests = orthogonal_tests(lwa_unobservable_subspace(lwa))
+    basis = [vec for _, vec in lwa_observation_basis(lwa)]
     keys: dict[tuple, int] = {}
     return block_classes([
-        keys.setdefault(tuple(z[x] for z in tests), len(keys))
+        keys.setdefault(tuple(v[x] for v in basis), len(keys))
         for x in range(len(lwa.states))])
 
 
-def lwa_equiv(lwa: Lwa, p: Sequence, q: Sequence) -> bool:
-    if len(p) != len(lwa.states) or len(q) != len(lwa.states):
+def lwa_pair(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
+    """Verdict and first distinguishing word, in length-then-action
+    order, from a forward Krylov basis of d = p - q.
+
+    The first kept word with d . M_w . out != 0 is that word.  Let w be
+    the first distinguishing word, and suppose a prefix of w is dropped;
+    take the shortest, u, with w = u.s.  Then d . M_u combines the
+    vectors of kept words v before u, so d . M_w combines those of the
+    words v.s, which come before w and weigh 0; w would weigh 0 too.
+    So w is visited, and kept, since the kept words before it weigh 0.
+    """
+    n = len(lwa.states)
+    if len(p) != n or len(q) != n:
         raise DimensionMismatch("configuration length does not match state count")
-    diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(p, q))
-    return subspace_contains(lwa_unobservable_subspace(lwa), diff)
+    diff = [Fraction(a) - Fraction(b) for a, b in zip(p, q)]
+    out = _integral(lwa.out)
+    for word, vec in _krylov(diff, lwa.mat, row_vector=True):
+        if sum(map(mul, vec, out)):
+            return OracleVerdict(False, word)
+    return OracleVerdict(True, None)
+
+
+def lwa_equiv(lwa: Lwa, p: Sequence, q: Sequence) -> bool:
+    return lwa_pair(lwa, p, q).equivalent
 
 
 def lwa_pair_oracle(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:

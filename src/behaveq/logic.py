@@ -225,12 +225,14 @@ def theory_word(system, start, maxlen: int) -> dict[Word, object]:
 def cts_logical_analysis(cts: Cts, depth: int):
     """Semantically deduplicated formula enumeration to a box depth.
 
-    Returns (relation, generators): the logical equivalence on the
-    condition/state positions k*|X| + x, which relates two positions of
-    one condition that every generator treats alike, and the generator
-    predicates with their formulas.  Each level closes the current
-    predicates under Boolean combinations (unions of profile atoms) and
-    applies box to every combination.
+    Returns (relations, generators): relations[d], for d = 0..depth, is
+    the logical equivalence of box depth d on the condition/state
+    positions k*|X| + x, which relates two positions of one condition
+    that every generator found by level d treats alike; the generator
+    predicates come with their formulas.  Each level closes the current
+    predicates under Boolean combinations (unions of profile atoms),
+    applies box to every combination and appends the new predicates, so
+    each level's generators extend the previous level's.
     """
     nk, n = len(cts.conditions), len(cts.states)
     total = nk * n
@@ -241,6 +243,12 @@ def cts_logical_analysis(cts: Cts, depth: int):
     full = (1 << total) - 1
     gens: list[tuple[int, CtsFormula]] = [(full, TT)]
     known = {full}
+
+    def relation() -> BitRel:
+        return BitRel.from_blocks(
+            [(i // n, tuple(g >> i & 1 for g, _ in gens)) for i in range(total)])
+
+    relations = [relation()]
 
     def atoms() -> list[tuple[int, CtsFormula]]:
         profiles: dict[tuple, list[int]] = {}
@@ -278,10 +286,8 @@ def cts_logical_analysis(cts: Cts, depth: int):
             known.add(boxed_empty)
             fresh.append((boxed_empty, box(neg(TT))))
         gens.extend(fresh)
-
-    relation = BitRel.from_blocks(
-        [(i // n, tuple(g >> i & 1 for g, _ in gens)) for i in range(total)])
-    return relation, gens
+        relations.append(relation())
+    return tuple(relations), gens
 
 
 def cts_distinguishing_formula(gens, i: int, j: int) -> str | None:
@@ -421,8 +427,11 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
     if isinstance(system, Cts):
         result = cts_conditional_bisim(system)
         depth = result.iterations
-        logical, gens = cts_logical_analysis(system, depth)
-        deeper, _ = cts_logical_analysis(system, depth + 1)
+        # one enumeration serves both depths: depth d's generators are a
+        # prefix of depth d + 1's, so a pair separated at depth d has the
+        # same first separating generator in both
+        relations, gens = cts_logical_analysis(system, depth + 1)
+        logical, deeper = relations[depth], relations[depth + 1]
         n = len(system.states)
         labels = [f"{system.conditions.label(p // n)}:{system.states.label(p % n)}"
                   for p in range(len(system.conditions) * n)]

@@ -413,3 +413,30 @@ def test_deeply_nested_formula_exit_two(tmp_path):
     path.write_text(json.dumps(CTS_DOC))
     assert_input_error(
         run_cli(["eval", str(path), "--formula", "!" * 5000 + "tt"]))
+
+
+def test_unknown_label_error_shows_json_number_as_written(tmp_path, capsys):
+    path = tmp_path / "nda.json"
+    path.write_text(json.dumps(dict(json.load(open(GOLDEN)), accepting=["@"]))
+                    .replace('"@"', "1.5"))
+    code, _, err = run_main(["equiv", str(path)], capsys)
+    assert code == 2 and err == ["error: unknown label 1.5"], err
+
+
+def test_rational_error_shows_json_number_as_written(tmp_path, capsys):
+    path = tmp_path / "lwa.json"
+    path.write_text(json.dumps(LWA_DOC).replace('"y": "3"', '"y": 1e10000'))
+    code, _, err = run_main(["equiv", str(path)], capsys)
+    assert code == 2 and err == ["error: not an exact rational: 1e10000"], err
+
+
+@pytest.mark.parametrize("exc,line", [
+    (RuntimeError("engine\nfailed"), "error: RuntimeError: engine failed"),
+    (KeyError("x"), "error: KeyError: 'x'"),
+])
+def test_unexpected_exception_exits_two(monkeypatch, capsys, exc, line):
+    def broken(args):
+        raise exc
+    monkeypatch.setattr("behaveq.cli.cmd_equiv", broken)
+    code, out, err = run_main(["equiv", GOLDEN], capsys)
+    assert (code, out, err) == (2, "", [line])

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from behaveq import (
     cts_slice_bisim_oracle,
     lwa_classes,
     lwa_equiv,
+    lwa_observation_basis,
+    lwa_pair,
     lwa_pair_oracle,
     lwa_trace,
     lwa_unobservable_subspace,
@@ -25,8 +28,10 @@ from behaveq import (
     refusal_output,
     theory_word,
 )
-from behaveq.equivalence import lwa_observability_chain
+from behaveq.core import block_classes, orthogonal_tests
+from behaveq.equivalence import OracleVerdict, lwa_observability_chain
 from behaveq.rng import (
+    WEIGHT_GRID,
     Lcg,
     random_cts,
     random_lts,
@@ -203,6 +208,21 @@ def test_lwa_equiv_agrees_with_word_oracle():
                 assert by_subspace == by_words
 
 
+def direct_sum(one: Lwa, two: Lwa) -> Lwa:
+    """The two automata side by side over one alphabet, `two`'s states
+    after `one`'s."""
+    k, m = len(one.states), len(two.states)
+    return Lwa(Carrier(tuple(f"q{i}" for i in range(k + m))), one.alphabet,
+               one.out + two.out,
+               tuple(tuple(row + (Fraction(0),) * m for row in a)
+                     + tuple((Fraction(0),) * k + row for row in b)
+                     for a, b in zip(one.mat, two.mat)))
+
+
+def unit(n: int, x: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(int(i == x)) for i in range(n))
+
+
 def test_lwa_classes_match_subspace_membership():
     # each random automaton next to a copy of itself, so that every
     # state has at least one equivalent partner
@@ -210,11 +230,7 @@ def test_lwa_classes_match_subspace_membership():
     for _ in range(40):
         one = random_lwa(rng, max_states=3)
         k = len(one.states)
-        zero = (Fraction(0),) * k
-        lwa = Lwa(Carrier(tuple(f"q{i}" for i in range(2 * k))), one.alphabet,
-                  one.out * 2,
-                  tuple(tuple(row + zero for row in mat)
-                        + tuple(zero + row for row in mat) for mat in one.mat))
+        lwa = direct_sum(one, one)
         n = 2 * k
         space = lwa_unobservable_subspace(lwa)
         classes = lwa_classes(lwa)
@@ -226,6 +242,97 @@ def test_lwa_classes_match_subspace_membership():
             for y in range(n):
                 diff = [int(i == x) - int(i == y) for i in range(n)]
                 assert (block[x] is block[y]) == space.contains(diff)
+
+
+# ------------------------------------- Krylov engine against the chain
+
+def classes_by_orthogonal_tests(lwa: Lwa) -> tuple[tuple[int, ...], ...]:
+    """The chain's grouping of states: by their column of values under
+    the orthogonal tests of the unobservable subspace."""
+    tests = orthogonal_tests(lwa_unobservable_subspace(lwa))
+    keys: dict[tuple, int] = {}
+    return block_classes([
+        keys.setdefault(tuple(z[x] for z in tests), len(keys))
+        for x in range(len(lwa.states))])
+
+
+def random_block(rng: Lcg, n: int) -> Lwa:
+    """A random two-action automaton with exactly n states, drawn like
+    `random_lwa` from its weight grid."""
+    def weights():
+        return tuple(rng.choice(WEIGHT_GRID) for _ in range(n))
+    return Lwa(Carrier(tuple(f"q{i}" for i in range(n))), Carrier(("a", "b")),
+               weights(), tuple(tuple(weights() for _ in range(n))
+                                for _ in range(2)))
+
+
+def test_lwa_pair_matches_word_search_oracle_and_subspace():
+    rng = Lcg(2003)
+    refuted = equivalent = 0
+    for _ in range(40):
+        lwa = random_lwa(rng, max_states=5)
+        n = len(lwa.states)
+        space = lwa_unobservable_subspace(lwa)
+        probes = [unit(n, x) for x in range(n)]
+        probes += [random_vector(rng, n), random_vector(rng, n)]
+        if space.basis:
+            probes.append(tuple(a + b for a, b in zip(probes[0], space.basis[0])))
+        for p in probes:
+            for q in probes:
+                verdict = lwa_pair(lwa, p, q)
+                assert verdict == lwa_pair_oracle(lwa, p, q)
+                member = space.contains(tuple(a - b for a, b in zip(p, q)))
+                assert lwa_equiv(lwa, p, q) == member == verdict.equivalent
+                refuted += not member
+                equivalent += member and p != q
+    assert refuted and equivalent
+
+
+def test_lwa_backward_basis_sizes_match_chain_ranks():
+    rng = Lcg(2004)
+    for _ in range(100):
+        lwa = random_lwa(rng, max_states=5)
+        n = len(lwa.states)
+        lengths = [len(w) for w, _ in lwa_observation_basis(lwa)]
+        chain = lwa_observability_chain(lwa)
+        for i, level in enumerate(chain):
+            assert sum(length <= i for length in lengths) == n - level.rank
+        assert len(lengths) == n - chain[-1].rank
+
+
+def test_lwa_classes_match_orthogonal_test_grouping():
+    rng = Lcg(2005)
+    for _ in range(40):
+        one = random_lwa(rng, max_states=4)
+        other = replace(one, out=one.out[::-1])
+        for lwa in (one, direct_sum(one, one), direct_sum(one, other)):
+            assert lwa_classes(lwa) == classes_by_orthogonal_tests(lwa)
+
+
+def test_lwa_copy_pairs_at_32_states():
+    half = 16
+    one = random_block(Lcg(2006), half)
+    lwa = direct_sum(one, one)
+    n = 2 * half
+    for x in range(half):
+        assert lwa_pair(lwa, unit(n, x), unit(n, x + half)) == OracleVerdict(True, None)
+    block = {x: cls for cls in lwa_classes(lwa) for x in cls}
+    assert all(block[x] is block[x + half] for x in range(half))
+
+
+def test_lwa_witness_at_64_states_with_one_output_changed():
+    rng = Lcg(2007)
+    half = 32
+    one = random_block(rng, half)
+    y = rng.randint(0, half - 1)
+    out = list(one.out)
+    out[y] += 3
+    lwa = direct_sum(one, replace(one, out=tuple(out)))
+    x = rng.randint(0, half - 1)
+    p, q = unit(2 * half, x), unit(2 * half, x + half)
+    verdict = lwa_pair(lwa, p, q)
+    assert not verdict.equivalent
+    assert verdict == lwa_pair_oracle(lwa, p, q)
 
 
 # ------------------------------------------------------------------- cts
