@@ -36,7 +36,6 @@ from .core import (
     CapExceeded,
     Carrier,
     Semilattice,
-    bits,
     format_rational,
     parse_subset_label,
     subset_label,
@@ -260,74 +259,6 @@ def read_json(path: str) -> dict:
 
 def load_file(path: str):
     return load_system(read_json(path))
-
-
-def save_system(system) -> dict:
-    if isinstance(system, Nda):
-        return {
-            "kind": "nda",
-            "states": list(system.states.names),
-            "alphabet": list(system.alphabet.names),
-            "transitions": [
-                {"from": system.states.label(x),
-                 "action": system.alphabet.label(a),
-                 "to": system.states.label(y)}
-                for x in range(len(system.states))
-                for a, y in sorted(system.delta[x])
-            ],
-            "accepting": [system.states.label(x)
-                          for x in bits(system.accepting)],
-        }
-    if isinstance(system, Lwa):
-        return {
-            "kind": "lwa",
-            "states": list(system.states.names),
-            "alphabet": list(system.alphabet.names),
-            "output": {system.states.label(x): format_rational(w)
-                       for x, w in enumerate(system.out)},
-            "matrices": {
-                system.alphabet.label(a): [
-                    [format_rational(v) for v in row] for row in system.mat[a]
-                ] for a in range(len(system.alphabet))
-            },
-        }
-    if isinstance(system, Cts):
-        return {
-            "kind": "cts",
-            "conditions": list(system.conditions.names),
-            "states": list(system.states.names),
-            "transitions": [
-                {"cond": system.conditions.label(k),
-                 "from": system.states.label(x),
-                 "to": system.states.label(y)}
-                for k in range(len(system.conditions))
-                for x in range(len(system.states))
-                for y in bits(system.delta[k][x])
-            ],
-        }
-    if isinstance(system, OutputLts):
-        return {
-            "kind": "moore",
-            "states": list(system.states.names),
-            "alphabet": list(system.alphabet.names),
-            "transitions": [
-                {"from": system.states.label(x),
-                 "action": system.alphabet.label(a),
-                 "to": system.states.label(y)}
-                for x in range(len(system.states))
-                for a in range(len(system.alphabet))
-                for y in bits(system.delta[x][a])
-            ],
-            "lattice": {
-                "elements": list(system.lattice.names),
-                "join": [[system.lattice.names[v] for v in row]
-                         for row in system.lattice.table],
-                "bottom": system.lattice.names[system.lattice.bottom],
-            },
-            "outputs": {system.states.label(x): system.lattice.names[o]
-                        for x, o in enumerate(system.output)},
-        }
-    raise SchemaError(f"cannot serialize {type(system).__name__}")
 
 
 # ------------------------------------------------------------------ output
@@ -567,6 +498,8 @@ def _run_adequacy_checks(args, results: list) -> None:
             "detail": detail,
         })
         return
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
     family = args.random or "nda"
     failures = []
     for i in range(args.trials):

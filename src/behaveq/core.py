@@ -28,10 +28,6 @@ Rational = Fraction
 
 Vector = tuple[Fraction, ...]
 
-# Full-powerset carriers above this size are refused unless the caller
-# raises the cap explicitly.  2^12 states make a 16 Mi-bit relation.
-DEFAULT_POWERSET_CAP = 12
-
 
 class MalformedFunction(ValueError):
     """A reindexing function hits indices outside its codomain."""
@@ -116,14 +112,6 @@ def parse_subset_label(base: Carrier, text: str) -> int:
         for part in body.split(","):
             mask |= 1 << base.index(part.strip())
     return mask
-
-
-def powerset_carrier(base: Carrier, cap: int = DEFAULT_POWERSET_CAP) -> Carrier:
-    """Carrier of all subsets of `base`, masks 0..2^n-1 in numeric order."""
-    n = len(base)
-    if n > cap:
-        raise CapExceeded(f"powerset carrier over {n} elements exceeds cap {cap}")
-    return Carrier(tuple(subset_label(base, m) for m in range(1 << n)))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Words are action-index tuples read through a system's one-step
 dynamics (`post`/`observe` in `systems`); conditional systems get a
 box/Boolean modal grammar.
-An adequacy check compares the behavioural relation (fixpoint engine)
-against a logical relation computed along an independent route: product
-search for automata and Moore systems, word tables for weighted
-automata, formula enumeration for conditional systems.
+An adequacy check compares the behavioural relation (fixpoint engine or
+invariant subspace) against a logical relation computed along an
+independent route: the family's search for a separating word for
+automata, Moore systems and weighted automata, formula enumeration for
+conditional systems.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import (
 )
 from .equivalence import (
     cts_conditional_bisim,
+    lwa_pair,
     lwa_trace,  # unused here; perfbench/spans.py counts calls through this name
     lwa_unobservable_subspace,
     moore_equiv,
@@ -36,6 +38,11 @@ from .systems import Cts, Lwa, Nda, OutputLts, word_dynamics
 Word = tuple[int, ...]
 
 _FORMULA_CAP_BITS = 16
+
+# Largest observation table `theory_word` builds, in cells: one per word
+# and one per letter of it.  That allows words of 14 letters on two
+# actions, and of about a thousand on one.
+_TABLE_CAP_CELLS = 1 << 19
 
 # Deepest formula nesting accepted by `parse_cts_formula`: far enough
 # inside the interpreter's recursion limit for evaluation and rendering.
@@ -204,17 +211,23 @@ def theory_word(system, start, maxlen: int) -> dict[Word, object]:
 
     Automata observe acceptance, weighted automata the trace weight,
     Moore systems the joined lattice output (as an element index).
+    A table above `_TABLE_CAP_CELLS` cells is refused.
     """
     if maxlen < 0:
         raise ValueError("maxlen must be nonnegative")
     post, observe = word_dynamics(system)
     actions = range(len(system.alphabet))
     table: dict[Word, object] = {}
-    frontier = [((), start)]
+    frontier, cells = [((), start)], 1
     for length in range(maxlen + 1):
         for word, config in frontier:
             table[word] = observe(config)
         if length < maxlen:
+            cells += len(frontier) * len(actions) * (length + 2)
+            if cells > _TABLE_CAP_CELLS:
+                raise CapExceeded(
+                    f"table of words up to length {maxlen} exceeds the cap of "
+                    f"{_TABLE_CAP_CELLS} cells (one per word and per letter)")
             frontier = [(word + (a,), post(config, a))
                         for word, config in frontier for a in actions]
     return table
@@ -371,58 +384,56 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
     """Compute behavioural and logical equivalence along independent
     routes and compare them.
 
-    Automata/Moore: fixpoint on the determinized machine vs pairwise
-    product search.  Weighted: invariant-subspace verdict vs trace
-    tables up to the stabilisation bound.  Conditional: bisimulation
-    fixpoint vs formula enumeration to the fixpoint depth, with a
-    saturation check one level deeper.
+    Automata/Moore: fixpoint on the determinized machine; weighted:
+    invariant-subspace verdict.  Their logical side is the family's
+    search for a separating word (product search, or the forward Krylov
+    basis of the difference).  Conditional: bisimulation fixpoint vs
+    formula enumeration to the fixpoint depth, with a saturation check
+    one level deeper.
     """
-    if isinstance(system, (Nda, OutputLts)):
-        if isinstance(system, Nda):
-            family, engine, oracle = "nda", nda_language_equiv, nda_pair_oracle
+    if isinstance(system, (Nda, OutputLts, Lwa)):
+        if isinstance(system, Lwa):
+            n = len(system.states)
+            if vectors is None:
+                configs = [tuple(Fraction(int(i == x)) for i in range(n))
+                           for x in range(n)]
+                labels = list(system.states.names)
+            else:
+                configs = [tuple(Fraction(v) for v in vec) for vec in vectors]
+                labels = ["[" + ",".join(format_rational(v) for v in vec) + "]"
+                          for vec in configs]
+            space = lwa_unobservable_subspace(system)
+            behavioural = BitRel.from_pairs(len(configs), (
+                (i, j) for i, p in enumerate(configs) for j, q in enumerate(configs)
+                if space.contains(tuple(a - b for a, b in zip(p, q)))))
+            family, search, iterations = "lwa", lwa_pair, n
+            note = ("trace tables agree to the stabilisation bound but the "
+                    "subspace separates the pair")
         else:
-            family, engine, oracle = "moore", moore_equiv, moore_pair_oracle
-        equiv = engine(system, initials, cap)
-        masks = equiv.machine.subset_states
-        size = len(masks)
-        verdicts = {(i, j): oracle(system, masks[i], masks[j])
-                    for i in range(size) for j in range(size)}
-        logical = BitRel.from_pairs(size, (ij for ij, v in verdicts.items()
-                                           if v.equivalent))
+            if isinstance(system, Nda):
+                family, engine, search = "nda", nda_language_equiv, nda_pair_oracle
+            else:
+                family, engine, search = "moore", moore_equiv, moore_pair_oracle
+            equiv = engine(system, initials, cap)
+            configs = equiv.machine.subset_states
+            labels = [equiv.machine.label(i) for i in range(len(configs))]
+            behavioural, iterations = equiv.relation, equiv.iterations
+            note = ("no distinguishing word exists but the behavioural "
+                    "relation separates the pair")
+        # "no separating word" is an equivalence, so comparing each
+        # position with one representative of each class found so far
+        # gives the classes
+        reps, blocks = [], []
+        for c in configs:
+            blocks.append(next((b for b, r in enumerate(reps)
+                                if search(system, r, c).equivalent), len(reps)))
+            if blocks[-1] == len(reps):
+                reps.append(c)
         return _report(
-            family, [equiv.machine.label(i) for i in range(size)],
-            equiv.relation, logical,
-            lambda i, j: render_word(system.alphabet, verdicts[i, j].witness),
-            "no distinguishing word exists but the behavioural relation "
-            "separates the pair", equiv.iterations)
-
-    if isinstance(system, Lwa):
-        n = len(system.states)
-        if vectors is None:
-            vectors = [tuple(Fraction(int(i == x)) for i in range(n))
-                       for x in range(n)]
-            labels = list(system.states.names)
-        else:
-            vectors = [tuple(Fraction(v) for v in vec) for vec in vectors]
-            labels = ["[" + ",".join(format_rational(v) for v in vec) + "]"
-                      for vec in vectors]
-        space = lwa_unobservable_subspace(system)
-        tables = [theory_word(system, vec, n) for vec in vectors]
-        size = len(vectors)
-        pairs = [(i, j) for i in range(size) for j in range(size)]
-        behavioural = BitRel.from_pairs(size, (
-            (i, j) for i, j in pairs
-            if space.contains(tuple(a - b for a, b in zip(vectors[i], vectors[j])))))
-        logical = BitRel.from_pairs(size, (
-            (i, j) for i, j in pairs if tables[i] == tables[j]))
-
-        def formula(i, j):
-            return render_word(system.alphabet, next(
-                w for w in tables[i] if tables[i][w] != tables[j][w]))
-
-        return _report("lwa", labels, behavioural, logical, formula,
-                       "trace tables agree to the stabilisation bound but the "
-                       "subspace separates the pair", n)
+            family, labels, behavioural, BitRel.from_blocks(blocks),
+            lambda i, j: render_word(system.alphabet,
+                                     search(system, configs[i], configs[j]).witness),
+            note, iterations)
 
     if isinstance(system, Cts):
         result = cts_conditional_bisim(system)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from behaveq.cli import load_system, main, save_system
+from behaveq.cli import load_system, main
+from behaveq.rng import Lcg
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -34,16 +35,6 @@ CTS_DOC = {
     "states": ["u", "v"],
     "transitions": [{"cond": "k", "from": "u", "to": "v"}],
 }
-
-
-# ------------------------------------------------------------ round trips
-
-def test_round_trip_all_kinds():
-    docs = [json.load(open(GOLDEN)), json.load(open(MOORE)), LWA_DOC, CTS_DOC]
-    for doc in docs:
-        system = load_system(doc)
-        again = load_system(save_system(system))
-        assert again == system
 
 
 def test_schema_violation_messages():
@@ -189,6 +180,54 @@ def test_check_requires_mode():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("mode", ["--laws", "--adequacy"])
+def test_check_random_without_trials_exits_two(capsys, mode, trials):
+    assert main(["check", "--random", "nda", mode, "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: trials must be at least 1\n"
+
+
+@pytest.mark.parametrize("semantics", ["trace", "failure", "ready"])
+def test_check_adequacy_on_all_subsets_of_trace_vs_failure(tmp_path, semantics):
+    # 512 subset positions in 9 classes under trace semantics; comparing
+    # each position with one representative per class keeps this well
+    # inside the timeout, where all 262,144 ordered pairs took ~10 s
+    path = tmp_path / "lts.json"
+    path.write_text(json.dumps(dict(json.load(open(MOORE)), semantics=semantics)))
+    res = run_cli(["check", str(path), "--adequacy", "--json"], timeout=5)
+    assert res.returncode == 0, res.stderr
+    detail = json.loads(res.stdout)["checks"][0]["detail"]
+    assert len(sum(detail["logical_classes"], [])) == 512
+    assert detail["logical_classes"] == detail["behavioural_classes"]
+
+
+def test_check_adequacy_on_a_12_state_lwa_copy_pair(tmp_path):
+    # a seeded 6-state block next to a copy of itself, so that every state
+    # has an equivalent partner; word tables to 12 letters took minutes
+    rng = Lcg(2010)
+    half, names = 6, [f"q{i}" for i in range(12)]
+
+    def weights():
+        return [str(rng.randint(-2, 2)) for _ in range(half)]
+    zeros = ["0"] * half
+    blocks = {a: [weights() for _ in range(half)] for a in ("a", "b")}
+    out = weights()
+    doc = {"kind": "lwa", "states": names, "alphabet": ["a", "b"],
+           "output": dict(zip(names, out + out)),
+           "matrices": {a: [row + zeros for row in rows]
+                        + [zeros + row for row in rows]
+                        for a, rows in blocks.items()}}
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli(["check", str(path), "--adequacy", "--json"], timeout=30)
+    assert res.returncode == 0, res.stderr
+    detail = json.loads(res.stdout)["checks"][0]["detail"]
+    assert detail["logical_classes"] == detail["behavioural_classes"]
+    block = {x: i for i, cls in enumerate(detail["logical_classes"]) for x in cls}
+    assert all(block[f"q{x}"] == block[f"q{x + half}"] for x in range(half))
+
+
 # ------------------------------------------------------------------ eval
 
 def test_eval_word_and_table():
@@ -199,6 +238,15 @@ def test_eval_word_and_table():
     payload = json.loads(res.stdout)
     assert payload["theory"]["↓"] is False
     assert payload["theory"]["[a]↓"] is True
+
+
+def test_eval_table_above_the_cap_exits_two():
+    # 2^41 words: refused before the table outgrows its cap
+    res = run_cli(["eval", GOLDEN, "--subset", "{x}", "--maxlen", "40"],
+                  timeout=30)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def test_eval_cts_formula(tmp_path):

@@ -4,14 +4,12 @@ import pytest
 
 from behaveq import (
     BitRel,
-    CapExceeded,
     Carrier,
     DimensionMismatch,
     MalformedFunction,
     Semilattice,
     echelonize,
     gfp,
-    powerset_carrier,
     refine,
     rel_pullback,
     subspace_contains,
@@ -78,14 +76,6 @@ def test_refine_rounds_and_block_order():
     assert blocks == (0, 1, 0, 1) and rounds == 2
     assert BitRel.from_blocks(blocks) == BitRel.from_pairs(
         4, [(i, j) for i in range(4) for j in range(4) if i % 2 == j % 2])
-
-
-def test_powerset_carrier_order_and_cap():
-    base = Carrier(("x", "y"))
-    p = powerset_carrier(base)
-    assert p.names == ("{}", "{x}", "{y}", "{x,y}")
-    with pytest.raises(CapExceeded):
-        powerset_carrier(Carrier(tuple(f"s{i}" for i in range(13))))
 
 
 # ------------------------------------------------------------------- gfp

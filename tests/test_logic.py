@@ -1,8 +1,11 @@
+import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from behaveq import (
+    BitRel,
     Carrier,
     Cts,
     Lwa,
@@ -12,12 +15,17 @@ from behaveq import (
     cts_slice_bisim_oracle,
     eval_cts,
     eval_word,
+    moore_equiv,
+    moore_pair_oracle,
+    nda_language_equiv,
+    nda_pair_oracle,
     parse_cts_formula,
     parse_word,
     render_word,
     theory_word,
 )
 from behaveq import logic
+from behaveq.core import format_rational
 from behaveq.logic import TT, box, cts_logical_analysis, neg
 from behaveq.rng import (
     Lcg,
@@ -320,6 +328,128 @@ def test_adequacy_counterexamples_on_forced_disagreement(case, monkeypatch):
             assert separates(ce["formula"], *ce["pair"]), ce
         else:
             assert ce["note"] == note
+
+
+# The logical side of the word-reading families is the family's pair
+# search, positions grouped by one representative per class.  The
+# references are the routes it replaced: equal word tables up to
+# |states| letters for weighted automata, and the pair oracle asked
+# about every ordered pair for automata and Moore systems.
+
+def _labelled(rel, labels):
+    return tuple(tuple(labels[i] for i in cls) for cls in rel.classes())
+
+
+def _table_relation(tables):
+    """Positions related when their weights agree on every word of at
+    most |states| letters."""
+    return BitRel.from_pairs(len(tables), (
+        (i, j) for i, t in enumerate(tables) for j, u in enumerate(tables)
+        if t == u))
+
+
+def _direct_sum(one, two):
+    k, m = len(one.states), len(two.states)
+    return Lwa(Carrier(tuple(f"q{i}" for i in range(k + m))), one.alphabet,
+               one.out + two.out,
+               tuple(tuple(row + (Fraction(0),) * m for row in a)
+                     + tuple((Fraction(0),) * k + row for row in b)
+                     for a, b in zip(one.mat, two.mat)))
+
+
+def _shift_chain(rng, length):
+    """States 0..length; both actions shift i to i+1 with a random
+    nonzero weight and only the last state has an output, so two chains
+    are told apart only by words of exactly `length` letters."""
+    n, zero = length + 1, Fraction(0)
+    mats = tuple(tuple(tuple(rng.choice((Fraction(1), Fraction(-1), Fraction(2)))
+                             if j == i + 1 else zero for j in range(n))
+                       for i in range(n)) for _ in range(2))
+    return Lwa(Carrier(tuple(f"c{i}" for i in range(n))), Carrier(("a", "b")),
+               (zero,) * length + (Fraction(1),), mats)
+
+
+@functools.cache
+def _lwa_cases():
+    """Random automata, each next to a copy of itself, and shift chains
+    next to a copy and to another chain, each with its unit vectors and
+    with explicit vectors that include repeats, a sum and zero; with the
+    vectors' word tables."""
+    rng = Lcg(3501)
+    systems = [random_lwa(rng, max_states=5) for _ in range(30)]
+    for _ in range(6):
+        one = random_lwa(rng, max_states=3)
+        systems.append(_direct_sum(one, one))
+    for _ in range(2):
+        chain = _shift_chain(rng, 2)
+        systems += [_direct_sum(chain, chain),
+                    _direct_sum(chain, _shift_chain(rng, 2))]
+    cases = []
+    for lwa in systems:
+        n = len(lwa.states)
+        units = [tuple(Fraction(int(i == x)) for i in range(n)) for x in range(n)]
+        vecs = [random_vector(rng, n) for _ in range(3)]
+        vecs += [vecs[0], tuple(a + b for a, b in zip(vecs[0], vecs[1])),
+                 (Fraction(0),) * n]
+        for vectors, configs, labels in [
+                (None, units, lwa.states.names),
+                (vecs, vecs, ["[" + ",".join(map(format_rational, vec)) + "]"
+                              for vec in vecs])]:
+            tables = [theory_word(lwa, c, n) for c in configs]
+            cases.append((lwa, vectors, tuple(labels), tables))
+    return cases
+
+
+def test_lwa_logical_classes_are_the_word_table_classes():
+    merged = 0
+    for lwa, vectors, labels, tables in _lwa_cases():
+        report = check_adequacy_expressivity(lwa, vectors=vectors)
+        want = _labelled(_table_relation(tables), labels)
+        assert report.logical_classes == want
+        merged += len(want) < len(tables)
+    assert merged > 20
+
+
+def test_lwa_adequacy_formula_is_the_first_differing_table_word(monkeypatch):
+    # the subspace answers for a system with its outputs reversed, so the
+    # relations disagree; the logical side still reads the checked system
+    honest = logic.lwa_unobservable_subspace
+    monkeypatch.setattr(logic, "lwa_unobservable_subspace",
+                        lambda lwa: honest(replace(lwa, out=lwa.out[::-1])))
+    formulas = 0
+    for lwa, vectors, labels, tables in _lwa_cases():
+        report = check_adequacy_expressivity(lwa, vectors=vectors)
+        for ce in report.counterexamples:
+            if ce["kind"] != "adequacy":
+                continue
+            t, u = (tables[labels.index(label)] for label in ce["pair"])
+            first = next(w for w in t if t[w] != u[w])
+            assert ce["formula"] == render_word(lwa.alphabet, first)
+            formulas += 1
+    assert formulas > 30
+
+
+def test_word_logical_relation_is_the_pairwise_oracle_relation():
+    rng = Lcg(3503)
+    cases = []
+    for _ in range(30):
+        nda = random_nda(rng, max_states=4)
+        cases.append((nda, nda_language_equiv(nda), nda_pair_oracle))
+        states, alphabet, delta = random_lts(rng, max_states=4)
+        for semantics in ("trace", "failure", "ready"):
+            lts = build_output_lts(states, alphabet, delta, semantics)
+            cases.append((lts, moore_equiv(lts), moore_pair_oracle))
+    merged = 0
+    for system, equiv, oracle in cases:
+        masks = equiv.machine.subset_states
+        labels = [equiv.machine.label(i) for i in range(len(masks))]
+        pairwise = BitRel.from_pairs(len(masks), (
+            (i, j) for i, u in enumerate(masks) for j, v in enumerate(masks)
+            if oracle(system, u, v).equivalent))
+        report = check_adequacy_expressivity(system)
+        assert report.logical_classes == _labelled(pairwise, labels)
+        merged += len(report.logical_classes) < len(masks)
+    assert merged > 20
 
 
 def test_cts_single_condition_matches_hennessy_milner_oracle():
