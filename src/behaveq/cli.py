@@ -519,6 +519,8 @@ def _run_adequacy_checks(args, results: list) -> None:
 def cmd_check(args) -> int:
     if not args.laws and not args.adequacy:
         raise SchemaError("nothing to check: pass --laws and/or --adequacy")
+    if args.corruption is not None and not args.laws:
+        raise SchemaError("--corruption needs --laws")
     results: list[dict] = []
     if args.laws:
         _run_law_checks(args, results)
@@ -578,14 +580,17 @@ def cmd_eval(args) -> int:
 
     # nda, lwa and moore: the observation after one word, or the table
     if isinstance(system, Lwa):
-        start = _parse_vector(system, args.vector or args.state or "")
+        spec, flag, parse = args.vector or args.state, "--vector", _parse_vector
         key, shown = "weight", format_rational
     else:
-        start = _parse_state_set(system, args.subset or args.state or "")
+        spec, flag, parse = args.subset or args.state, "--subset", _parse_state_set
         if isinstance(system, Nda):
             key, shown = "accepted", bool
         else:
             key, shown = "output", lambda v: system.lattice.names[v]
+    if spec is None:
+        raise SchemaError(f"evaluation needs a start: --state or {flag}")
+    start = parse(system, spec)
     if args.word is not None:
         word = parse_word(system.alphabet, args.word)
         payload = {"word": render_word(system.alphabet, word),

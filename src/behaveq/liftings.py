@@ -322,7 +322,7 @@ def _nda_lift_rel(rel_pairs, t1: NdaStepTable, t2: NdaStepTable) -> bool:
     as a set of pairs of target sets."""
     if t1.accept != t2.accept:
         return False
-    return all(pair in rel_pairs for pair in zip(t1.succ, t2.succ))
+    return rel_pairs.issuperset(zip(t1.succ, t2.succ))
 
 
 def _nda_lift_pred(table: NdaStepTable, kind, region: frozenset) -> bool:
@@ -376,7 +376,28 @@ def _random_subset(rng: Lcg, items: Sequence) -> frozenset:
     return frozenset(x for x in items if rng.bit())
 
 
-def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
+def _replay(suite: _Suite, law: str, memo: dict, key, failures) -> None:
+    """Record the failures of an instance that draws nothing, as a trial
+    would; `failures()` runs only on the first use of `key` in a call."""
+    if key not in memo:
+        memo[key] = list(failures())
+    for ce in memo[key]:
+        suite.record(law, **ce)
+
+
+def _nda_step_rows(memo: dict, num_states: int, num_actions: int) -> list:
+    """Every set of steps over `num_states` targets and `num_actions`
+    actions, in powerset order, each with its honest table; built once
+    per call."""
+    key = ("steps", num_states, num_actions)
+    if key not in memo:
+        steps = [STOP] + [Step.act(a, x) for a in range(num_actions)
+                          for x in range(num_states)]
+        memo[key] = [(u, nda_det_step(u, num_actions)) for u in _powerset(steps)]
+    return memo[key]
+
+
+def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
     dist, det = kit["dist"], kit["det"]
     sigma_pred, lift_rel = kit["sigma_pred"], kit["lift_rel"]
 
@@ -444,8 +465,6 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     # Naturality of the composed predicate lifting along one-to-many maps.
     small_nx, small_ny = rng.randint(1, 2), rng.randint(1, 2)
     g = tuple(_random_subset(rng, range(small_ny)) for _ in range(small_nx))
-    fy = [STOP] + [Step.act(a, y) for a in range(m) for y in range(small_ny)]
-    fx2 = [STOP] + [Step.act(a, x) for a in range(m) for x in range(small_nx)]
     big_region = frozenset(_random_subset(rng, _powerset(range(small_ny)))
                            for _ in range(3))
 
@@ -461,16 +480,17 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
                 out.update(Step.act(s.action, y) for y in g[s.target])
         return frozenset(out)
 
-    # Each step set and its image is collected into a table once.
-    sub_fx = _powerset(fx2)
-    image = {u: step_image(u) for u in sub_fx}
-    tables = {u: nda_det_step(u, m) for u in [*sub_fx, *image.values()]}
+    # Rows of (step set, its table, the table of its image); an image is
+    # a step set over the small_ny targets, so its table is prebuilt too.
+    image_tables = dict(_nda_step_rows(memo, small_ny, m))
+    rows = [(u, table, image_tables[step_image(u)])
+            for u, table in _nda_step_rows(memo, small_nx, m)]
     pulled = frozenset(u for u in _powerset(range(small_nx))
                        if g_hat(u) in big_region)
     for kind in list(range(m)) + ["stop"]:
-        for ubar in sub_fx:
-            lhs = _nda_lift_pred(tables[ubar], kind, pulled)
-            rhs = _nda_lift_pred(tables[image[ubar]], kind, big_region)
+        for ubar, table, image in rows:
+            lhs = _nda_lift_pred(table, kind, pulled)
+            rhs = _nda_lift_pred(image, kind, big_region)
             if lhs != rhs:
                 suite.record("pred-lift-naturality", map=g, kind=kind,
                              steps=ubar, lhs=lhs, rhs=rhs)
@@ -481,37 +501,39 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     rel_pulled = frozenset((u, v) for u in _powerset(range(small_nx))
                            for v in _powerset(range(small_nx))
                            if (g_hat(u), g_hat(v)) in rel)
-    for u, v in [(a, b) for a in sub_fx for b in sub_fx]:
-        lhs = lift_rel(rel_pulled, tables[u], tables[v])
-        rhs = lift_rel(rel, tables[image[u]], tables[image[v]])
-        if lhs != rhs:
-            suite.record("rel-lift-naturality", map=g, pair=(u, v),
-                         lhs=lhs, rhs=rhs)
+    for u, t1, image1 in rows:
+        for v, t2, image2 in rows:
+            lhs = lift_rel(rel_pulled, t1, t2)
+            rhs = lift_rel(rel, image1, image2)
+            if lhs != rhs:
+                suite.record("rel-lift-naturality", map=g, pair=(u, v),
+                             lhs=lhs, rhs=rhs)
 
     # Derived forms agree with the generic pullback recipe.  Derived
     # forms read the honest tables, recipes the kit's `det`.
     region_sets = frozenset(_random_subset(rng, masks) for _ in range(3))
-    sub_all = _powerset(fx)
-    tables = {u: nda_det_step(u, m) for u in sub_all}
-    recipes = {u: det(u, m) for u in sub_all}
+    key = ("recipes", nx, m)
+    if key not in memo:
+        memo[key] = [(u, table, det(u, m))
+                     for u, table in _nda_step_rows(memo, nx, m)]
+    rows = memo[key]
     for kind in list(range(m)) + ["stop"]:
-        for ubar in sub_all:
-            table = recipes[ubar]
-            recipe = table.accept if kind == "stop" else table.succ[kind] in region_sets
-            derived = _nda_lift_pred(tables[ubar], kind, region_sets)
+        for ubar, table, recipe_table in rows:
+            recipe = (recipe_table.accept if kind == "stop"
+                      else recipe_table.succ[kind] in region_sets)
+            derived = _nda_lift_pred(table, kind, region_sets)
             if recipe != derived:
                 suite.record("pred-recipe-agreement", kind=kind, steps=ubar,
                              lhs=derived, rhs=recipe)
 
     rel2 = frozenset((u, v) for u in masks for v in masks if rng.bit())
-    pair_samples = ([(u, v) for u in sub_all for v in sub_all]
-                    if len(sub_all) <= 32 else
-                    [(rng.choice(sub_all), rng.choice(sub_all)) for _ in range(200)])
-    for u, v in pair_samples:
-        t1, t2 = recipes[u], recipes[v]
+    pair_samples = ([(a, b) for a in rows for b in rows]
+                    if len(rows) <= 32 else
+                    [(rng.choice(rows), rng.choice(rows)) for _ in range(200)])
+    for (u, table1, t1), (v, table2, t2) in pair_samples:
         recipe = t1.accept == t2.accept and all(
             (t1.succ[a], t2.succ[a]) in rel2 for a in range(m))
-        derived = lift_rel(rel2, tables[u], tables[v])
+        derived = lift_rel(rel2, table1, table2)
         if recipe != derived:
             suite.record("rel-recipe-agreement", pair=(u, v),
                          lhs=derived, rhs=recipe)
@@ -546,29 +568,32 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
                              rhs=want)
 
     # Meet preservation of the relation lifting (two actions needed to
-    # tell conjunction from disjunction).
-    m2 = 2
-    fx3 = [STOP] + [Step.act(a, x) for a in range(m2) for x in range(2)]
+    # tell conjunction from disjunction), on the step sets over two
+    # targets and two actions.
     masks2 = _powerset(range(2))
     r1 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
     r2 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
-    sub3 = _powerset(fx3)
-    tables = {u: nda_det_step(u, m2) for u in sub3}
-    for u, v in [(a, b) for a in sub3 for b in sub3]:
-        t1, t2 = tables[u], tables[v]
-        meet = lift_rel(r1 & r2, t1, t2)
-        both = lift_rel(r1, t1, t2) and lift_rel(r2, t1, t2)
-        if meet != both:
-            suite.record("intersection-preservation", pair=(u, v),
-                         lhs=meet, rhs=both)
+    r12 = r1 & r2
+    fixed = _nda_step_rows(memo, 2, 2)
+    for u, t1 in fixed:
+        for v, t2 in fixed:
+            meet = lift_rel(r12, t1, t2)
+            both = lift_rel(r1, t1, t2) and lift_rel(r2, t1, t2)
+            if meet != both:
+                suite.record("intersection-preservation", pair=(u, v),
+                             lhs=meet, rhs=both)
 
     # Lifting the identity relation yields the identity.
-    diag = frozenset((u, u) for u in masks2)
-    for u, v in [(a, b) for a in sub3 for b in sub3]:
-        related = lift_rel(diag, tables[u], tables[v])
-        if related != (u == v):
-            suite.record("equality-preservation", pair=(u, v),
-                         lhs=related, rhs=u == v)
+    def equality_failures():
+        diag = frozenset((u, u) for u in masks2)
+        for i, (u, t1) in enumerate(fixed):
+            for j, (v, t2) in enumerate(fixed):
+                related = lift_rel(diag, t1, t2)
+                if related != (i == j):
+                    yield {"pair": (u, v), "lhs": related, "rhs": i == j}
+
+    _replay(suite, "equality-preservation", memo, ("equality",),
+            equality_failures)
 
 
 _NDA_LAWS = (
@@ -692,7 +717,7 @@ def _bag_apply_matrix(bag: Mapping[Step, Fraction], matrix, num_states_out,
     return _bag_norm(out)
 
 
-def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
+def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
     dist, det = kit["dist"], kit["det"]
     sigma_pred, lift_subspace = kit["sigma_pred"], kit["lift_subspace"]
 
@@ -816,10 +841,14 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
                      lhs=lhs_space, rhs=rhs_space)
 
     # Lifting the zero difference space (equality) yields equality.
-    zero = echelonize([], n)
-    lifted = lift_subspace(zero, n, m)
-    if not lifted.is_zero():
-        suite.record("equality-preservation", lhs=lifted, rhs=zero)
+    def equality_failures():
+        zero = echelonize([], n)
+        lifted = lift_subspace(zero, n, m)
+        if not lifted.is_zero():
+            yield {"lhs": lifted, "rhs": zero}
+
+    _replay(suite, "equality-preservation", memo, ("equality", n, m),
+            equality_failures)
 
     # Machine-level modality agrees with the collected-table route.
     lwa = random_lwa(rng, max_states=3, max_actions=2)
@@ -903,23 +932,29 @@ _CTS_CORRUPTIONS = {
 }
 
 
-def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
+def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
     dist, sigma_pred = kit["dist"], kit["sigma_pred"]
     lift_rel, box = kit["lift_rel"], kit["box"]
 
     nk = rng.randint(1, 3)
     n = rng.randint(1, 3)
     K, X = range(nk), range(n)
-    subsets = _powerset(X)
-    # the relation lifting takes subsets as masks over condition/state
-    # positions k*|X| + x: condition k's masks are shifted by k*|X|
-    mask = {u: sum(1 << x for x in u) for u in subsets}
+    key = ("carrier", nk, n)
+    if key not in memo:
+        subsets = _powerset(X)
+        # the relation lifting takes subsets as masks over condition/state
+        # positions k*|X| + x: condition k's masks are shifted by k*|X|,
+        # and each subset is spread over each condition once
+        memo[key] = (subsets,
+                     [[sum(1 << x for x in u) << k * n for u in subsets]
+                      for k in K],
+                     [[dist(k, u) for u in subsets] for k in K])
+    subsets, masks, spread = memo[key]
 
     # Counit: spreading then dropping the condition is the identity.
     for k in K:
-        for u in subsets:
-            spread = dist(k, u)
-            projected = frozenset(x for _, x in spread)
+        for u, spread_u in zip(subsets, spread[k]):
+            projected = frozenset(x for _, x in spread_u)
             if projected != u:
                 suite.record("cokleisli-counit", condition=k, targets=u,
                              lhs=projected, rhs=u)
@@ -927,10 +962,9 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     # Comultiplication: duplicating the condition before or after
     # spreading agrees.
     for k in K:
-        for u in subsets:
-            lhs = frozenset((kk, (kk, x)) for kk, x in dist(k, u))
-            inner = dist(k, u)
-            rhs = frozenset((k, pair) for pair in inner)
+        for u, spread_u in zip(subsets, spread[k]):
+            lhs = frozenset((kk, (kk, x)) for kk, x in spread_u)
+            rhs = frozenset((k, pair) for pair in spread_u)
             if lhs != rhs:
                 suite.record("cokleisli-comult", condition=k, targets=u,
                              lhs=lhs, rhs=rhs)
@@ -954,8 +988,8 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     pulled_kx = frozenset((k, x) for k in K for x in X
                           if (k, g[(k, x)]) in big_region)
     for k in K:
-        for u in subsets:
-            lhs = dist(k, u) <= pulled_kx
+        for u, spread_u in zip(subsets, spread[k]):
+            lhs = spread_u <= pulled_kx
             image = frozenset(g[(k, x)] for x in u)
             rhs = dist(k, image) <= big_region
             if lhs != rhs:
@@ -970,12 +1004,12 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
         (k * n + x, k * n + x2) for k in K for x in X for x2 in X
         if rel.has(k * ny + g[(k, x)], k * ny + g[(k, x2)])))
     for k in K:
-        image = {u: sum(1 << y for y in {g[(k, x)] for x in u}) << k * ny
-                 for u in subsets}
-        for u in subsets:
-            for v in subsets:
-                lhs = lift_rel(rel_pulled, mask[u] << k * n, mask[v] << k * n)
-                rhs = lift_rel(rel, image[u], image[v])
+        rows = [(u, mask, sum(1 << y for y in {g[(k, x)] for x in u}) << k * ny)
+                for u, mask in zip(subsets, masks[k])]
+        for u, mask_u, image_u in rows:
+            for v, mask_v, image_v in rows:
+                lhs = lift_rel(rel_pulled, mask_u, mask_v)
+                rhs = lift_rel(rel, image_u, image_v)
                 if lhs != rhs:
                     suite.record("rel-lift-naturality", condition=k,
                                  pair=(u, v), lhs=lhs, rhs=rhs)
@@ -983,9 +1017,9 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     # Derived predicate lifting agrees with the spread-then-test recipe.
     pred = frozenset((k, x) for k in K for x in X if rng.bit())
     for k in K:
-        for u in subsets:
+        for u, spread_u in zip(subsets, spread[k]):
             derived = all((k, x) in pred for x in u)
-            recipe = dist(k, u) <= pred
+            recipe = spread_u <= pred
             if derived != recipe:
                 suite.record("pred-recipe-agreement", condition=k, targets=u,
                              lhs=derived, rhs=recipe)
@@ -1001,10 +1035,11 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
                 and all(any((p, q) in pairs for p in su) for q in sv))
 
     for k in K:
-        for u in subsets:
-            for v in subsets:
-                derived = lift_rel(rel3, mask[u] << k * n, mask[v] << k * n)
-                recipe = sim(dist(k, u), dist(k, v))
+        rows = list(zip(subsets, masks[k], spread[k]))
+        for u, mask_u, spread_u in rows:
+            for v, mask_v, spread_v in rows:
+                derived = lift_rel(rel3, mask_u, mask_v)
+                recipe = sim(spread_u, spread_v)
                 if derived != recipe:
                     suite.record("rel-recipe-agreement", condition=k,
                                  pair=(u, v), lhs=derived, rhs=recipe)
@@ -1028,22 +1063,27 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict) -> None:
     for _ in range(3):
         r1 = _random_subset(rng, X)
         r2 = _random_subset(rng, X)
+        r12 = r1 & r2
         for u in subsets:
-            meet = box(u, r1 & r2)
+            meet = box(u, r12)
             both = box(u, r1) and box(u, r2)
             if meet != both:
                 suite.record("box-meet-preservation", succ=u,
                              regions=(r1, r2), lhs=meet, rhs=both)
 
     # Lifting per-condition equality yields per-condition equality.
-    diag = BitRel.identity(nk * n)
-    for k in K:
-        for u in subsets:
-            for v in subsets:
-                related = lift_rel(diag, mask[u] << k * n, mask[v] << k * n)
-                if related != (u == v):
-                    suite.record("equality-preservation", condition=k,
-                                 pair=(u, v), lhs=related, rhs=u == v)
+    def equality_failures():
+        diag = BitRel.identity(nk * n)
+        for k in K:
+            for i, (u, mask_u) in enumerate(zip(subsets, masks[k])):
+                for j, (v, mask_v) in enumerate(zip(subsets, masks[k])):
+                    related = lift_rel(diag, mask_u, mask_v)
+                    if related != (i == j):
+                        yield {"condition": k, "pair": (u, v),
+                               "lhs": related, "rhs": i == j}
+
+    _replay(suite, "equality-preservation", memo, ("equality", nk, n),
+            equality_failures)
 
 
 _CTS_LAWS = (
@@ -1075,7 +1115,11 @@ def check_lifting_laws(family: str, trials: int = 100, seed: int = 0,
     Each trial draws fresh carriers and maps from an independent stream
     derived from `seed`, then checks every law pointwise on that
     instance.  A named `corruption` swaps in a deliberately broken map;
-    `CORRUPTIONS[family]` says which law each one must trip.
+    `CORRUPTIONS[family]` says which law each one must trip.  What a
+    trial builds from its carrier sizes alone is built once per call,
+    and each family's equality-preservation instance, which draws
+    nothing, is evaluated once per call and size, its failures recorded
+    in every trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -1095,6 +1139,8 @@ def check_lifting_laws(family: str, trials: int = 100, seed: int = 0,
         kit[entry] = broken
     suite = _Suite(laws, trials)
     master = Lcg(seed)
+    # Built with this call's kit, so it must not outlive the call.
+    memo: dict = {}
     for i in range(trials):
-        run(suite, master.spawn(i), kit)
+        run(suite, master.spawn(i), kit, memo)
     return suite.report(family, seed, corruption)

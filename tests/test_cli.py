@@ -180,6 +180,18 @@ def test_check_requires_mode():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", GOLDEN, "--adequacy", "--corruption", "lift"],
+    ["check", "--random", "cts", "--adequacy", "--corruption", "lift"],
+])
+def test_check_corruption_without_laws_exits_two(capsys, argv):
+    # a corruption is injected into the law suite only; adequacy alone
+    # would drop it and pass
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --corruption needs --laws\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 @pytest.mark.parametrize("mode", ["--laws", "--adequacy"])
 def test_check_random_without_trials_exits_two(capsys, mode, trials):
@@ -247,6 +259,18 @@ def test_eval_table_above_the_cap_exits_two():
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind,flag", [("nda", "--subset"), ("lwa", "--vector"),
+                                       ("moore", "--subset")])
+def test_eval_without_start_exits_two(tmp_path, capsys, kind, flag):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(CONTRACT_DOCS[kind]))
+    for extra in ([], ["--word", "a"]):
+        assert main(["eval", str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: evaluation needs a start: --state or {flag}\n"
 
 
 def test_eval_cts_formula(tmp_path):
@@ -454,6 +478,28 @@ def test_equiv_exit_code_contract(tmp_path, capsys, kind, field, odd):
         assert len(err) == 1 and err[0].startswith("error: "), err
     if code == 1:
         assert json.loads(out)["equivalent"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["check", "--random", "nda"],
+    ["check", "--laws", "--trials", "-1"],
+    ["check", "--random", "lwa", "--laws", "--corruption", "meet"],
+    ["check", "--random", "nda", "--adequacy", "--corruption", "lift"],
+    ["check", "--laws", "--adequacy", "--trials", "2"],
+    ["check", "--random", "nda", "--laws", "--trials", "2",
+     "--seed", "12345678901234567890123"],
+    ["check", "--random", "cts", "--laws", "--trials", "2",
+     "--corruption", "lift"],
+])
+def test_check_exit_code_contract(capsys, argv):
+    # exit 0 = all passed, 1 = a check failed, 2 = input error with one line
+    code, out, err = run_main([*argv, "--json"], capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    if code == 1:
+        assert json.loads(out)["all_passed"] is False
 
 
 def test_deeply_nested_formula_exit_two(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from behaveq import (
     nda_modality,
     nda_rel_lift,
 )
+from behaveq import liftings
 from behaveq.liftings import CORRUPTIONS, _nda_lift_rel
 from behaveq.rng import Lcg, random_cts
 
@@ -242,3 +245,69 @@ def test_law_report_serializes():
     assert data["all_passed"] is True
     assert {entry["law"] for entry in data["laws"]} == {
         r.law for r in report.results}
+
+
+# SHA-256 of json.dumps(report.to_json(), sort_keys=True) at seed 3 and 10
+# trials, for each family clean and with each named corruption.  The law
+# suite may be made faster, but never change a report byte.
+_GOLDEN_LAW_REPORTS = {
+    ("nda", None): "d82e0344d9beb8c9f38edaecd3507353e8f2064f17abe640dfe5105a67c527a7",
+    ("nda", "dist-law"): "955d59f9739eefcced14269f436f04a1e20be0e8c65577aa3604869c91feb6a4",
+    ("nda", "det-step"): "ff83a72248a13764f2813621584f6983b02f754ca301faae1548e2869a15970f",
+    ("nda", "sigma"): "9c17fd0e5d45de1adc6c6caddf2933bfcc682cb8c751e0a8be336d77893debb8",
+    ("nda", "lift"): "25b8dc8b0009a2e5750cdb090e4d7d256389d0b7a4ec230cf818055d062b2ed1",
+    ("nda", "meet"): "9150ab60855598ce4e23443aeb92088810cc1c18cb26c4c1c9756edf8e74c576",
+    ("lwa", None): "f2c8c35b8c5b4be9fb5145c162d34a60a08bc365f8dae681686c3cda8d483117",
+    ("lwa", "dist-law"): "2d3899793c8c2f39ee1003d31664740a31fa2cdaa0d02b4132169f8ef9fe4e58",
+    ("lwa", "det-step"): "e2d6ab3dc271e11e1e167cc666f71a65d9777a0449655a54b99d1da4104477bd",
+    ("lwa", "sigma"): "7e4dc4d8c141030eb2a908573e172b7ad8310bab9258e746b027e9db8d192184",
+    ("lwa", "lift"): "93dd1e00526e51ac1c99bb6f1879dcdf176ae0538856baaeed86dfb3e78877c4",
+    ("cts", None): "c512f3fe7543a3028331ce6f9baa808cef8190afca296590c02fdafb0ae7f710",
+    ("cts", "dist-law"): "4d14be8b9d680c8d37ec9d015fbb93bb75664edc3be3e572b73b51715add1ad4",
+    ("cts", "sigma"): "7619d3df520735fa74e9a6e401766eda684717c239b51f61a26e0ad9e70cc9c1",
+    ("cts", "lift"): "b25c5b97506af2c87ad75c5d5055f312fb8d29e5528c8e155df8fa0de9bdc8e6",
+    ("cts", "meet"): "2ea6b43a945a5f94cf98ba1c0942e48704645b0d1d4c5ff584045edaeb886162",
+}
+
+
+def test_law_reports_match_golden_digests():
+    assert set(_GOLDEN_LAW_REPORTS) == {
+        (family, name) for family, table in CORRUPTIONS.items()
+        for name in [None, *table]}
+    for (family, corruption), digest in _GOLDEN_LAW_REPORTS.items():
+        report = check_lifting_laws(family, trials=10, seed=3,
+                                    corruption=corruption)
+        data = json.dumps(report.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == digest, (family, corruption)
+
+
+def test_law_memo_lasts_one_call(monkeypatch):
+    # a corrupted kit's tables must not reach a later clean call, nor a
+    # clean call's tables a corrupted one
+    alone = check_lifting_laws("nda", trials=10, seed=3).to_json()
+    corrupted = check_lifting_laws("nda", trials=10, seed=3,
+                                   corruption="det-step")
+    assert not corrupted.result("pred-recipe-agreement").passed
+    assert check_lifting_laws("nda", trials=10, seed=3).to_json() == alone
+    # the honest map is looked up in the module on every call, so a
+    # wrapper bound after import (as a tracing harness does) sees calls
+    honest, calls = liftings.nda_det_step, []
+
+    def counting(steps, num_actions):
+        calls.append(steps)
+        return honest(steps, num_actions)
+
+    monkeypatch.setattr(liftings, "nda_det_step", counting)
+    assert check_lifting_laws("nda", trials=10, seed=3).to_json() == alone
+    first = len(calls)
+    check_lifting_laws("nda", trials=10, seed=3)
+    assert first > 0 and len(calls) == 2 * first
+    # the one trial at seed 2 draws one target, so the kit's `det` sees
+    # few of the 32 step sets over two targets and two actions; the meet
+    # and equality laws read all 32, collected by the honest map
+    steps = [STOP] + [Step.act(a, x) for a in range(2) for x in range(2)]
+    fixed = {frozenset(s for i, s in enumerate(steps) if b >> i & 1)
+             for b in range(1 << len(steps))}
+    calls.clear()
+    check_lifting_laws("nda", trials=1, seed=2)
+    assert fixed <= set(calls)
