@@ -302,7 +302,6 @@ def cmd_equiv(args) -> int:
     semantics = None
     if isinstance(system, OutputLts):
         semantics = args.semantics or raw.get("semantics")
-    as_json = args.json
     if isinstance(system, (Nda, OutputLts)):
         if isinstance(system, OutputLts) and args.semantics:
             system = build_output_lts(
@@ -323,7 +322,6 @@ def cmd_equiv(args) -> int:
         }
         if semantics == "failure":
             payload["assumptions"] = [REFUSAL_ASSUMPTION]
-        exit_code = 0
         if args.pair:
             u, v = initials
             verdict = equiv.related(u, v)
@@ -333,36 +331,25 @@ def cmd_equiv(args) -> int:
             if not verdict:
                 witness = oracle(system, u, v).witness
                 payload["witness"] = render_word(system.alphabet, witness)
-                exit_code = 1
-        _emit(payload, as_json, _equiv_lines)
-        return exit_code
-
-    if isinstance(system, Lwa):
-        if args.pair:
-            p, q = (_parse_vector(system, s) for s in args.pair)
-            verdict = lwa_pair(system, p, q)
-            payload = {
-                "kind": "lwa",
-                "pair": list(args.pair),
-                "equivalent": verdict.equivalent,
-            }
-            exit_code = 0
-            if not verdict.equivalent:
-                exit_code = 1
-                witness = verdict.witness
-                payload["witness"] = render_word(system.alphabet, witness)
-                payload["weights"] = [
-                    format_rational(lwa_trace(system, vec, witness))
-                    for vec in (p, q)]
-            _emit(payload, as_json, _equiv_lines)
-            return exit_code
+    elif isinstance(system, Lwa) and args.pair:
+        p, q = (_parse_vector(system, s) for s in args.pair)
+        verdict = lwa_pair(system, p, q)
+        payload = {
+            "kind": "lwa",
+            "pair": list(args.pair),
+            "equivalent": verdict.equivalent,
+        }
+        if not verdict.equivalent:
+            witness = verdict.witness
+            payload["witness"] = render_word(system.alphabet, witness)
+            payload["weights"] = [
+                format_rational(lwa_trace(system, vec, witness))
+                for vec in (p, q)]
+    elif isinstance(system, Lwa):
         payload = {"kind": "lwa",
                    "classes": [[system.states.label(x) for x in cls]
                                for cls in lwa_classes(system)]}
-        _emit(payload, as_json, _equiv_lines)
-        return 0
-
-    if isinstance(system, Cts):
+    elif isinstance(system, Cts):
         result = cts_conditional_bisim(system)
         payload = {"kind": "cts", "iterations": result.iterations,
                    "classes": {}}
@@ -370,7 +357,6 @@ def cmd_equiv(args) -> int:
             payload["classes"][system.conditions.label(k)] = [
                 [system.states.label(x) for x in cls]
                 for cls in result.classes(k)]
-        exit_code = 0
         if args.pair:
             x = system.states.index(args.pair[0].strip("{}"))
             y = system.states.index(args.pair[1].strip("{}"))
@@ -381,11 +367,11 @@ def cmd_equiv(args) -> int:
             payload["pair"] = list(args.pair)
             payload["per_condition"] = per_condition
             payload["equivalent"] = all(per_condition.values())
-            if not payload["equivalent"]:
-                exit_code = 1
-        _emit(payload, as_json, _equiv_lines)
-        return exit_code
-    raise SchemaError("unsupported system for equiv")
+    else:
+        raise SchemaError("unsupported system for equiv")
+    _emit(payload, args.json, _equiv_lines)
+    # exit 1 exactly when a pair was asked for and found inequivalent
+    return 0 if payload.get("equivalent", True) else 1
 
 
 def _equiv_lines(payload):
@@ -462,9 +448,21 @@ def cmd_quotient(args) -> int:
     return 0
 
 
+# Random instances for `check --adequacy`, one per family `check` runs.
+_ADEQUACY_SYSTEMS = {
+    "nda": lambda rng: random_nda(rng, max_states=4),
+    "lwa": lambda rng: random_lwa(rng, max_states=4),
+    "cts": lambda rng: random_cts(rng, max_conditions=3, max_states=4),
+}
+
+
+def _families(args) -> list[str]:
+    """The family named by --random, else all three."""
+    return [args.random] if args.random else list(_ADEQUACY_SYSTEMS)
+
+
 def _run_law_checks(args, results: list) -> None:
-    families = [args.random] if args.random else ["nda", "lwa", "cts"]
-    for family in families:
+    for family in _families(args):
         report = check_lifting_laws(family, trials=args.trials,
                                     seed=args.seed,
                                     corruption=args.corruption)
@@ -473,14 +471,6 @@ def _run_law_checks(args, results: list) -> None:
             "passed": report.all_passed,
             "detail": report.to_json(),
         })
-
-
-# Random instances for `check --adequacy --random FAMILY`, by family.
-_ADEQUACY_SYSTEMS = {
-    "nda": lambda rng: random_nda(rng, max_states=4),
-    "lwa": lambda rng: random_lwa(rng, max_states=4),
-    "cts": lambda rng: random_cts(rng, max_conditions=3, max_states=4),
-}
 
 
 def _run_adequacy_checks(args, results: list) -> None:
@@ -500,20 +490,20 @@ def _run_adequacy_checks(args, results: list) -> None:
         return
     if args.trials < 1:
         raise ValueError("trials must be at least 1")
-    family = args.random or "nda"
-    failures = []
-    for i in range(args.trials):
-        system = _ADEQUACY_SYSTEMS[family](Lcg(subseed(args.seed, i)))
-        report = check_adequacy_expressivity(system)
-        ok = (report.adequate and report.expressive
-              and report.depth_saturated is not False)
-        if not ok:
-            failures.append({"trial": i, "report": report.to_json()})
-    results.append({
-        "check": f"adequacy:{family}",
-        "passed": not failures,
-        "detail": {"trials": args.trials, "failures": failures},
-    })
+    for family in _families(args):
+        failures = []
+        for i in range(args.trials):
+            system = _ADEQUACY_SYSTEMS[family](Lcg(subseed(args.seed, i)))
+            report = check_adequacy_expressivity(system)
+            ok = (report.adequate and report.expressive
+                  and report.depth_saturated is not False)
+            if not ok:
+                failures.append({"trial": i, "report": report.to_json()})
+        results.append({
+            "check": f"adequacy:{family}",
+            "passed": not failures,
+            "detail": {"trials": args.trials, "failures": failures},
+        })
 
 
 def cmd_check(args) -> int:
@@ -521,6 +511,10 @@ def cmd_check(args) -> int:
         raise SchemaError("nothing to check: pass --laws and/or --adequacy")
     if args.corruption is not None and not args.laws:
         raise SchemaError("--corruption needs --laws")
+    if args.file and not args.adequacy:
+        raise SchemaError("FILE is read only by --adequacy")
+    if args.file and args.random:
+        raise SchemaError("pass FILE or --random, not both")
     results: list[dict] = []
     if args.laws:
         _run_law_checks(args, results)
@@ -669,8 +663,16 @@ def cmd_determinize(args) -> int:
 
 # --------------------------------------------------------------- argparser
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error:` line and exit 2,
+    like every other input error; subcommand parsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="behaveq",
         description="behavioural equivalence toolkit for finite systems "
                     "with side effects")

@@ -29,10 +29,6 @@ Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
-class MalformedFunction(ValueError):
-    """A reindexing function hits indices outside its codomain."""
-
-
 class DimensionMismatch(ValueError):
     """Vectors or matrices with incompatible ambient dimensions."""
 
@@ -278,25 +274,6 @@ def block_classes(blocks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     for i, b in enumerate(blocks):
         groups.setdefault(b, []).append(i)
     return tuple(tuple(g) for g in groups.values())
-
-
-def rel_pullback(rel: BitRel, fn: Sequence[int]) -> BitRel:
-    """Reindex `rel` along a total function given as a table.
-
-    (i, j) is in the result iff (fn[i], fn[j]) is in `rel`.
-    """
-    for i, v in enumerate(fn):
-        if not (0 <= v < rel.size):
-            raise MalformedFunction(f"fn[{i}] = {v} outside carrier of size {rel.size}")
-    rows = []
-    for i in range(len(fn)):
-        src = rel.rows[fn[i]]
-        row = 0
-        for j, v in enumerate(fn):
-            if src >> v & 1:
-                row |= 1 << j
-        rows.append(row)
-    return BitRel(len(fn), tuple(rows))
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[tuple[Fraction, ...]], list[int]]:

@@ -32,15 +32,12 @@ from .core import (
     Subspace,
     bits,
     block_classes,
-    dot,
-    echelonize,
     gfp,
-    mat_vec,
     nullspace,
     orthogonal_tests,
     refine,
 )
-from .liftings import cts_rel_lift
+from .liftings import cts_rel_lift, lwa_lift_rows
 from .systems import (
     Cts,
     DeterminizedMachine,
@@ -166,35 +163,41 @@ def lwa_trace(lwa: Lwa, p: Sequence, word: Sequence[int]) -> Fraction:
 def lwa_observability_chain(lwa: Lwa) -> list[Subspace]:
     """Descending chain of unobservable subspaces, from ker(out) down.
 
-    Each step keeps the vectors whose every one-step image stays inside;
-    dimensions strictly decrease until stable, so the chain has at most
-    |states| strict steps.  That bound is asserted.
+    The Kleene iteration, from the full space, of the weighted relation
+    lifting (`lwa_lift_rows`, the lifting the law suite checks) pulled
+    back along the automaton, whose step sends v to its stop weight
+    v . out and its action slices v . M_a.  A level W is followed by
+    the v with v . out = 0 and every v . M_a in W; the first level is
+    ker(out).  Dimensions strictly decrease until stable, so the chain
+    has at most |states| strict steps.  That bound is asserted.
     """
     n, m = len(lwa.states), len(lwa.alphabet)
-    chain = [nullspace([lwa.out], n)]
+    # nonzero entries of each column of the step matrix, in the lifting's
+    # coordinates: slice a holds the columns of M_a, then the stop slot
+    columns = [[(x, row[y]) for x, row in enumerate(mat) if row[y]]
+               for mat in lwa.mat for y in range(n)]
+    columns.append([(x, w) for x, w in enumerate(lwa.out) if w])
+
+    def pullback(row):
+        image = [Fraction(0)] * n
+        for r, column in zip(row, columns):
+            if r:
+                for x, c in column:
+                    image[x] += c * r
+        return image
+
+    chain: list[Subspace] = []
+    tests: tuple = ()                       # the full space has no tests
     while True:
-        cur = chain[-1]
-        if cur.is_zero():
+        level = nullspace([pullback(row) for row in lwa_lift_rows(tests, n, m)], n)
+        if chain and level == chain[-1]:
             break
-        basis = cur.basis
-        tests = orthogonal_tests(cur)
-        rows = []
-        for a in range(m):
-            stepped = [mat_vec(b, lwa.mat[a]) for b in basis]
-            for z in tests:
-                rows.append([dot(sb, z) for sb in stepped])
-        coeffs = nullspace(rows, len(basis))
-        vecs = [
-            tuple(sum(c[i] * basis[i][j] for i in range(len(basis)))
-                  for j in range(n))
-            for c in coeffs.basis
-        ]
-        nxt = echelonize(vecs, n)
-        if nxt == cur:
-            break
-        chain.append(nxt)
+        chain.append(level)
         if len(chain) - 1 > n:
             raise RuntimeError("observability chain exceeded the state count")
+        if level.is_zero():
+            break
+        tests = orthogonal_tests(level)
     return chain
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import BitRel, Subspace, bits, echelonize, nullspace, preimage_subspace
+from .core import (BitRel, Subspace, bits, echelonize, nullspace, orthogonal_tests,
+                   preimage_subspace)
 from .rng import WEIGHT_GRID, Lcg, random_cts, random_lwa, random_nda, random_vector
 from .systems import (Cts, DeterminizedMachine, Lwa, forward_determinize,
                       lwa_output, lwa_step)
@@ -164,26 +165,6 @@ def lwa_modality(lwa: Lwa, kind, p: Sequence, region=None) -> bool:
             return region.contains(stepped)
         return bool(region(stepped))
     return lwa_output(lwa, p) == Fraction(kind)
-
-
-def nda_rel_lift(rel: BitRel, ubar: Iterable[Step], ubar2: Iterable[Step],
-                 num_actions: int) -> bool:
-    """Relation lifting for automata steps over a powerset carrier.
-
-    `rel` relates subset masks; step targets must be state indices.
-    Related iff the stop markers agree and every action slice pair is
-    related.
-    """
-    t1 = nda_det_step(ubar, num_actions)
-    t2 = nda_det_step(ubar2, num_actions)
-    if t1.accept != t2.accept:
-        return False
-    for a in range(num_actions):
-        m1 = sum(1 << x for x in t1.succ[a])
-        m2 = sum(1 << x for x in t2.succ[a])
-        if not rel.has(m1, m2):
-            return False
-    return True
 
 
 def cts_rel_lift(rel: BitRel, u: int, v: int) -> bool:
@@ -624,26 +605,35 @@ def _fx_index(num_states: int, num_actions: int):
     return index, num_actions * num_states + 1
 
 
-def _lwa_lift_rel_subspace(space: Subspace, num_states: int,
-                           num_actions: int) -> Subspace:
-    """Lift a difference subspace through the weighted relation lifting.
+def lwa_lift_rows(tests: Sequence[Sequence], num_states: int,
+                  num_actions: int) -> list[list[Fraction]]:
+    """Defining rows of the weighted relation lifting, over step
+    coordinates (`_fx_index`): the stop slot, and each test of W (a
+    vector z with v in W iff v . z = 0) on each action slice.
 
-    Result lives over step coordinates: stop weight zero and every
-    action slice inside `space`.
+    The lifting of W is their nullspace: stop weight zero and every
+    action slice inside W.
     """
     index, dim = _fx_index(num_states, num_actions)
-    rows = []
     stop_row = [Fraction(0)] * dim
     stop_row[index(STOP)] = Fraction(1)
-    rows.append(stop_row)
-    tests = nullspace(space.basis, space.dim).basis
+    rows = [stop_row]
     for a in range(num_actions):
         for z in tests:
             row = [Fraction(0)] * dim
             for x in range(num_states):
                 row[index(Step.act(a, x))] = z[x]
             rows.append(row)
-    return nullspace(rows, dim)
+    return rows
+
+
+def _lwa_lift_rel_subspace(space: Subspace, num_states: int,
+                           num_actions: int) -> Subspace:
+    """Lift a difference subspace through the weighted relation lifting:
+    the nullspace of its defining rows, over step coordinates."""
+    _, dim = _fx_index(num_states, num_actions)
+    return nullspace(lwa_lift_rows(orthogonal_tests(space), num_states, num_actions),
+                     dim)
 
 
 def _lwa_kit() -> dict:
@@ -685,10 +675,8 @@ def _lwa_sigma_odd_zero(carrier_size, num_actions, kind, region, element) -> boo
 
 def _lwa_lift_adds_stop(space, num_states, num_actions) -> Subspace:
     good = _lwa_lift_rel_subspace(space, num_states, num_actions)
-    index, dim = _fx_index(num_states, num_actions)
-    stop = [Fraction(0)] * dim
-    stop[index(STOP)] = Fraction(1)
-    return echelonize(list(good.basis) + [stop], dim)
+    stop = lwa_lift_rows((), num_states, num_actions)[0]
+    return echelonize(list(good.basis) + [stop], len(stop))
 
 
 _LWA_CORRUPTIONS = {

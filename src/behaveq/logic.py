@@ -247,6 +247,8 @@ def cts_logical_analysis(cts: Cts, depth: int):
     applies box to every combination and appends the new predicates, so
     each level's generators extend the previous level's.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     nk, n = len(cts.conditions), len(cts.states)
     total = nk * n
     if total > _FORMULA_CAP_BITS:

@@ -192,6 +192,22 @@ def test_check_corruption_without_laws_exits_two(capsys, argv):
     assert out == "" and err == "error: --corruption needs --laws\n"
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["check", GOLDEN, "--laws"], "error: FILE is read only by --adequacy"),
+    (["check", GOLDEN, "--adequacy", "--random", "cts"],
+     "error: pass FILE or --random, not both"),
+])
+def test_check_refuses_a_file_it_would_not_read(capsys, argv, line):
+    assert run_main(argv, capsys) == (2, "", [line])
+
+
+def test_check_adequacy_without_file_or_random_runs_every_family(capsys):
+    code, out, err = run_main(["check", "--adequacy", "--trials", "2"], capsys)
+    assert (code, err) == (0, [])
+    assert out.splitlines() == ["adequacy:nda: pass", "adequacy:lwa: pass",
+                                "adequacy:cts: pass", "all: pass"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 @pytest.mark.parametrize("mode", ["--laws", "--adequacy"])
 def test_check_random_without_trials_exits_two(capsys, mode, trials):
@@ -303,6 +319,13 @@ def test_eval_moore_word_and_cts_depth(tmp_path):
     assert "tt" in rendered and any("□" in f for f in rendered)
 
 
+def test_eval_negative_depth_exits_two(tmp_path, capsys):
+    path = tmp_path / "cts.json"
+    path.write_text(json.dumps(CTS_DOC))
+    code, out, err = run_main(["eval", str(path), "--depth", "-1"], capsys)
+    assert (code, out, err) == (2, "", ["error: depth must be nonnegative"])
+
+
 def test_eval_long_moore_word_reads_only_that_word():
     # one word of 64 letters; a table of all 3^64 words would never end
     res = run_cli(["eval", MOORE, "--subset", "{p0}", "--word", "[a]" * 64,
@@ -354,6 +377,26 @@ def test_removed_flags_exit_two(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["check", "--random"],
+    ["check", "--bogus"],
+    ["check", "--random", "moore", "--laws"],
+    ["equiv", GOLDEN, "--cap", "x"],
+    ["equiv"],
+    ["quotient", GOLDEN, "--bogus"],
+    ["eval", GOLDEN, "--maxlen", "two"],
+    ["determinize", GOLDEN, "--direction", "sideways"],
+])
+def test_argument_errors_are_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 # ----------------------------------------------------------- determinize
@@ -491,6 +534,9 @@ def test_equiv_exit_code_contract(tmp_path, capsys, kind, field, odd):
      "--seed", "12345678901234567890123"],
     ["check", "--random", "cts", "--laws", "--trials", "2",
      "--corruption", "lift"],
+    ["check", GOLDEN, "--laws"],
+    ["check", GOLDEN, "--adequacy", "--random", "cts"],
+    ["check", GOLDEN, "--laws", "--adequacy", "--random", "nda"],
 ])
 def test_check_exit_code_contract(capsys, argv):
     # exit 0 = all passed, 1 = a check failed, 2 = input error with one line

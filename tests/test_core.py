@@ -6,12 +6,10 @@ from behaveq import (
     BitRel,
     Carrier,
     DimensionMismatch,
-    MalformedFunction,
     Semilattice,
     echelonize,
     gfp,
     refine,
-    rel_pullback,
     subspace_contains,
 )
 from behaveq.core import nullspace, preimage_subspace
@@ -148,39 +146,6 @@ def test_gfp_dominates_sampled_postfixpoints(golden_nda):
         post = gfp(step, start).relation
         assert post <= step(post)
         assert post <= greatest
-
-
-# ------------------------------------------------------------ rel_pullback
-
-def test_rel_pullback_identity():
-    r = BitRel.from_pairs(3, [(0, 1), (2, 0)])
-    assert rel_pullback(r, [0, 1, 2]) == r
-
-
-def test_rel_pullback_kernel_of_function():
-    eq = BitRel.identity(2)
-    f = [0, 1, 0]
-    pulled = rel_pullback(eq, f)
-    assert set(pulled.pairs()) == {(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)}
-
-
-def test_rel_pullback_constant_map_is_full():
-    r = BitRel.identity(3)
-    assert rel_pullback(r, [1, 1, 1, 1]) == BitRel.full(4)
-
-
-def test_rel_pullback_rejects_bad_function():
-    with pytest.raises(MalformedFunction):
-        rel_pullback(BitRel.identity(2), [0, 2])
-
-
-def test_rel_pullback_of_equality_is_equivalence():
-    rng = Lcg(13)
-    for _ in range(25):
-        m = rng.randint(1, 5)
-        k = rng.randint(1, 5)
-        f = [rng.randint(0, m - 1) for _ in range(k)]
-        assert rel_pullback(BitRel.identity(m), f).is_equivalence()
 
 
 # --------------------------------------------------------------- subspaces

@@ -28,8 +28,10 @@ from behaveq import (
     refusal_output,
     theory_word,
 )
-from behaveq.core import block_classes, orthogonal_tests
+from behaveq.core import (block_classes, echelonize, nullspace, orthogonal_tests,
+                          preimage_subspace)
 from behaveq.equivalence import OracleVerdict, lwa_observability_chain
+from behaveq.liftings import STOP, Step, _fx_index, _lwa_lift_rel_subspace
 from behaveq.rng import (
     WEIGHT_GRID,
     Lcg,
@@ -298,6 +300,41 @@ def test_lwa_backward_basis_sizes_match_chain_ranks():
         for i, level in enumerate(chain):
             assert sum(length <= i for length in lengths) == n - level.rank
         assert len(lengths) == n - chain[-1].rank
+
+
+def test_lwa_chain_is_the_kleene_iteration_of_the_lifting():
+    # level i is both the (i+1)-th Kleene iterate, from the full space, of
+    # W -> preimage(step matrix, lifting of W), and the vectors that every
+    # M_w . out with |w| <= i annihilates
+    rng = Lcg(2007)
+    levels = 0
+    for _ in range(200):
+        lwa = random_lwa(rng, max_states=4, max_actions=2)
+        n, m = len(lwa.states), len(lwa.alphabet)
+        index, dim = _fx_index(n, m)
+        step = [[Fraction(0)] * dim for _ in range(n)]
+        for x in range(n):
+            step[x][index(STOP)] = lwa.out[x]
+            for a in range(m):
+                for y in range(n):
+                    step[x][index(Step.act(a, y))] = lwa.mat[a][x][y]
+
+        def lifted_step(space):
+            return preimage_subspace(step, _lwa_lift_rel_subspace(space, n, m))
+
+        chain = lwa_observability_chain(lwa)
+        iterate = echelonize([[int(i == j) for j in range(n)] for i in range(n)])
+        observations = [lwa.out]
+        for i, level in enumerate(chain):
+            iterate = lifted_step(iterate)
+            assert level == iterate, (i, lwa)
+            assert level == nullspace(observations, n), (i, lwa)
+            observations += [tuple(sum(row[y] * u[y] for y in range(n))
+                                   for row in mat)
+                             for u in observations for mat in lwa.mat]
+            levels += 1
+        assert lifted_step(chain[-1]) == chain[-1]
+    assert levels > 400
 
 
 def test_lwa_classes_match_orthogonal_test_grouping():

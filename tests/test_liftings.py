@@ -21,10 +21,9 @@ from behaveq import (
     nda_det_step,
     nda_dist_law,
     nda_modality,
-    nda_rel_lift,
 )
 from behaveq import liftings
-from behaveq.liftings import CORRUPTIONS, _nda_lift_rel
+from behaveq.liftings import CORRUPTIONS
 from behaveq.rng import Lcg, random_cts
 
 from conftest import mask_of
@@ -131,40 +130,6 @@ def test_lwa_modality_cases():
 
 
 # ------------------------------------------------------ relation liftings
-
-def test_nda_rel_lift_cases():
-    rel = BitRel.identity(4)  # equality on subsets of a 2-state carrier
-    steps = frozenset({Step.act(0, 0), STOP})
-    assert nda_rel_lift(rel, steps, steps, 1)
-    assert not nda_rel_lift(BitRel.full(4), frozenset({STOP}), frozenset(), 1)
-    no_stop1 = frozenset({Step.act(0, 0)})
-    no_stop2 = frozenset({Step.act(0, 1)})
-    assert nda_rel_lift(BitRel.full(4), no_stop1, no_stop2, 1)
-
-
-def _set_mask(items) -> int:
-    return sum(1 << x for x in items)
-
-
-def test_nda_lift_rel_on_tables_matches_nda_rel_lift():
-    # every pair of step sets over 2 states and 2 actions; the relation
-    # on successor sets as pairs of sets and as a BitRel over masks
-    steps = [STOP] + [Step.act(a, x) for a in range(2) for x in range(2)]
-    step_sets = [frozenset(s for i, s in enumerate(steps) if bits >> i & 1)
-                 for bits in range(1 << len(steps))]
-    tables = {u: nda_det_step(u, 2) for u in step_sets}
-    subsets = [frozenset(x for x in range(2) if m >> x & 1) for m in range(4)]
-    for seed in range(6):
-        rng = Lcg(seed)
-        rel_pairs = frozenset((u, v) for u in subsets for v in subsets
-                              if rng.bit())
-        rel = BitRel.from_pairs(4, ((_set_mask(u), _set_mask(v))
-                                    for u, v in rel_pairs))
-        for u in step_sets:
-            for v in step_sets:
-                assert (_nda_lift_rel(rel_pairs, tables[u], tables[v])
-                        == nda_rel_lift(rel, u, v, 2)), (seed, u, v)
-
 
 def test_cts_rel_lift_cases():
     rel = BitRel.from_pairs(2, [(0, 1)])
