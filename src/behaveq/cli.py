@@ -50,7 +50,6 @@ from .equivalence import (
     lwa_trace,
     moore_equiv,
     moore_pair_oracle,
-    nda_language_equiv,
     nda_pair_oracle,
 )
 from .liftings import check_lifting_laws
@@ -76,7 +75,6 @@ from .systems import (
     Nda,
     OutputLts,
     eval_word,
-    forward_determinize,
     moore_determinize,
     validate,
 )
@@ -142,20 +140,46 @@ def load_system(data: dict):
     if not isinstance(data, dict):
         raise SchemaError("top-level document must be an object")
     kind = data.get("kind")
-    if kind == "nda":
-        _require(data, "states", "alphabet", "transitions", "accepting")
+    if kind in ("nda", "moore"):
+        _require(data, "states", "alphabet", "transitions",
+                 *(("accepting",) if kind == "nda" else ()))
         states = _carrier(data, "states")
         alphabet = _carrier(data, "alphabet")
-        edges = [set() for _ in range(len(states))]
+        table = [[0] * len(alphabet) for _ in range(len(states))]
         for t in _typed(data, "transitions", list):
             _require(t, "from", "action", "to")
-            edges[states.index(t["from"])].add(
-                (alphabet.index(t["action"]), states.index(t["to"])))
-        accepting = 0
-        for label in _typed(data, "accepting", list):
-            accepting |= 1 << states.index(label)
-        system = Nda(states, alphabet, tuple(frozenset(e) for e in edges),
-                     accepting)
+            table[states.index(t["from"])][alphabet.index(t["action"])] |= (
+                1 << states.index(t["to"]))
+        delta = tuple(tuple(r) for r in table)
+        if kind == "nda":
+            accepting = 0
+            for label in _typed(data, "accepting", list):
+                accepting |= 1 << states.index(label)
+            system = Nda(states, alphabet, delta, accepting)
+        elif "lattice" in data:
+            _require(data, "outputs")
+            lat_data = data["lattice"]
+            _require(lat_data, "elements", "join", "bottom")
+            elements = _carrier(lat_data, "elements").names
+            pos = {e: i for i, e in enumerate(elements)}
+            try:
+                join_table = tuple(
+                    tuple(pos[v] for v in row) for row in lat_data["join"])
+                lattice = Semilattice.create(
+                    elements, join_table, pos[lat_data["bottom"]])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"bad lattice: {exc}") from None
+            output_of = _typed(data, "outputs", dict)
+            try:
+                outputs = tuple(pos[output_of[label]] for label in states.names)
+            except (KeyError, TypeError) as exc:
+                raise SchemaError(f"bad outputs: {exc}") from None
+            system = OutputLts(states, alphabet, delta, outputs, lattice)
+        else:
+            semantics = data.get("semantics", "trace")
+            if semantics not in SEMANTICS:
+                raise SchemaError(f"unknown semantics {semantics!r}")
+            system = build_output_lts(states, alphabet, delta, semantics)
     elif kind == "lwa":
         _require(data, "states", "alphabet", "output", "matrices")
         states = _carrier(data, "states")
@@ -186,40 +210,6 @@ def load_system(data: dict):
             k = conditions.index(t["cond"])
             table[k][states.index(t["from"])] |= 1 << states.index(t["to"])
         system = Cts(conditions, states, tuple(tuple(r) for r in table))
-    elif kind == "moore":
-        _require(data, "states", "alphabet", "transitions")
-        states = _carrier(data, "states")
-        alphabet = _carrier(data, "alphabet")
-        table = [[0] * len(alphabet) for _ in range(len(states))]
-        for t in _typed(data, "transitions", list):
-            _require(t, "from", "action", "to")
-            table[states.index(t["from"])][alphabet.index(t["action"])] |= (
-                1 << states.index(t["to"]))
-        delta = tuple(tuple(r) for r in table)
-        if "lattice" in data:
-            _require(data, "outputs")
-            lat_data = data["lattice"]
-            _require(lat_data, "elements", "join", "bottom")
-            elements = _carrier(lat_data, "elements").names
-            pos = {e: i for i, e in enumerate(elements)}
-            try:
-                join_table = tuple(
-                    tuple(pos[v] for v in row) for row in lat_data["join"])
-                lattice = Semilattice.create(
-                    elements, join_table, pos[lat_data["bottom"]])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad lattice: {exc}") from None
-            output_of = _typed(data, "outputs", dict)
-            try:
-                outputs = tuple(pos[output_of[label]] for label in states.names)
-            except (KeyError, TypeError) as exc:
-                raise SchemaError(f"bad outputs: {exc}") from None
-            system = OutputLts(states, alphabet, delta, outputs, lattice)
-        else:
-            semantics = data.get("semantics", "trace")
-            if semantics not in SEMANTICS:
-                raise SchemaError(f"unknown semantics {semantics!r}")
-            system = build_output_lts(states, alphabet, delta, semantics)
     else:
         raise SchemaError(f"unknown or missing kind {kind!r}")
     problems = validate(system)
@@ -309,14 +299,10 @@ def cmd_equiv(args) -> int:
         initials = None
         if args.pair:
             initials = [_parse_state_set(system, s) for s in args.pair]
-        if isinstance(system, Nda):
-            equiv = nda_language_equiv(system, initials, cap=args.cap)
-            oracle = nda_pair_oracle
-        else:
-            equiv = moore_equiv(system, initials, cap=args.cap)
-            oracle = moore_pair_oracle
+        equiv = moore_equiv(system, initials, cap=args.cap)
+        nda = isinstance(system, Nda)
         payload = {
-            "kind": "moore" if isinstance(system, OutputLts) else "nda",
+            "kind": "nda" if nda else "moore",
             "iterations": equiv.iterations,
             "classes": [list(c) for c in equiv.classes()],
         }
@@ -329,6 +315,7 @@ def cmd_equiv(args) -> int:
                                subset_label(system.states, v)]
             payload["equivalent"] = verdict
             if not verdict:
+                oracle = nda_pair_oracle if nda else moore_pair_oracle
                 witness = oracle(system, u, v).witness
                 payload["witness"] = render_word(system.alphabet, witness)
     elif isinstance(system, Lwa) and args.pair:
@@ -403,7 +390,7 @@ def cmd_quotient(args) -> int:
         eq = BitRel.identity(1 << n)
         iterations = 0
     else:
-        result = nda_language_equiv(system)
+        result = moore_equiv(system)
         eq = result.relation
         iterations = result.iterations
     auto = build_respecting_automaton(system, eq)
@@ -488,8 +475,6 @@ def _run_adequacy_checks(args, results: list) -> None:
             "detail": detail,
         })
         return
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
     for family in _families(args):
         failures = []
         for i in range(args.trials):
@@ -515,6 +500,8 @@ def cmd_check(args) -> int:
         raise SchemaError("FILE is read only by --adequacy")
     if args.file and args.random:
         raise SchemaError("pass FILE or --random, not both")
+    if args.trials < 1:
+        raise SchemaError("trials must be at least 1")
     results: list[dict] = []
     if args.laws:
         _run_law_checks(args, results)
@@ -624,9 +611,9 @@ def cmd_determinize(args) -> int:
         }
     else:
         if isinstance(system, Nda):
-            build = forward_determinize
+            shown = bool
         elif isinstance(system, OutputLts):
-            build = moore_determinize
+            shown = lambda v: system.lattice.names[v]
         else:
             raise SchemaError("forward determinization expects nda or moore")
         n = len(system.states)
@@ -636,13 +623,7 @@ def cmd_determinize(args) -> int:
             if n > args.cap:
                 raise CapExceeded(f"default initials need {n} <= cap {args.cap}")
             initials = range(1 << n)
-        machine = build(system, initials)
-        out = {}
-        for i, mask in enumerate(machine.subset_states):
-            if isinstance(system, OutputLts):
-                out[machine.label(i)] = system.lattice.names[machine.out[i]]
-            else:
-                out[machine.label(i)] = bool(machine.out[i])
+        machine = moore_determinize(system, initials)
         payload = {
             "direction": "forward",
             "states": [machine.label(i)
@@ -653,7 +634,8 @@ def cmd_determinize(args) -> int:
                  "to": machine.label(machine.trans[i][a])}
                 for i in range(len(machine.subset_states))
                 for a in range(len(system.alphabet))],
-            "outputs": out,
+            "outputs": {machine.label(i): shown(o)
+                        for i, o in enumerate(machine.out)},
         }
     _emit(payload, args.json,
           lambda p: (f"{t['from']} --{t['action']}--> {t['to']}"

@@ -1,6 +1,7 @@
 """Behavioural-equivalence engines for the four families.
 
-The automaton, Moore and conditional engines compute the greatest
+The subset engine (`moore_equiv`, for Moore systems and for automata,
+their two-element case) and the conditional engine compute the greatest
 fixpoint of their relation lifting as the coarsest stable partition,
 by the signature-refinement rounds of `core.refine`; the weighted
 engine answers from Krylov bases: a forward basis of p - q for a pair
@@ -45,7 +46,6 @@ from .systems import (
     Nda,
     OutputLts,
     eval_word,
-    forward_determinize,
     moore_determinize,
 )
 
@@ -84,18 +84,6 @@ def machine_equiv(machine: DeterminizedMachine) -> MachineEquiv:
     return MachineEquiv(machine, BitRel.from_blocks(blocks), rounds, blocks)
 
 
-def nda_language_equiv(nda: Nda, initials: Iterable[int] | None = None,
-                       cap: int = 12) -> MachineEquiv:
-    """Language equivalence between subset states, restricted to the part
-    reachable from `initials` (the whole powerset when omitted)."""
-    n = len(nda.states)
-    if initials is None:
-        if n > cap:
-            raise CapExceeded(f"full powerset over {n} states exceeds cap {cap}")
-        initials = range(1 << n)
-    return machine_equiv(forward_determinize(nda, initials))
-
-
 @dataclass(frozen=True)
 class OracleVerdict:
     equivalent: bool
@@ -131,8 +119,8 @@ def _word_search(system, u, v, maxlen: int | None = None) -> OracleVerdict:
 def nda_pair_oracle(nda: Nda, mask_u: int, mask_v: int) -> OracleVerdict:
     """Shortest distinguishing word by product search over subset masks.
 
-    Works straight off the transition sets, independently of the
-    determinized machine and the fixpoint engine.
+    Works straight off the successor masks, independently of the
+    determinized machine and the refinement engine.
     """
     return _word_search(nda, mask_u, mask_v)
 
@@ -142,15 +130,22 @@ def moore_pair_oracle(lts: OutputLts, mask_u: int, mask_v: int) -> OracleVerdict
     return _word_search(lts, mask_u, mask_v)
 
 
-def moore_equiv(lts: OutputLts, initials: Iterable[int] | None = None,
+def moore_equiv(system: Nda | OutputLts, initials: Iterable[int] | None = None,
                 cap: int = 12) -> MachineEquiv:
-    """Behavioural equivalence on the determinized Moore machine."""
-    n = len(lts.states)
+    """Behavioural equivalence between subset states of an automaton or
+    Moore system, restricted to the part reachable from `initials` (the
+    whole powerset when omitted).
+
+    The one subset engine: an automaton is the case of the two-element
+    semilattice, where a subset's output is whether it accepts, and its
+    behavioural equivalence is language equivalence.
+    """
+    n = len(system.states)
     if initials is None:
         if n > cap:
             raise CapExceeded(f"full powerset over {n} states exceeds cap {cap}")
         initials = range(1 << n)
-    return machine_equiv(moore_determinize(lts, initials))
+    return machine_equiv(moore_determinize(system, initials))
 
 
 # ------------------------------------------------------------- weighted

@@ -535,8 +535,8 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
         if mask & nda.accepting:
             ubar.add(STOP)
         for x in bits(mask):
-            for a, x2 in nda.delta[x]:
-                ubar.add(Step.act(a, x2))
+            for a, succ in enumerate(nda.delta[x]):
+                ubar.update(Step.act(a, x2) for x2 in bits(succ))
         tables.append(nda_det_step(frozenset(ubar), na))
     for kind in list(range(na)) + ["accept"]:
         got = nda_modality(machine, kind, position_region)

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import (
     BitRel,
     CapExceeded,
     Carrier,
+    DimensionMismatch,
     format_rational,
+    orthogonal_tests,
 )
 from .equivalence import (
     cts_conditional_bisim,
@@ -29,7 +32,6 @@ from .equivalence import (
     lwa_unobservable_subspace,
     moore_equiv,
     moore_pair_oracle,
-    nda_language_equiv,
     nda_pair_oracle,
 )
 from .liftings import cts_box
@@ -404,19 +406,21 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
                 configs = [tuple(Fraction(v) for v in vec) for vec in vectors]
                 labels = ["[" + ",".join(format_rational(v) for v in vec) + "]"
                           for vec in configs]
-            space = lwa_unobservable_subspace(system)
-            behavioural = BitRel.from_pairs(len(configs), (
-                (i, j) for i, p in enumerate(configs) for j, q in enumerate(configs)
-                if space.contains(tuple(a - b for a, b in zip(p, q)))))
+            if any(len(p) != n for p in configs):
+                raise DimensionMismatch(
+                    "configuration length does not match state count")
+            # p - q lies in the unobservable subspace iff p and q agree
+            # on each of its orthogonal tests
+            tests = orthogonal_tests(lwa_unobservable_subspace(system))
+            behavioural = BitRel.from_blocks([
+                tuple(sum(map(mul, p, z)) for z in tests) for p in configs])
             family, search, iterations = "lwa", lwa_pair, n
             note = ("trace tables agree to the stabilisation bound but the "
                     "subspace separates the pair")
         else:
-            if isinstance(system, Nda):
-                family, engine, search = "nda", nda_language_equiv, nda_pair_oracle
-            else:
-                family, engine, search = "moore", moore_equiv, moore_pair_oracle
-            equiv = engine(system, initials, cap)
+            family, search = (("nda", nda_pair_oracle) if isinstance(system, Nda)
+                              else ("moore", moore_pair_oracle))
+            equiv = moore_equiv(system, initials, cap)
             configs = equiv.machine.subset_states
             labels = [equiv.machine.label(i) for i in range(len(configs))]
             behavioural, iterations = equiv.relation, equiv.iterations

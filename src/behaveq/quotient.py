@@ -162,7 +162,7 @@ def verify_witness_homomorphism(nda: Nda, auto: RespectingAutomaton) -> Homomorp
         if nda.accepting >> x & 1:
             lhs.add("stop")
         for a in range(num_actions):
-            succ = nda.successors(x, a)
+            succ = nda.delta[x][a]
             for w in auto.carrier:
                 if succ & w:
                     lhs.add((a, w))

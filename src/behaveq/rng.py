@@ -63,19 +63,10 @@ def subseed(seed: int, index: int) -> int:
 
 
 def random_nda(rng: Lcg, max_states: int = 4, max_actions: int = 2) -> Nda:
-    n = rng.randint(1, max_states)
-    m = rng.randint(1, max_actions)
-    states = Carrier(tuple(f"q{i}" for i in range(n)))
-    alphabet = Carrier(tuple(_LETTERS[j] for j in range(m)))
-    delta = []
-    for _ in range(n):
-        edges = frozenset((a, x2) for a in range(m) for x2 in range(n) if rng.bit())
-        delta.append(edges)
-    accepting = 0
-    for x in range(n):
-        if rng.bit():
-            accepting |= 1 << x
-    return Nda(states, alphabet, tuple(delta), accepting)
+    """`random_lts` plus acceptance bits, drawn state by state."""
+    states, alphabet, delta = random_lts(rng, max_states, max_actions)
+    accepting = sum(1 << x for x in range(len(states)) if rng.bit())
+    return Nda(states, alphabet, delta, accepting)
 
 
 def random_lwa(rng: Lcg, max_states: int = 4, max_actions: int = 2) -> Lwa:

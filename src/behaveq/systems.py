@@ -32,48 +32,43 @@ from .core import (
 )
 
 
+class _SubsetSystem:
+    """One step of an Nda or OutputLts: `delta[x][a]` is the successor
+    mask of state x under action a, and a subset steps to the union of
+    its members' successors."""
+
+    def post(self, mask: int, a: int) -> int:
+        delta = self.delta
+        out = 0
+        for x in bits(mask):
+            out |= delta[x][a]
+        return out
+
+
 @dataclass(frozen=True)
-class Nda:
+class Nda(_SubsetSystem):
     """Nondeterministic automaton with a termination/acceptance marker.
 
-    `delta[x]` is the set of (action, successor) pairs enabled at x,
-    `accepting` the bitmask of accepting states.
+    `delta[x][a]` is the successor mask of x under a, `accepting` the
+    bitmask of accepting states.  Determinized, it is the Moore machine
+    over the two-element semilattice: a subset is observed accepting
+    when it meets `accepting`.
     """
 
     states: Carrier
     alphabet: Carrier
-    delta: tuple[frozenset[tuple[int, int]], ...]
+    delta: tuple[tuple[int, ...], ...]
     accepting: int
-
-    @cached_property
-    def _succ(self) -> tuple[tuple[int, ...], ...]:
-        n, m = len(self.states), len(self.alphabet)
-        table = [[0] * m for _ in range(n)]
-        for x, edges in enumerate(self.delta):
-            for a, x2 in edges:
-                table[x][a] |= 1 << x2
-        return tuple(tuple(row) for row in table)
-
-    def successors(self, x: int, a: int) -> int:
-        return self._succ[x][a]
-
-    def post(self, mask: int, a: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= self._succ[x][a]
-        return out
 
     def pre(self, mask: int, a: int) -> int:
         out = 0
-        for x in range(len(self.states)):
-            if self._succ[x][a] & mask:
+        for x, row in enumerate(self.delta):
+            if row[a] & mask:
                 out |= 1 << x
         return out
 
-    def is_accepting(self, mask: int) -> bool:
+    def observe(self, mask: int) -> bool:
         return bool(mask & self.accepting)
-
-    observe = is_accepting
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ class Cts:
 
 
 @dataclass(frozen=True)
-class OutputLts:
+class OutputLts(_SubsetSystem):
     """LTS with per-state outputs in a finite join-semilattice.
 
     `delta[x][a]` is a successor mask, `output[x]` a lattice element
@@ -119,12 +114,6 @@ class OutputLts:
     delta: tuple[tuple[int, ...], ...]
     output: tuple[int, ...]
     lattice: Semilattice
-
-    def post(self, mask: int, a: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= self.delta[x][a]
-        return out
 
     def observe(self, mask: int) -> int:
         """Join of the members' outputs; the empty subset observes bottom."""
@@ -177,8 +166,9 @@ def _check_masks(n: int, initials: Iterable[int]) -> list[int]:
     return masks
 
 
-def _determinize(system, initials: Iterable[int]) -> DeterminizedMachine:
-    """Reachable subset machine of `system` under its post/observe pair."""
+def moore_determinize(system, initials: Iterable[int]) -> DeterminizedMachine:
+    """Reachable subset machine of an Nda or OutputLts from `initials`,
+    with the members' outputs joined (acceptance, for an automaton)."""
     post, observe = system.post, system.observe
     num_actions = len(system.alphabet)
     order = _check_masks(len(system.states), initials)
@@ -206,14 +196,8 @@ def _determinize(system, initials: Iterable[int]) -> DeterminizedMachine:
     )
 
 
-def forward_determinize(nda: Nda, initials: Iterable[int]) -> DeterminizedMachine:
-    """Subset construction restricted to the part reachable from `initials`."""
-    return _determinize(nda, initials)
-
-
-def moore_determinize(lts: OutputLts, initials: Iterable[int]) -> DeterminizedMachine:
-    """Subset construction with outputs joined in the lattice."""
-    return _determinize(lts, initials)
+# The automaton's name for the same construction.
+forward_determinize = moore_determinize
 
 
 def lwa_step(lwa: Lwa, p: Sequence, a: int) -> tuple[Fraction, ...]:
@@ -251,19 +235,7 @@ def eval_word(system, start, word: Sequence[int]):
 def validate(system) -> list[str]:
     """Human-readable invariant diagnostics; empty means well formed."""
     probs: list[str] = []
-    if isinstance(system, Nda):
-        n, m = len(system.states), len(system.alphabet)
-        if len(system.delta) != n:
-            probs.append(f"delta has {len(system.delta)} rows for {n} states")
-        for x, edges in enumerate(system.delta[:n]):
-            for a, x2 in sorted(edges):
-                if not (0 <= a < m):
-                    probs.append(f"state {system.states.label(x)}: action index {a} out of range")
-                if not (0 <= x2 < n):
-                    probs.append(f"state {system.states.label(x)}: successor index {x2} out of range")
-        if system.accepting >> n:
-            probs.append("accepting mask has bits outside the state carrier")
-    elif isinstance(system, Lwa):
+    if isinstance(system, Lwa):
         n, m = len(system.states), len(system.alphabet)
         if len(system.out) != n:
             probs.append(f"output vector has length {len(system.out)}, expected {n}")
@@ -287,7 +259,7 @@ def validate(system) -> list[str]:
                     probs.append(
                         f"successors of {system.states.label(x)} under "
                         f"{system.conditions.label(ki)} leave the carrier")
-    elif isinstance(system, OutputLts):
+    elif isinstance(system, (Nda, OutputLts)):
         n, m = len(system.states), len(system.alphabet)
         if len(system.delta) != n or any(len(row) != m for row in system.delta):
             probs.append(f"delta is not a {n}x{m} table")
@@ -295,12 +267,17 @@ def validate(system) -> list[str]:
             for mask in row:
                 if mask >> n:
                     probs.append(f"successors of {system.states.label(x)} leave the carrier")
-        if len(system.output) != n:
-            probs.append("output table length does not match state count")
-        for x, o in enumerate(system.output[:n]):
-            if not (0 <= o < len(system.lattice)):
-                probs.append(f"output of {system.states.label(x)} is not a lattice element")
-        probs.extend(system.lattice.diagnostics())
+        if isinstance(system, Nda):
+            if system.accepting >> n:
+                probs.append("accepting mask has bits outside the state carrier")
+        else:
+            if len(system.output) != n:
+                probs.append("output table length does not match state count")
+            for x, o in enumerate(system.output[:n]):
+                if not (0 <= o < len(system.lattice)):
+                    probs.append(
+                        f"output of {system.states.label(x)} is not a lattice element")
+            probs.extend(system.lattice.diagnostics())
     elif isinstance(system, Semilattice):
         probs.extend(system.diagnostics())
     elif isinstance(system, DeterminizedMachine):

@@ -21,7 +21,6 @@ from behaveq import (
     cts_slice_bisim_oracle,
     lwa_trace,
     moore_equiv,
-    nda_language_equiv,
     nda_pair_oracle,
     respecting_subsets,
     verify_witness_homomorphism,
@@ -57,7 +56,7 @@ def test_criterion_1_golden_worked_example(golden_nda):
     states = golden_nda.states
 
     # (a) language-equivalence classes over the full powerset
-    equiv = nda_language_equiv(golden_nda)
+    equiv = moore_equiv(golden_nda)
     xy = mask_of(states, "x", "y")
     y = mask_of(states, "y")
     xyz = mask_of(states, "x", "y", "z")
@@ -99,7 +98,7 @@ def test_criterion_2_nda_oracle_agreement():
                            *(1 << x for x in range(n)),
                            rng.randint(0, (1 << n) - 1),
                            rng.randint(0, (1 << n) - 1)})
-        equiv = nda_language_equiv(nda, initials)
+        equiv = moore_equiv(nda, initials)
         for u in initials:
             for v in initials:
                 if equiv.related(u, v) != nda_pair_oracle(nda, u, v).equivalent:

@@ -216,6 +216,15 @@ def test_check_random_without_trials_exits_two(capsys, mode, trials):
     assert out == "" and err == "error: trials must be at least 1\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_file_without_trials_exits_two(capsys, trials):
+    # the file's adequacy check runs no trials, but --trials is checked
+    # in every mode
+    code, out, err = run_main(
+        ["check", GOLDEN, "--adequacy", "--trials", trials, "--json"], capsys)
+    assert (code, out, err) == (2, "", ["error: trials must be at least 1"])
+
+
 @pytest.mark.parametrize("semantics", ["trace", "failure", "ready"])
 def test_check_adequacy_on_all_subsets_of_trace_vs_failure(tmp_path, semantics):
     # 512 subset positions in 9 classes under trace semantics; comparing
@@ -523,6 +532,44 @@ def test_equiv_exit_code_contract(tmp_path, capsys, kind, field, odd):
         assert json.loads(out)["equivalent"] is False
 
 
+# transition records put in place of the first one
+ODD_TRANSITIONS = {
+    "missing-to": {"from": "@first", "action": "a"},
+    "unknown-action": {"from": "@first", "action": "zz", "to": "@first"},
+    "number-label": {"from": 0, "action": "a", "to": "@first"},
+}
+
+SUBSET_COMMANDS = {
+    "determinize": ["determinize"],
+    "backward": ["determinize", "--direction", "backward"],
+    "quotient": ["quotient"],
+    "eval": ["eval", "--state", "@first", "--maxlen", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBSET_COMMANDS))
+@pytest.mark.parametrize("kind", ["nda", "moore"])
+def test_subset_commands_exit_code_contract(tmp_path, capsys, kind, command):
+    # exit 0 = computed, 2 = input error with one line; never 1
+    doc = CONTRACT_DOCS[kind]
+    first = doc["states"][0]
+    texts = {f"{field}={odd}": json.dumps(dict(doc, **{field: "@odd"}))
+             .replace('"@odd"', text)
+             for field in doc for odd, text in ODD_VALUES.items()}
+    for name, record in ODD_TRANSITIONS.items():
+        texts[name] = json.dumps(
+            dict(doc, transitions=[record, *doc["transitions"][1:]])
+        ).replace("@first", first)
+    path = tmp_path / "doc.json"
+    argv = [first if arg == "@first" else arg for arg in SUBSET_COMMANDS[command]]
+    for name, text in texts.items():
+        path.write_text(text)
+        code, _, err = run_main([argv[0], str(path), *argv[1:], "--json"], capsys)
+        assert code in (0, 2), name
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+
+
 @pytest.mark.parametrize("argv", [
     ["check"],
     ["check", "--random", "nda"],
@@ -537,6 +584,7 @@ def test_equiv_exit_code_contract(tmp_path, capsys, kind, field, odd):
     ["check", GOLDEN, "--laws"],
     ["check", GOLDEN, "--adequacy", "--random", "cts"],
     ["check", GOLDEN, "--laws", "--adequacy", "--random", "nda"],
+    ["check", GOLDEN, "--adequacy", "--trials", "-5"],
 ])
 def test_check_exit_code_contract(capsys, argv):
     # exit 0 = all passed, 1 = a check failed, 2 = input error with one line

@@ -103,7 +103,7 @@ def test_gfp_nda_step_on_golden_example(golden_nda):
         for u in range(size):
             row = 0
             for v in range(size):
-                if golden_nda.is_accepting(u) != golden_nda.is_accepting(v):
+                if golden_nda.observe(u) != golden_nda.observe(v):
                     continue
                 if all(rel.has(golden_nda.post(u, a), golden_nda.post(v, a))
                        for a in range(2)):
@@ -131,7 +131,7 @@ def test_gfp_dominates_sampled_postfixpoints(golden_nda):
         for u in range(size):
             row = 0
             for v in range(size):
-                if golden_nda.is_accepting(u) == golden_nda.is_accepting(v) and all(
+                if golden_nda.observe(u) == golden_nda.observe(v) and all(
                         rel.has(golden_nda.post(u, a), golden_nda.post(v, a))
                         for a in range(2)):
                     row |= 1 << v

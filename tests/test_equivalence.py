@@ -10,6 +10,8 @@ from behaveq import (
     Cts,
     Lwa,
     Nda,
+    OutputLts,
+    Semilattice,
     build_output_lts,
     cts_conditional_bisim,
     cts_slice_bisim_oracle,
@@ -22,7 +24,6 @@ from behaveq import (
     lwa_unobservable_subspace,
     moore_equiv,
     moore_pair_oracle,
-    nda_language_equiv,
     nda_pair_oracle,
     ready_output,
     refusal_output,
@@ -48,7 +49,7 @@ from conftest import mask_of
 # ------------------------------------------------------------------- nda
 
 def test_golden_language_classes(golden_nda):
-    eq = nda_language_equiv(golden_nda)
+    eq = moore_equiv(golden_nda)
     xy = mask_of(golden_nda.states, "x", "y")
     y = mask_of(golden_nda.states, "y")
     xyz = mask_of(golden_nda.states, "x", "y", "z")
@@ -64,9 +65,8 @@ def test_golden_language_classes(golden_nda):
 
 
 def test_no_accepting_states_everything_equivalent():
-    nda = Nda(Carrier(("u", "v")), Carrier(("a",)),
-              (frozenset({(0, 1)}), frozenset()), 0)
-    eq = nda_language_equiv(nda)
+    nda = Nda(Carrier(("u", "v")), Carrier(("a",)), ((0b10,), (0,)), 0)
+    eq = moore_equiv(nda)
     assert eq.relation == BitRel.full(4)
 
 
@@ -74,7 +74,7 @@ def disjoint_double(nda: Nda) -> Nda:
     n = len(nda.states)
     names = nda.states.names + tuple(f"{s}'" for s in nda.states.names)
     delta = list(nda.delta) + [
-        frozenset((a, y + n) for a, y in edges) for edges in nda.delta]
+        tuple(mask << n for mask in row) for row in nda.delta]
     accepting = nda.accepting | (nda.accepting << n)
     return Nda(Carrier(names), nda.alphabet, tuple(delta), accepting)
 
@@ -82,7 +82,7 @@ def disjoint_double(nda: Nda) -> Nda:
 def test_disjoint_copies_singletons_equivalent(golden_nda):
     double = disjoint_double(golden_nda)
     n = len(golden_nda.states)
-    eq = nda_language_equiv(double)
+    eq = moore_equiv(double)
     for x in range(n):
         assert eq.related(1 << x, 1 << (x + n))
         assert nda_pair_oracle(double, 1 << x, 1 << (x + n)).equivalent
@@ -93,8 +93,8 @@ def test_homomorphism_invariance_under_folding(golden_nda):
     # homomorphism; equivalence must be the pullback of the original's
     double = disjoint_double(golden_nda)
     n = len(golden_nda.states)
-    eq2 = nda_language_equiv(double)
-    eq1 = nda_language_equiv(golden_nda)
+    eq2 = moore_equiv(double)
+    eq1 = moore_equiv(golden_nda)
 
     def fold(mask: int) -> int:
         return (mask & ((1 << n) - 1)) | (mask >> n)
@@ -123,14 +123,14 @@ def test_nda_gfp_agrees_with_oracle_on_random_instances():
         initials = sorted({0, (1 << n) - 1,
                            *(1 << x for x in range(n)),
                            rng.randint(0, (1 << n) - 1)})
-        eq = nda_language_equiv(nda, initials)
+        eq = moore_equiv(nda, initials)
         for u in initials:
             for v in initials:
                 assert eq.related(u, v) == nda_pair_oracle(nda, u, v).equivalent
 
 
 def test_computed_equivalence_is_postfixpoint(golden_nda):
-    eq = nda_language_equiv(golden_nda)
+    eq = moore_equiv(golden_nda)
     machine = eq.machine
     rel = eq.relation
     for i, j in rel.pairs():
@@ -576,7 +576,7 @@ def test_nda_pair_oracle_is_first_theory_table_difference():
         nda = random_nda(rng, max_states=4, max_actions=3)
         masks = range(1 << len(nda.states))
         assert_oracle_is_first_table_difference(
-            nda, nda_pair_oracle, nda_language_equiv(nda), masks)
+            nda, nda_pair_oracle, moore_equiv(nda), masks)
 
 
 def test_moore_pair_oracle_is_first_theory_table_difference():
@@ -588,3 +588,23 @@ def test_moore_pair_oracle_is_first_theory_table_difference():
             masks = range(1 << len(states))
             assert_oracle_is_first_table_difference(
                 lts, moore_pair_oracle, moore_equiv(lts), masks)
+
+
+def test_automaton_agrees_with_its_moore_form():
+    # an automaton is the Moore system over the two-element semilattice
+    # whose outputs are its acceptance bits: same classes, rounds,
+    # verdicts and witnesses
+    rng = Lcg(3006)
+    for _ in range(120):
+        nda = random_nda(rng, max_states=4, max_actions=3)
+        n = len(nda.states)
+        lts = OutputLts(nda.states, nda.alphabet, nda.delta,
+                        tuple(nda.accepting >> x & 1 for x in range(n)),
+                        Semilattice.boolean())
+        automaton, moore = moore_equiv(nda), moore_equiv(lts)
+        assert automaton.classes() == moore.classes()
+        assert automaton.iterations == moore.iterations
+        for u in range(1 << n):
+            for v in range(1 << n):
+                assert automaton.related(u, v) == moore.related(u, v)
+                assert nda_pair_oracle(nda, u, v) == moore_pair_oracle(lts, u, v)

@@ -14,7 +14,7 @@ from behaveq import (
     cts_conditional_bisim,
     cts_quotient,
     cts_slice_bisim_oracle,
-    nda_language_equiv,
+    moore_equiv,
     redundant_members,
     respecting_subsets,
     subset_label,
@@ -41,8 +41,7 @@ def test_backward_determinize_golden_example(golden_nda):
 
 
 def test_backward_determinize_no_transitions():
-    nda = Nda(Carrier(("u", "v")), Carrier(("a",)),
-              (frozenset(), frozenset()), 0b01)
+    nda = Nda(Carrier(("u", "v")), Carrier(("a",)), ((0,), (0,)), 0b01)
     bdfa = backward_determinize(nda)
     assert all(row == (0,) for row in bdfa.trans)
     assert bdfa.accepting == 0b01
@@ -50,8 +49,7 @@ def test_backward_determinize_no_transitions():
 
 def test_backward_determinize_cap():
     names = tuple(f"s{i}" for i in range(13))
-    nda = Nda(Carrier(names), Carrier(("a",)),
-              tuple(frozenset() for _ in names), 0)
+    nda = Nda(Carrier(names), Carrier(("a",)), tuple((0,) for _ in names), 0)
     with pytest.raises(CapExceeded):
         backward_determinize(nda)
 
@@ -59,7 +57,7 @@ def test_backward_determinize_cap():
 # ------------------------------------------------------------ respecting
 
 def test_respecting_subsets_golden(golden_nda):
-    eq = nda_language_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).relation
     got = respecting_subsets(golden_nda, eq)
     want = {mask_of(golden_nda.states), mask_of(golden_nda.states, "x", "y"),
             mask_of(golden_nda.states, "y"), mask_of(golden_nda.states, "z"),
@@ -77,8 +75,7 @@ def test_respecting_subsets_full_relation_collapses():
     # the literal full relation relates the empty subset to everything,
     # so only the empty set survives; isolating the empty subset gives
     # the whole-carrier member back
-    two = Nda(Carrier(("x", "y")), Carrier(("a",)),
-              (frozenset(), frozenset()), 0)
+    two = Nda(Carrier(("x", "y")), Carrier(("a",)), ((0,), (0,)), 0)
     literal_full = BitRel.full(4)
     assert respecting_subsets(two, literal_full) == (0,)
     isolated = BitRel.from_pairs(
@@ -95,13 +92,13 @@ def test_respecting_family_union_closed_not_intersection_closed():
     al = Carrier(("a", "b"))
     t = st.index("t")
     nda = Nda(st, al, (
-        frozenset({(0, t)}),
-        frozenset({(1, t)}),
-        frozenset({(0, t), (1, t)}),
-        frozenset(),
-        frozenset(),
+        (1 << t, 0),
+        (0, 1 << t),
+        (1 << t, 1 << t),
+        (0, 0),
+        (0, 0),
     ), 1 << t)
-    eq = nda_language_equiv(nda).relation
+    eq = moore_equiv(nda).relation
     family = set(respecting_subsets(nda, eq))
     w1 = mask_of(st, "s1", "s3")
     w2 = mask_of(st, "s2", "s3")
@@ -114,7 +111,7 @@ def test_respecting_family_union_closed_on_random_instances():
     rng = Lcg(77)
     for _ in range(25):
         nda = random_nda(rng, max_states=4)
-        eq = nda_language_equiv(nda).relation
+        eq = moore_equiv(nda).relation
         family = set(respecting_subsets(nda, eq))
         assert 0 in family
         assert all((u | v) in family for u in family for v in family)
@@ -151,7 +148,7 @@ def test_closure_violation_is_reported_not_truncated(golden_nda):
 # -------------------------------------------------------- the automaton
 
 def test_build_respecting_automaton_golden_edges(golden_nda):
-    eq = nda_language_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).relation
     auto = build_respecting_automaton(golden_nda, eq)
     states = golden_nda.states
     a = golden_nda.alphabet.index("a")
@@ -188,7 +185,7 @@ def test_identity_eq_gives_full_backward_dfa(golden_nda):
 
 
 def test_witness_images_golden(golden_nda):
-    eq = nda_language_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).relation
     auto = build_respecting_automaton(golden_nda, eq)
     states = golden_nda.states
     want = {mask_of(states, "x", "y"), mask_of(states, "y"),
@@ -201,7 +198,7 @@ def test_witness_respects_equivalence_on_random_instances():
     rng = Lcg(88)
     for _ in range(20):
         nda = random_nda(rng, max_states=4)
-        eq = nda_language_equiv(nda)
+        eq = moore_equiv(nda)
         auto = build_respecting_automaton(nda, eq.relation)
         size = 1 << len(nda.states)
         for u in range(size):
@@ -211,7 +208,7 @@ def test_witness_respects_equivalence_on_random_instances():
 
 
 def test_verify_homomorphism_true_on_golden_and_identity(golden_nda):
-    eq = nda_language_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).relation
     auto = build_respecting_automaton(golden_nda, eq)
     assert verify_witness_homomorphism(golden_nda, auto)
     full = build_respecting_automaton(golden_nda, BitRel.identity(8))
@@ -219,7 +216,7 @@ def test_verify_homomorphism_true_on_golden_and_identity(golden_nda):
 
 
 def test_verify_homomorphism_catches_redirected_edge(golden_nda):
-    eq = nda_language_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).relation
     auto = build_respecting_automaton(golden_nda, eq)
     z_pos = auto.pos(mask_of(golden_nda.states, "z"))
     mutated_row = list(auto.trans[z_pos])
@@ -236,13 +233,13 @@ def test_verify_homomorphism_on_random_instances():
     rng = Lcg(99)
     for _ in range(20):
         nda = random_nda(rng, max_states=4)
-        eq = nda_language_equiv(nda).relation
+        eq = moore_equiv(nda).relation
         auto = build_respecting_automaton(nda, eq)
         assert verify_witness_homomorphism(nda, auto)
 
 
 def test_redundant_members_golden(golden_nda):
-    eq = nda_language_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).relation
     auto = build_respecting_automaton(golden_nda, eq)
     got = {subset_label(golden_nda.states, w) for w in redundant_members(auto)}
     assert got == {"{}", "{y,z}", "{x,y,z}"}
@@ -252,7 +249,7 @@ def test_mutated_accepting_still_verifies(golden_nda):
     # dropping the accepting marker changes the equivalence and the
     # respecting family, but the pipeline stays internally consistent
     mutated = dataclasses.replace(golden_nda, accepting=0)
-    eq = nda_language_equiv(mutated).relation
+    eq = moore_equiv(mutated).relation
     auto = build_respecting_automaton(mutated, eq)
     assert set(auto.carrier) == {0}
     assert verify_witness_homomorphism(mutated, auto)

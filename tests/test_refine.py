@@ -17,7 +17,6 @@ from behaveq import (
     cts_rel_lift,
     gfp,
     moore_equiv,
-    nda_language_equiv,
     nda_pair_oracle,
 )
 from behaveq.rng import Lcg, random_cts, random_lts, random_nda
@@ -76,7 +75,7 @@ def test_nda_refinement_matches_gfp():
     for _ in range(40):
         nda = random_nda(rng, max_states=6)
         n = len(nda.states)
-        assert_matches_gfp(nda_language_equiv(nda),
+        assert_matches_gfp(moore_equiv(nda),
                            forward_determinize(nda, range(1 << n)))
 
 
@@ -117,7 +116,7 @@ def test_machine_classes_read_from_blocks_match_relation_classes():
     rng = Lcg(1001)
     for _ in range(20):
         nda = random_nda(rng, max_states=8)
-        eq = nda_language_equiv(nda)
+        eq = moore_equiv(nda)
         labelled = tuple(tuple(eq.machine.label(i) for i in cls)
                          for cls in eq.relation.classes())
         assert eq.classes() == labelled
@@ -141,12 +140,12 @@ def test_full_powerset_at_ten_states_agrees_with_pair_oracle():
     # hundreds of classes of every size
     rng = Lcg(1011)
     sparse = Nda(dense.states, Carrier(("a", "b")), tuple(
-        frozenset((a, rng.randint(0, 9))
-                  for a in range(2) for _ in range(rng.randint(0, 2)))
+        tuple(sum({1 << rng.randint(0, 9) for _ in range(rng.randint(0, 2))})
+              for a in range(2))
         for _ in range(10)),
         sum(1 << x for x in range(10) if rng.randint(0, 3) == 0))
     for nda in (dense, sparse):
-        eq = nda_language_equiv(nda)
+        eq = moore_equiv(nda)
         assert len(eq.machine.subset_states) == 1024
         classes = eq.relation.classes()
         assert 1 < len(classes) < 1024

@@ -14,6 +14,7 @@ from behaveq import (
     moore_determinize,
     validate,
 )
+from behaveq.core import bits
 from behaveq.rng import Lcg, random_nda, random_vector
 
 from conftest import mask_of
@@ -24,8 +25,7 @@ def naive_accepts(nda: Nda, x: int, word) -> bool:
     if not word:
         return bool(nda.accepting >> x & 1)
     a, rest = word[0], word[1:]
-    return any(naive_accepts(nda, y, rest)
-               for b, y in nda.delta[x] if b == a)
+    return any(naive_accepts(nda, y, rest) for y in bits(nda.delta[x][a]))
 
 
 def test_forward_determinize_golden_example(golden_nda):
@@ -50,7 +50,7 @@ def test_forward_determinize_empty_subset_absorbs(golden_nda):
 
 
 def test_forward_determinize_singleton_accepting():
-    nda = Nda(Carrier(("x",)), Carrier(("a",)), (frozenset(),), 0b1)
+    nda = Nda(Carrier(("x",)), Carrier(("a",)), ((0,),), 0b1)
     machine = forward_determinize(nda, [0b1])
     assert machine.out[machine.pos(0b1)] is True
     assert machine.subset_states[machine.trans[machine.pos(0b1)][0]] == 0
@@ -165,8 +165,7 @@ def test_validate_golden_nda(golden_nda):
 
 
 def test_validate_out_of_range_successor():
-    nda = Nda(Carrier(("x",)), Carrier(("a",)),
-              (frozenset({(0, 1)}),), 0)
+    nda = Nda(Carrier(("x",)), Carrier(("a",)), ((0b10,),), 0)
     probs = validate(nda)
     assert len(probs) == 1 and "successor" in probs[0]
 

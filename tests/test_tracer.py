@@ -13,6 +13,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = str(ROOT / "data" / "paper-nda.json")
+MOORE = str(ROOT / "data" / "trace-vs-failure.json")
 
 LWA_DOC = {
     "kind": "lwa",
@@ -59,6 +60,7 @@ def test_traced_calls_print_the_same_bytes(tmp_path):
     lwa.write_text(json.dumps(LWA_DOC))
     calls = [
         ["equiv", GOLDEN, "--pair", "{x}", "{y}", "--json"],
+        ["equiv", MOORE, "--pair", "p0", "q0", "--semantics", "failure", "--json"],
         ["equiv", str(lwa), "--pair", "x", "y", "--json"],
         ["check", str(lwa), "--adequacy", "--json"],
         ["check", "--random", "nda", "--laws", "--trials", "1", "--json"],
@@ -70,6 +72,8 @@ def test_traced_calls_print_the_same_bytes(tmp_path):
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
     assert got["traced"] == got["plain"]
-    assert [code for code, _ in got["plain"]] == [1, 0, 0, 0]
+    assert [code for code, _ in got["plain"]] == [1, 1, 0, 0, 0]
+    assert got["counts"]["systems.positions"] > 0
+    assert got["counts"]["equivalence.oracle_calls"] > 0
     assert got["counts"]["equivalence.lwa_chain_len"] > 0
     assert got["counts"]["liftings.nda_det_step_calls"] > 0
