@@ -26,6 +26,7 @@ Subsets are written "{x,y}"; vectors "[1/2,0,-3]".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal
@@ -508,11 +509,11 @@ def cmd_check(args) -> int:
     if args.adequacy:
         _run_adequacy_checks(args, results)
     payload = {
-        "seed": args.seed,
-        "trials": args.trials,
         "all_passed": all(r["passed"] for r in results),
         "checks": results,
     }
+    if args.laws or not args.file:     # a FILE adequacy check draws nothing
+        payload.update(seed=args.seed, trials=args.trials)
 
     def lines(p):
         for r in p["checks"]:
@@ -653,7 +654,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and kept for the process;
+    each subcommand `x` runs the module's `cmd_x`."""
     parser = _Parser(
         prog="behaveq",
         description="behavioural equivalence toolkit for finite systems "
@@ -674,7 +678,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=SEMANTICS,
                    help="override output semantics for bare moore inputs")
     common(p, cap=True)
-    p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("quotient",
                        help="equivalence-respecting backward subautomaton")
@@ -682,7 +685,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity-eq", action="store_true",
                    help="use the identity equivalence (full backward DFA)")
     common(p)
-    p.set_defaults(fn=cmd_quotient)
 
     p = sub.add_parser("check", help="law suite and adequacy checks")
     p.add_argument("file", nargs="?")
@@ -695,7 +697,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corruption",
                    help="inject a named corruption into the law suite")
     common(p)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("eval", help="evaluate a word or formula")
     p.add_argument("file")
@@ -710,7 +711,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxlen", type=int, default=2,
                    help="table depth when no --word is given")
     common(p)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("determinize", help="dump a determinized machine")
     p.add_argument("file")
@@ -719,15 +719,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initials", nargs="*",
                    help="initial subset specs (default: full powerset)")
     common(p, cap=True)
-    p.set_defaults(fn=cmd_determinize)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, so that a rebinding of a cmd_* name is seen
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (SchemaError, CapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -276,24 +276,42 @@ def block_classes(blocks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in groups.values())
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    """The (column, value) pairs of a row's nonzero entries, ascending."""
+    return [(c, v) for c, v in enumerate(row) if v]
+
+
 def _rref(rows: list[list[Fraction]]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """In-place reduced row echelon form; returns (pivot rows, pivot columns)."""
+    """In-place reduced row echelon form; returns (pivot rows, pivot columns).
+
+    Only nonzero entries are touched: a row whose entry in the pivot
+    column is zero is skipped, a lead that is already 1 divides nothing,
+    and each update runs over the pivot row's nonzero entries.  The
+    reduced form is unique, so the result is the canonical basis.
+    """
     if not rows:
         return [], []
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         lead = rows[r][c]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if lead != 1:
+            rows[r] = [v / lead if v else v for v in rows[r]]
+        entries = _nonzero(rows[r])
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, b in entries:
+                    row[j] -= f * b
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -315,6 +333,12 @@ class Subspace:
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _sparse_basis(self) -> tuple[tuple[int, list[tuple[int, Fraction]]], ...]:
+        """Each basis row as (lead column, nonzero entries); every lead is 1."""
+        return tuple((entries[0][0], entries)
+                     for entries in map(_nonzero, self.basis))
 
     def contains(self, vector: Sequence) -> bool:
         return subspace_contains(self, vector)
@@ -349,30 +373,42 @@ def subspace_contains(space: Subspace, vector: Sequence) -> bool:
     v = [as_rational(x) for x in vector]
     if len(v) != space.dim:
         raise DimensionMismatch(f"vector length {len(v)}, ambient {space.dim}")
-    for row in space.basis:
-        lead = next(c for c, val in enumerate(row) if val)
+    for lead, entries in space._sparse_basis:
         f = v[lead]
         if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+            for c, b in entries:
+                v[c] -= f * b
+    return not any(v)
 
 
 def nullspace(rows: Iterable[Sequence], dim: int) -> Subspace:
-    """All v with row . v = 0 for every row, as a canonical subspace."""
-    mat = [[as_rational(v) for v in row] for row in rows]
+    """All v with row . v = 0 for every row, as a canonical subspace.
+
+    The rows are reduced with their columns in reverse order.  Then the
+    solution with a 1 at free column f has its other nonzero entries
+    only at pivot columns below f in that order, which lie after f in
+    the original order, so these solutions already form the canonical
+    basis and need no second elimination.
+    """
+    mat = [[as_rational(v) for v in reversed(row)] for row in rows]
     for row in mat:
         if len(row) != dim:
             raise DimensionMismatch(f"row length {len(row)}, expected {dim}")
     basis, pivots = _rref(mat)
-    free = [c for c in range(dim) if c not in pivots]
+    pivot_set = set(pivots)
     vecs = []
-    for f in free:
-        v = [Fraction(0)] * dim
-        v[f] = Fraction(1)
+    for f in reversed(range(dim)):
+        if f in pivot_set:
+            continue
+        v = [_ZERO] * dim
+        v[dim - 1 - f] = _ONE
         for row, c in zip(basis, pivots):
-            v[c] = -row[f]
-        vecs.append(v)
-    return echelonize(vecs, dim)
+            if c > f:
+                break
+            if row[f]:
+                v[dim - 1 - c] = -row[f]
+        vecs.append(tuple(v))
+    return Subspace(dim, tuple(vecs))
 
 
 def orthogonal_tests(space: Subspace) -> tuple[Vector, ...]:
@@ -383,31 +419,40 @@ def orthogonal_tests(space: Subspace) -> tuple[Vector, ...]:
 def preimage_subspace(matrix: Sequence[Sequence], space: Subspace) -> Subspace:
     """{v | v . matrix in space} for a dom x cod matrix, row-vector convention."""
     mat = [[as_rational(x) for x in row] for row in matrix]
-    dom = len(mat)
     for row in mat:
         if len(row) != space.dim:
             raise DimensionMismatch("matrix codomain does not match subspace")
     constraints = []
     for z in orthogonal_tests(space):
-        constraints.append([sum(mat[i][j] * z[j] for j in range(space.dim))
-                            for i in range(dom)])
-    return nullspace(constraints, dom)
+        entries = _nonzero(z)
+        constraints.append([sum((row[j] * b for j, b in entries if row[j]), _ZERO)
+                            for row in mat])
+    return nullspace(constraints, len(mat))
 
 
 def mat_vec(vector: Sequence, matrix: Sequence[Sequence]) -> Vector:
-    """v . M with v a row vector."""
+    """v . M with v a row vector; rows where v is zero are not read."""
     v = [as_rational(x) for x in vector]
     if len(v) != len(matrix):
         raise DimensionMismatch("vector length does not match matrix rows")
-    cols = len(matrix[0]) if matrix else 0
-    return tuple(sum(v[i] * as_rational(matrix[i][j]) for i in range(len(v)))
-                 for j in range(cols))
+    out = [_ZERO] * (len(matrix[0]) if matrix else 0)
+    for a, row in zip(v, matrix):
+        if a:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += a * as_rational(x)
+    return tuple(out)
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch("vector lengths differ")
-    return sum((as_rational(a) * as_rational(b) for a, b in zip(u, v)), Fraction(0))
+    total = _ZERO
+    for a, b in zip(u, v):
+        a, b = as_rational(a), as_rational(b)
+        if a and b:
+            total += a * b
+    return total
 
 
 @dataclass(frozen=True)

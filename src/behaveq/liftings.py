@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import (BitRel, Subspace, bits, echelonize, nullspace, orthogonal_tests,
-                   preimage_subspace)
+from .core import (BitRel, Subspace, as_rational, bits, echelonize, nullspace,
+                   orthogonal_tests, preimage_subspace)
 from .rng import WEIGHT_GRID, Lcg, random_cts, random_lwa, random_nda, random_vector
 from .systems import (Cts, DeterminizedMachine, Lwa, forward_determinize,
                       lwa_output, lwa_step)
@@ -51,6 +51,8 @@ class Step:
 
 
 STOP = Step(None, None)
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,9 @@ def nda_det_step(steps: Iterable[Step], num_actions: int) -> NdaStepTable:
 def lwa_dist_law(step: Step) -> dict[Step, Fraction]:
     """Weighted analogue of `nda_dist_law`; targets are weight vectors."""
     if step.is_stop:
-        return {STOP: Fraction(1)}
+        return {STOP: _ONE}
     return {
-        Step.act(step.action, x): Fraction(w)
+        Step.act(step.action, x): as_rational(w)
         for x, w in enumerate(step.target) if w
     }
 
@@ -103,8 +105,8 @@ def lwa_dist_law(step: Step) -> dict[Step, Fraction]:
 def lwa_det_step(bag: Mapping[Step, Fraction], num_states: int,
                  num_actions: int) -> LwaStepTable:
     """Collect a weighted bag of steps into per-action vectors and weight."""
-    slices = [[Fraction(0)] * num_states for _ in range(num_actions)]
-    weight = Fraction(0)
+    slices = [[_ZERO] * num_states for _ in range(num_actions)]
+    weight = _ZERO
     for s, w in bag.items():
         if not w:
             continue
@@ -615,12 +617,12 @@ def lwa_lift_rows(tests: Sequence[Sequence], num_states: int,
     action slice inside W.
     """
     index, dim = _fx_index(num_states, num_actions)
-    stop_row = [Fraction(0)] * dim
-    stop_row[index(STOP)] = Fraction(1)
+    stop_row = [_ZERO] * dim
+    stop_row[index(STOP)] = _ONE
     rows = [stop_row]
     for a in range(num_actions):
         for z in tests:
-            row = [Fraction(0)] * dim
+            row = [_ZERO] * dim
             for x in range(num_states):
                 row[index(Step.act(a, x))] = z[x]
             rows.append(row)
@@ -656,7 +658,7 @@ def _lwa_sigma_pred(carrier_size, num_actions, kind, region, element) -> bool:
 
 def _lwa_dist_doubles(step: Step) -> dict[Step, Fraction]:
     if step.is_stop:
-        return {STOP: Fraction(1)}
+        return {STOP: _ONE}
     return {k: 2 * v for k, v in lwa_dist_law(step).items()}
 
 
@@ -664,12 +666,12 @@ def _lwa_det_drops_mixed_weight(bag, num_states, num_actions) -> LwaStepTable:
     table = lwa_det_step(bag, num_states, num_actions)
     support = len(_bag_norm(bag))
     return LwaStepTable(table.slices,
-                        table.weight if support == 1 else Fraction(0))
+                        table.weight if support == 1 else _ZERO)
 
 
 def _lwa_sigma_odd_zero(carrier_size, num_actions, kind, region, element) -> bool:
     if carrier_size % 2 == 1 and not isinstance(kind, Fraction):
-        kind = Fraction(0)
+        kind = _ZERO
     return _lwa_sigma_pred(carrier_size, num_actions, kind, region, element)
 
 
@@ -695,14 +697,18 @@ def _bag_apply_matrix(bag: Mapping[Step, Fraction], matrix, num_states_out,
         if not w:
             continue
         if step.is_stop:
-            out[STOP] = out.get(STOP, Fraction(0)) + w
+            out[STOP] = out.get(STOP, _ZERO) + w
         else:
             for y in range(num_states_out):
                 c = matrix[step.target][y]
                 if c:
                     key = Step.act(step.action, y)
-                    out[key] = out.get(key, Fraction(0)) + w * c
+                    out[key] = out.get(key, _ZERO) + w * c
     return _bag_norm(out)
+
+
+# output weights at which the branching-level lifting's naturality is sampled
+_SIGMA_WEIGHTS = (_ZERO, _ONE, Fraction(1, 2))
 
 
 def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
@@ -717,10 +723,10 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
         if e.is_stop:
             wrapped = STOP
         else:
-            unit = tuple(Fraction(int(i == e.target)) for i in range(n))
+            unit = tuple(_ONE if i == e.target else _ZERO for i in range(n))
             wrapped = Step.act(e.action, unit)
         got = _bag_norm(dist(wrapped))
-        if got != {e: Fraction(1)}:
+        if got != {e: _ONE}:
             suite.record("kleisli-unit", element=e, lhs=got, rhs={e: 1})
 
     # Multiplication square on sampled nested bags.
@@ -736,7 +742,7 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
             if not w:
                 continue
             for step, c in dist(Step.act(a, v)).items():
-                rhs[step] = rhs.get(step, Fraction(0)) + w * c
+                rhs[step] = rhs.get(step, _ZERO) + w * c
         if not _bag_eq(lhs, rhs):
             suite.record("kleisli-mult", action=a, vectors=tuple(support),
                          lhs=lhs, rhs=rhs)
@@ -750,23 +756,22 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
             else:
                 key = Step.act(rng.randint(0, m - 1), random_vector(rng, n))
             weight = rng.choice(WEIGHT_GRID)
-            w_bag[key] = w_bag.get(key, Fraction(0)) + weight
+            w_bag[key] = w_bag.get(key, _ZERO) + weight
         w_bag = _bag_norm(w_bag)
         flat: dict[Step, Fraction] = {}
         for step, weight in w_bag.items():
             for inner, c in dist(step).items():
-                flat[inner] = flat.get(inner, Fraction(0)) + weight * c
+                flat[inner] = flat.get(inner, _ZERO) + weight * c
         lhs = det(flat, n, m)
         slices = []
         for a in range(m):
-            vec = [Fraction(0)] * n
+            vec = [_ZERO] * n
             for step, weight in w_bag.items():
                 if not step.is_stop and step.action == a:
                     for i in range(n):
                         vec[i] += weight * step.target[i]
             slices.append(tuple(vec))
-        rhs = LwaStepTable(tuple(slices),
-                           w_bag.get(STOP, Fraction(0)))
+        rhs = LwaStepTable(tuple(slices), w_bag.get(STOP, _ZERO))
         if lhs != rhs:
             suite.record("gamma-theta-mu", bag=w_bag, lhs=lhs, rhs=rhs)
 
@@ -776,10 +781,9 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
     f = tuple(rng.randint(0, ny - 1) for _ in range(nx2))
     region = _random_subset(rng, range(ny))
     pulled = frozenset(x for x in range(nx2) if f[x] in region)
-    kinds = list(range(m)) + [Fraction(1), Fraction(0)]
-    for kind in kinds:
+    for kind in (*range(m), _ONE, _ZERO):
         for p in itertools.product(range(nx2), repeat=m):
-            for s in (Fraction(0), Fraction(1), Fraction(1, 2)):
+            for s in _SIGMA_WEIGHTS:
                 lhs = sigma_pred(nx2, m, kind, pulled, (p, s))
                 fp = tuple(f[i] for i in p)
                 rhs = sigma_pred(ny, m, kind, region, (fp, s))
@@ -809,15 +813,15 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
             if lhs != rhs:
                 suite.record("pred-lift-naturality", matrix=gmat, action=a,
                              bag=bag, lhs=lhs, rhs=rhs)
-        if (table_x.weight == Fraction(1)) != (table_y.weight == Fraction(1)):
+        if (table_x.weight == 1) != (table_y.weight == 1):
             suite.record("pred-lift-naturality", matrix=gmat, kind="weight",
                          bag=bag, lhs=table_x.weight, rhs=table_y.weight)
 
     # Naturality of the relation lifting, exact on difference subspaces.
     index_y, dim_fy = _fx_index(ky, m)
     index_x, dim_fx = _fx_index(n, m)
-    step_matrix = [[Fraction(0)] * dim_fy for _ in range(dim_fx)]
-    step_matrix[index_x(STOP)][index_y(STOP)] = Fraction(1)
+    step_matrix = [[_ZERO] * dim_fy for _ in range(dim_fx)]
+    step_matrix[index_x(STOP)][index_y(STOP)] = _ONE
     for a in range(m):
         for x in range(n):
             for y in range(ky):
@@ -850,13 +854,13 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
             if not p[x]:
                 continue
             if lwa.out[x]:
-                bag[STOP] = bag.get(STOP, Fraction(0)) + p[x] * lwa.out[x]
+                bag[STOP] = bag.get(STOP, _ZERO) + p[x] * lwa.out[x]
             for a in range(lm):
                 for x2 in range(ln):
                     c = lwa.mat[a][x][x2]
                     if c:
                         key = Step.act(a, x2)
-                        bag[key] = bag.get(key, Fraction(0)) + p[x] * c
+                        bag[key] = bag.get(key, _ZERO) + p[x] * c
         table = det(bag, ln, lm)
         for a in range(lm):
             direct = lwa_modality(lwa, a, p, space)

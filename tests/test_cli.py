@@ -225,6 +225,33 @@ def test_check_file_without_trials_exits_two(capsys, trials):
     assert (code, out, err) == (2, "", ["error: trials must be at least 1"])
 
 
+@pytest.mark.parametrize("argv,drawn", [
+    (["check", GOLDEN, "--adequacy"], False),
+    (["check", GOLDEN, "--adequacy", "--laws"], True),
+    (["check", "--random", "nda", "--adequacy"], True),
+    (["check", "--random", "lwa", "--laws"], True),
+])
+def test_check_report_echoes_seed_and_trials_only_when_it_draws(
+        capsys, argv, drawn):
+    # the file's adequacy check draws nothing, so its report names no seed
+    code, out, err = run_main(
+        [*argv, "--seed", "9", "--trials", "2", "--json"], capsys)
+    assert (code, err) == (0, [])
+    payload = json.loads(out)
+    assert (payload.get("seed"), payload.get("trials")) == (
+        (9, 2) if drawn else (None, None))
+
+
+def test_main_builds_the_argument_parser_once(capsys):
+    from behaveq import cli
+    cli._build_parser.cache_clear()
+    assert run_main(["equiv", GOLDEN], capsys)[0] == 0
+    assert run_main(["eval", GOLDEN, "--subset", "{x}", "--word", "a"],
+                    capsys)[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("semantics", ["trace", "failure", "ready"])
 def test_check_adequacy_on_all_subsets_of_trace_vs_failure(tmp_path, semantics):
     # 512 subset positions in 9 classes under trace semantics; comparing
@@ -547,27 +574,66 @@ SUBSET_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", list(SUBSET_COMMANDS))
-@pytest.mark.parametrize("kind", ["nda", "moore"])
+# eval on weighted and conditional inputs: vectors of odd length or with
+# odd entries, some reaching the weighted products, and formulas and
+# depths for the conditional logic
+EVAL_COMMANDS = {
+    "lwa": {
+        "vector": ["eval", "--vector", "[1/2,-3]", "--maxlen", "2"],
+        "vector-word": ["eval", "--vector", "[1,0]", "--word", "aa"],
+        "vector-long": ["eval", "--vector", "[1,0,0]"],
+        "vector-empty": ["eval", "--vector", "[]"],
+        "vector-1/0": ["eval", "--vector", "[1/0]"],
+        "vector-1/0-pair": ["eval", "--vector", "[1/0,0]", "--word", "a"],
+        "vector-1e999": ["eval", "--vector", "[1e999]"],
+        "vector-1e999-pair": ["eval", "--vector", "[1e999,-1/3]", "--word", "a"],
+    },
+    "cts": {
+        "formula": ["eval", "--formula", "[]tt & !tt"],
+        "formula-unparsed": ["eval", "--formula", "[]("],
+        "depth": ["eval", "--depth", "2"],
+        "depth-negative": ["eval", "--depth", "-1"],
+    },
+}
+
+
+@pytest.mark.parametrize("kind,command", [
+    (kind, command) for kind in CONTRACT_DOCS
+    for command in (*SUBSET_COMMANDS, *EVAL_COMMANDS.get(kind, ()))])
 def test_subset_commands_exit_code_contract(tmp_path, capsys, kind, command):
     # exit 0 = computed, 2 = input error with one line; never 1
     doc = CONTRACT_DOCS[kind]
     first = doc["states"][0]
-    texts = {f"{field}={odd}": json.dumps(dict(doc, **{field: "@odd"}))
-             .replace('"@odd"', text)
-             for field in doc for odd, text in ODD_VALUES.items()}
-    for name, record in ODD_TRANSITIONS.items():
-        texts[name] = json.dumps(
-            dict(doc, transitions=[record, *doc["transitions"][1:]])
-        ).replace("@first", first)
+    texts = {"as-written": json.dumps(doc)}
+    texts.update({f"{field}={odd}": json.dumps(dict(doc, **{field: "@odd"}))
+                  .replace('"@odd"', text)
+                  for field in doc for odd, text in ODD_VALUES.items()})
+    if kind != "lwa":
+        for name, record in ODD_TRANSITIONS.items():
+            texts[name] = json.dumps(
+                dict(doc, transitions=[record, *doc["transitions"][1:]])
+            ).replace("@first", first)
     path = tmp_path / "doc.json"
-    argv = [first if arg == "@first" else arg for arg in SUBSET_COMMANDS[command]]
+    argv = {**SUBSET_COMMANDS, **EVAL_COMMANDS.get(kind, {})}[command]
+    argv = [first if arg == "@first" else arg for arg in argv]
     for name, text in texts.items():
         path.write_text(text)
         code, _, err = run_main([argv[0], str(path), *argv[1:], "--json"], capsys)
         assert code in (0, 2), name
         if code == 2:
             assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+
+
+@pytest.mark.parametrize("command", ["determinize", "backward", "quotient"])
+@pytest.mark.parametrize("kind", ["lwa", "cts"])
+def test_subset_commands_refuse_weighted_and_conditional_inputs(
+        tmp_path, capsys, kind, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(CONTRACT_DOCS[kind]))
+    argv = SUBSET_COMMANDS[command]
+    code, out, err = run_main([argv[0], str(path), *argv[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: ") and "expects" in err[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,8 +12,8 @@ from behaveq import (
     refine,
     subspace_contains,
 )
-from behaveq.core import nullspace, preimage_subspace
-from behaveq.rng import Lcg
+from behaveq.core import Subspace, dot, mat_vec, nullspace, preimage_subspace
+from behaveq.rng import WEIGHT_GRID, Lcg
 
 from conftest import mask_of
 
@@ -203,6 +203,118 @@ def test_nullspace_and_preimage():
     assert subspace_contains(pre, (1, 0, 0))
     assert subspace_contains(pre, (0, 0, 1))
     assert not subspace_contains(pre, (0, 1, 0))
+
+
+def _reference_rref(rows, dim):
+    """Textbook Gauss-Jordan on dense rows: every entry is updated."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(dim):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][c]
+        rows[r] = [v / lead for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows[:r]), pivots
+
+
+def _reference_nullspace(rows, dim):
+    basis, pivots = _reference_rref(rows, dim)
+    vecs = []
+    for f in range(dim):
+        if f not in pivots:
+            v = [Fraction(0)] * dim
+            v[f] = Fraction(1)
+            for row, c in zip(basis, pivots):
+                v[c] = -row[f]
+            vecs.append(v)
+    return _reference_rref(vecs, dim)[0]
+
+
+def _reference_product(vector, matrix, cols):
+    return tuple(sum((Fraction(vector[i]) * Fraction(matrix[i][j])
+                      for i in range(len(vector))), Fraction(0))
+                 for j in range(cols))
+
+
+def _reference_contains(basis, vector, dim):
+    return len(_reference_rref([*basis, vector], dim)[0]) == len(basis)
+
+
+LARGE_RATIONALS = (Fraction(7, 3), Fraction(-22, 7), Fraction(1000003, 999),
+                   Fraction(-5, 12), Fraction(2**40 + 1, 3**20))
+
+
+def _random_matrix(rng, rows, cols):
+    """Sparse or dense, with zero rows and all-zero matrices; integral
+    entries are sometimes given as ints."""
+    style = rng.randint(0, 5)
+    entries = WEIGHT_GRID + (LARGE_RATIONALS if rng.randint(0, 3) == 0 else ())
+
+    def entry():
+        if style == 0 or (style <= 2 and rng.randint(0, 3)):
+            return Fraction(0)              # all zero, or sparse
+        return rng.choice(entries)
+    mat = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for row in mat:
+        if rng.randint(0, 7) == 0:
+            row[:] = [Fraction(0)] * cols
+    if rng.bit():
+        mat = [[int(x) if x.denominator == 1 else x for x in row] for row in mat]
+    return mat
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+def test_kernel_matches_dense_reference_on_random_matrices():
+    rng = Lcg(2024)
+    for trial in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(1, 8)
+        mat = _random_matrix(rng, rows, cols)
+        ctx = (trial, mat)
+
+        span = echelonize(mat, cols)
+        assert span == Subspace(cols, _reference_rref(mat, cols)[0]), ctx
+        assert _all_fractions(span.basis), ctx
+
+        kernel = nullspace(mat, cols)
+        assert kernel.dim == cols, ctx
+        assert kernel.basis == _reference_nullspace(mat, cols), ctx
+        assert _all_fractions(kernel.basis), ctx
+
+        target = echelonize(_random_matrix(rng, rng.randint(0, cols), cols), cols)
+        pre = preimage_subspace(mat, target)
+        tests = _reference_nullspace(target.basis, cols)
+        constraints = [[sum((Fraction(row[j]) * z[j] for j in range(cols)),
+                            Fraction(0)) for row in mat] for z in tests]
+        assert pre == Subspace(rows, _reference_nullspace(constraints, rows)), ctx
+        assert _all_fractions(pre.basis), ctx
+
+        inside = [Fraction(0)] * cols
+        for row in span.basis:
+            c = rng.choice(WEIGHT_GRID)
+            inside = [a + c * b for a, b in zip(inside, row)]
+        for vec in (inside, *_random_matrix(rng, 3, cols)):
+            assert subspace_contains(span, vec) == _reference_contains(
+                span.basis, vec, cols), (ctx, vec)
+
+        for vec in _random_matrix(rng, 2, rows):
+            product = mat_vec(vec, mat)
+            assert product == _reference_product(vec, mat, cols if rows else 0), ctx
+            assert _all_fractions([product]), ctx
+        u, v = _random_matrix(rng, 2, cols)
+        value = dot(u, v)
+        assert value == _reference_product(u, [[x] for x in v], 1)[0], ctx
+        assert type(value) is Fraction, ctx
 
 
 # --------------------------------------------------------------- rationals
