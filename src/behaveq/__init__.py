@@ -63,10 +63,8 @@ from .logic import (
     theory_word,
 )
 from .quotient import (
-    BackwardDfa,
     ClosureViolation,
     RespectingAutomaton,
-    backward_determinize,
     build_respecting_automaton,
     cts_quotient,
     redundant_members,

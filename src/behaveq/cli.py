@@ -64,7 +64,6 @@ from .logic import (
     theory_word,
 )
 from .quotient import (
-    backward_determinize,
     build_respecting_automaton,
     redundant_members,
     verify_witness_homomorphism,
@@ -471,8 +470,7 @@ def _run_adequacy_checks(args, results: list) -> None:
             detail["assumptions"] = [REFUSAL_ASSUMPTION]
         results.append({
             "check": "adequacy:file",
-            "passed": report.adequate and report.expressive
-            and report.depth_saturated is not False,
+            "passed": report.passed,
             "detail": detail,
         })
         return
@@ -481,9 +479,7 @@ def _run_adequacy_checks(args, results: list) -> None:
         for i in range(args.trials):
             system = _ADEQUACY_SYSTEMS[family](Lcg(subseed(args.seed, i)))
             report = check_adequacy_expressivity(system)
-            ok = (report.adequate and report.expressive
-                  and report.depth_saturated is not False)
-            if not ok:
+            if not report.passed:
                 failures.append({"trial": i, "report": report.to_json()})
         results.append({
             "check": f"adequacy:{family}",
@@ -593,51 +589,41 @@ def cmd_eval(args) -> int:
 
 def cmd_determinize(args) -> int:
     system = load_file(args.file)
+    # backward determinization is the subset construction of the
+    # reversed automaton, started from the same initials
     if args.direction == "backward":
         if not isinstance(system, Nda):
             raise SchemaError("backward determinization expects an nda")
-        bdfa = backward_determinize(system, cap=args.cap)
-        names = system.states
-        payload = {
-            "direction": "backward",
-            "states": [subset_label(names, m)
-                       for m in range(1 << len(names))],
-            "transitions": [
-                {"from": subset_label(names, m),
-                 "action": system.alphabet.label(a),
-                 "to": subset_label(names, bdfa.trans[m][a])}
-                for m in range(1 << len(names))
-                for a in range(len(system.alphabet))],
-            "accepting": subset_label(names, bdfa.accepting),
-        }
+        dynamics = system.reverse()
+    elif isinstance(system, (Nda, OutputLts)):
+        dynamics = system
     else:
-        if isinstance(system, Nda):
-            shown = bool
-        elif isinstance(system, OutputLts):
-            shown = lambda v: system.lattice.names[v]
-        else:
-            raise SchemaError("forward determinization expects nda or moore")
-        n = len(system.states)
-        if args.initials:
-            initials = [_parse_state_set(system, s) for s in args.initials]
-        else:
-            if n > args.cap:
-                raise CapExceeded(f"default initials need {n} <= cap {args.cap}")
-            initials = range(1 << n)
-        machine = moore_determinize(system, initials)
-        payload = {
-            "direction": "forward",
-            "states": [machine.label(i)
-                       for i in range(len(machine.subset_states))],
-            "transitions": [
-                {"from": machine.label(i),
-                 "action": system.alphabet.label(a),
-                 "to": machine.label(machine.trans[i][a])}
-                for i in range(len(machine.subset_states))
-                for a in range(len(system.alphabet))],
-            "outputs": {machine.label(i): shown(o)
-                        for i, o in enumerate(machine.out)},
-        }
+        raise SchemaError("forward determinization expects nda or moore")
+    n = len(system.states)
+    if args.initials:
+        initials = [_parse_state_set(system, s) for s in args.initials]
+    else:
+        if n > args.cap:
+            raise CapExceeded(f"default initials need {n} <= cap {args.cap}")
+        initials = range(1 << n)
+    machine = moore_determinize(dynamics, initials)
+    labels = [machine.label(i) for i in range(len(machine.subset_states))]
+    payload = {
+        "direction": args.direction,
+        "states": labels,
+        "transitions": [
+            {"from": labels[i],
+             "action": system.alphabet.label(a),
+             "to": labels[target]}
+            for i, row in enumerate(machine.trans)
+            for a, target in enumerate(row)],
+    }
+    if args.direction == "backward":
+        payload["accepting"] = subset_label(system.states, system.accepting)
+    else:
+        shown = (bool if isinstance(system, Nda)
+                 else lambda v: system.lattice.names[v])
+        payload["outputs"] = {labels[i]: shown(o) for i, o in enumerate(machine.out)}
     _emit(payload, args.json,
           lambda p: (f"{t['from']} --{t['action']}--> {t['to']}"
                      for t in p["transitions"]))

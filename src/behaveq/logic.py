@@ -6,8 +6,9 @@ box/Boolean modal grammar.
 An adequacy check compares the behavioural relation (fixpoint engine or
 invariant subspace) against a logical relation computed along an
 independent route: the family's search for a separating word for
-automata, Moore systems and weighted automata, formula enumeration for
-conditional systems.
+automata and Moore systems, the values on a backward Krylov basis of
+the output for weighted automata, formula enumeration for conditional
+systems.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from .core import (
     CapExceeded,
     Carrier,
     DimensionMismatch,
+    bits,
     format_rational,
     orthogonal_tests,
 )
 from .equivalence import (
     cts_conditional_bisim,
     lwa_pair,
+    lwa_observation_basis,
     lwa_trace,  # unused here; perfbench/spans.py counts calls through this name
     lwa_unobservable_subspace,
     moore_equiv,
@@ -335,6 +338,11 @@ class EquivReport:
     depth_saturated: bool | None = None
     assumptions: tuple[str, ...] = ()
 
+    @property
+    def passed(self) -> bool:
+        """Adequate, expressive, and not shown unsaturated in depth."""
+        return self.adequate and self.expressive and self.depth_saturated is not False
+
     def to_json(self) -> dict:
         return {
             "family": self.family,
@@ -356,13 +364,10 @@ def _report(family, labels, behavioural: BitRel, logical: BitRel, formula,
     counterexample with `formula(i, j)`, a logical pair the behaviour
     separates an expressivity counterexample with `note`."""
     counterexamples = []
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            beh = behavioural.has(i, j)
-            if beh == logical.has(i, j):
-                continue
+    for i, (beh_row, log_row) in enumerate(zip(behavioural.rows, logical.rows)):
+        for j in bits(beh_row ^ log_row):
             pair = [labels[i], labels[j]]
-            if beh:
+            if beh_row >> j & 1:
                 counterexamples.append({"pair": pair, "kind": "adequacy",
                                         "formula": formula(i, j)})
             else:
@@ -388,12 +393,12 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
     """Compute behavioural and logical equivalence along independent
     routes and compare them.
 
-    Automata/Moore: fixpoint on the determinized machine; weighted:
-    invariant-subspace verdict.  Their logical side is the family's
-    search for a separating word (product search, or the forward Krylov
-    basis of the difference).  Conditional: bisimulation fixpoint vs
-    formula enumeration to the fixpoint depth, with a saturation check
-    one level deeper.
+    Automata/Moore: fixpoint on the determinized machine vs the product
+    search for a separating word.  Weighted: invariant-subspace verdict
+    vs the values on the backward Krylov basis of the output, with each
+    counterexample's word from `lwa_pair`.  Conditional: bisimulation
+    fixpoint vs formula enumeration to the fixpoint depth, with a
+    saturation check one level deeper.
     """
     if isinstance(system, (Nda, OutputLts, Lwa)):
         if isinstance(system, Lwa):
@@ -414,6 +419,11 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             tests = orthogonal_tests(lwa_unobservable_subspace(system))
             behavioural = BitRel.from_blocks([
                 tuple(sum(map(mul, p, z)) for z in tests) for p in configs])
+            # p - q weighs 0 on every word iff p and q take equal values
+            # on the backward basis, whose vectors span every M_w . out
+            basis = [vec for _, vec in lwa_observation_basis(system)]
+            logical = BitRel.from_blocks([
+                tuple(sum(map(mul, p, v)) for v in basis) for p in configs])
             family, search, iterations = "lwa", lwa_pair, n
             note = ("trace tables agree to the stabilisation bound but the "
                     "subspace separates the pair")
@@ -426,17 +436,18 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             behavioural, iterations = equiv.relation, equiv.iterations
             note = ("no distinguishing word exists but the behavioural "
                     "relation separates the pair")
-        # "no separating word" is an equivalence, so comparing each
-        # position with one representative of each class found so far
-        # gives the classes
-        reps, blocks = [], []
-        for c in configs:
-            blocks.append(next((b for b, r in enumerate(reps)
-                                if search(system, r, c).equivalent), len(reps)))
-            if blocks[-1] == len(reps):
-                reps.append(c)
+            # "no separating word" is an equivalence, so comparing each
+            # position with one representative of each class found so
+            # far gives the classes
+            reps, blocks = [], []
+            for c in configs:
+                blocks.append(next((b for b, r in enumerate(reps)
+                                    if search(system, r, c).equivalent), len(reps)))
+                if blocks[-1] == len(reps):
+                    reps.append(c)
+            logical = BitRel.from_blocks(blocks)
         return _report(
-            family, labels, behavioural, BitRel.from_blocks(blocks),
+            family, labels, behavioural, logical,
             lambda i, j: render_word(system.alphabet,
                                      search(system, configs[i], configs[j]).witness),
             note, iterations)

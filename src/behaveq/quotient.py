@@ -1,10 +1,10 @@
-"""Backward determinization, equivalence-respecting subautomata, the
-membership witness relation, and the conditional-system quotient.
+"""Equivalence-respecting subautomata, the membership witness relation,
+and the conditional-system quotient.
 
-The automaton pipeline: backward-determinize an automaton, carve out
-the family of subsets that cannot tell equivalent subset-states apart,
-restrict the backward dynamics to that family (closure is checked, not
-assumed), and verify that the membership relation x related-to W iff
+The automaton pipeline: carve out the family of subsets that cannot
+tell equivalent subset-states apart, restrict the backward dynamics
+(the reversed automaton's `post`) to that family (closure is checked,
+not assumed), and verify that the membership relation x related-to W iff
 x in W is a homomorphism from the automaton into the restriction.
 """
 
@@ -21,32 +21,6 @@ RESPECTING_CAP = 6
 
 class ClosureViolation(ValueError):
     """The respecting family is not closed under the backward dynamics."""
-
-
-@dataclass(frozen=True)
-class BackwardDfa:
-    """Reverse-image determinization over the full powerset.
-
-    `trans[mask][a]` is the set of states with an a-step into `mask`;
-    `accepting` is the designated output datum, the mask of accepting
-    states of the source automaton.
-    """
-
-    base: Nda
-    trans: tuple[tuple[int, ...], ...]
-    accepting: int
-
-
-def backward_determinize(nda: Nda, cap: int = 12) -> BackwardDfa:
-    n = len(nda.states)
-    if n > cap:
-        raise CapExceeded(f"backward determinization over {n} states exceeds cap {cap}")
-    num_actions = len(nda.alphabet)
-    trans = tuple(
-        tuple(nda.pre(mask, a) for a in range(num_actions))
-        for mask in range(1 << n)
-    )
-    return BackwardDfa(nda, trans, nda.accepting)
 
 
 def respecting_subsets(nda: Nda, eq: BitRel, cap: int = RESPECTING_CAP) -> tuple[int, ...]:
@@ -108,33 +82,33 @@ class RespectingAutomaton:
 
 def build_respecting_automaton(nda: Nda, eq: BitRel,
                                cap: int = RESPECTING_CAP) -> RespectingAutomaton:
-    """Restrict the backward determinization to the respecting family.
+    """Restrict the backward dynamics to the respecting family.
 
     Closure under the backward transitions is verified; an escaping
     transition is an error naming the edge rather than a silent
     truncation.
     """
     carrier = respecting_subsets(nda, eq, cap)
-    members = set(carrier)
-    bdfa = backward_determinize(nda)
+    position = {w: i for i, w in enumerate(carrier)}
+    backward = nda.reverse().post
     names = nda.states
-    if bdfa.accepting not in members:
+    if nda.accepting not in position:
         raise ClosureViolation(
-            f"designated accepting member {subset_label(names, bdfa.accepting)} "
+            f"designated accepting member {subset_label(names, nda.accepting)} "
             "is outside the respecting family")
     trans = []
     for w in carrier:
         row = []
         for a in range(len(nda.alphabet)):
-            target = bdfa.trans[w][a]
-            if target not in members:
+            target = backward(w, a)
+            if target not in position:
                 raise ClosureViolation(
                     f"backward transition {subset_label(names, w)} "
                     f"--{nda.alphabet.label(a)}--> {subset_label(names, target)} "
                     "leaves the respecting family")
-            row.append(target)
-        trans.append(tuple(carrier.index(t) for t in row))
-    return RespectingAutomaton(nda, carrier, tuple(trans), bdfa.accepting)
+            row.append(position[target])
+        trans.append(tuple(row))
+    return RespectingAutomaton(nda, carrier, tuple(trans), nda.accepting)
 
 
 @dataclass(frozen=True)

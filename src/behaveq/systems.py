@@ -60,12 +60,17 @@ class Nda(_SubsetSystem):
     delta: tuple[tuple[int, ...], ...]
     accepting: int
 
-    def pre(self, mask: int, a: int) -> int:
-        out = 0
+    def reverse(self) -> "Nda":
+        """Every edge turned round, with the same accepting mask: its
+        `post(mask, a)` is the set of states with an a-step into `mask`,
+        so determinizing it is the backward (predicate) determinization."""
+        rows = [[0] * len(self.alphabet) for _ in self.delta]
         for x, row in enumerate(self.delta):
-            if row[a] & mask:
-                out |= 1 << x
-        return out
+            for a, succ in enumerate(row):
+                for y in bits(succ):
+                    rows[y][a] |= 1 << x
+        return Nda(self.states, self.alphabet, tuple(map(tuple, rows)),
+                   self.accepting)
 
     def observe(self, mask: int) -> bool:
         return bool(mask & self.accepting)

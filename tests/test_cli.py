@@ -437,6 +437,30 @@ def test_argument_errors_are_one_error_line(argv, capsys):
 
 # ----------------------------------------------------------- determinize
 
+def _labels(payload):
+    return {label for t in payload["transitions"] for label in (t["from"], t["to"])}
+
+
+def test_backward_determinize_honours_initials():
+    # from {z} the backward dynamics reach exactly the sets pre_w({z})
+    res = run_cli(["determinize", GOLDEN, "--direction", "backward",
+                   "--initials", "{z}", "--json"])
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    want = ["{z}", "{x,y}", "{y}", "{}"]
+    assert payload["states"] == want
+    assert _labels(payload) == set(want)
+    assert payload["accepting"] == "{z}"
+    assert "outputs" not in payload
+
+
+def test_backward_determinize_over_cap_exits_two():
+    res = run_cli(["determinize", GOLDEN, "--direction", "backward", "--cap", "2"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == ["error: default initials need 3 <= cap 2"]
+
+
 def test_determinize_forward_and_backward():
     res = run_cli(["determinize", GOLDEN, "--initials", "{x,y}", "--json"])
     assert res.returncode == 0
@@ -557,6 +581,45 @@ def test_equiv_exit_code_contract(tmp_path, capsys, kind, field, odd):
         assert len(err) == 1 and err[0].startswith("error: "), err
     if code == 1:
         assert json.loads(out)["equivalent"] is False
+
+
+# a moore document with its own lattice instead of a semantics
+LATTICE_DOC = {
+    "kind": "moore",
+    "states": ["p", "q"],
+    "alphabet": ["a", "b"],
+    "transitions": [{"from": "p", "action": "a", "to": "q"}],
+    "lattice": {"elements": ["lo", "hi"], "join": [["lo", "hi"], ["hi", "hi"]],
+                "bottom": "lo"},
+    "outputs": {"p": "hi", "q": "lo"},
+}
+
+# --pair specs: a state, a subset, two vectors, the empty subset, an
+# unknown label, a condition:state position and the empty vector
+PAIR_SPECS = ("@first", "{@first}", "[1,0]", "[0,1]", "{}", "zz", "k:u", "[]")
+
+PAIR_FLAGS = [semantics + cap
+              for semantics in ([], ["--semantics", "failure"])
+              for cap in ([], ["--cap", "0"], ["--cap", "-1"], ["--cap", "1"])]
+
+
+@pytest.mark.parametrize("kind", [*CONTRACT_DOCS, "moore-lattice"])
+def test_equiv_pair_flag_combinations_exit_code_contract(tmp_path, capsys, kind):
+    doc = CONTRACT_DOCS.get(kind, LATTICE_DOC)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    first = doc["states"][0]
+    specs = [s.replace("@first", first) for s in PAIR_SPECS]
+    for u in specs:
+        for v in specs:
+            for flags in PAIR_FLAGS:
+                argv = ["equiv", str(path), "--pair", u, v, *flags, "--json"]
+                code, out, err = run_main(argv, capsys)
+                assert code in (0, 1, 2), argv
+                if code == 2:
+                    assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+                else:
+                    assert json.loads(out)["equivalent"] is (code == 0), argv
 
 
 # transition records put in place of the first one

@@ -224,6 +224,43 @@ def test_adequacy_random_cts_with_depth_saturation():
         assert report.depth_saturated is True
 
 
+def _reference_counterexamples(labels, behavioural, logical, formula, note):
+    """Every ordered pair probed with `has`, in (i, j) order."""
+    out = []
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            beh = behavioural.has(i, j)
+            if beh == logical.has(i, j):
+                continue
+            pair = [labels[i], labels[j]]
+            out.append({"pair": pair, "kind": "adequacy", "formula": formula(i, j)}
+                       if beh else {"pair": pair, "kind": "expressivity", "note": note})
+    return out
+
+
+def test_report_counterexamples_match_the_pairwise_reference():
+    rng = Lcg(3601)
+    disagreements = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        labels = [f"p{i}" for i in range(n)]
+        behavioural, logical = (
+            BitRel.from_blocks([rng.randint(0, rng.randint(0, n - 1))
+                                for _ in range(n)]) for _ in range(2))
+        formula = lambda i, j: f"f{i},{j}"
+        report = logic._report("test", labels, behavioural, logical, formula,
+                               "note", 0)
+        want = _reference_counterexamples(labels, behavioural, logical,
+                                          formula, "note")
+        assert list(report.counterexamples) == want
+        assert report.adequate == all(
+            logical.has(i, j) for i, j in behavioural.pairs())
+        assert report.expressive == all(
+            behavioural.has(i, j) for i, j in logical.pairs())
+        disagreements += bool(want)
+    assert disagreements > 100
+
+
 # Forced disagreements: the patched name answers for a second system, so
 # the two relations differ in both directions.  Each case gives the
 # system checked, the name patched with the system it answers for, the

@@ -4,16 +4,15 @@ import pytest
 
 from behaveq import (
     BitRel,
-    CapExceeded,
     Carrier,
     ClosureViolation,
     Cts,
     Nda,
-    backward_determinize,
     build_respecting_automaton,
     cts_conditional_bisim,
     cts_quotient,
     cts_slice_bisim_oracle,
+    moore_determinize,
     moore_equiv,
     redundant_members,
     respecting_subsets,
@@ -26,32 +25,67 @@ from conftest import mask_of
 
 
 # ------------------------------------------------------------- backward
+# Backward determinization is the subset construction of the reversed
+# automaton.
+
+def _backward_step(nda, mask, a):
+    """The states with an a-step into `mask`, straight from delta."""
+    return sum(1 << x for x, row in enumerate(nda.delta) if row[a] & mask)
+
 
 def test_backward_determinize_golden_example(golden_nda):
-    bdfa = backward_determinize(golden_nda)
+    bdfa = moore_determinize(golden_nda.reverse(), range(8))
     z = mask_of(golden_nda.states, "z")
     xy = mask_of(golden_nda.states, "x", "y")
     y = mask_of(golden_nda.states, "y")
     a = golden_nda.alphabet.index("a")
     b = golden_nda.alphabet.index("b")
-    assert bdfa.trans[z][a] == xy
-    assert bdfa.trans[z][b] == y
-    assert bdfa.trans[0][a] == 0 and bdfa.trans[0][b] == 0
-    assert bdfa.accepting == z
+
+    def step(mask, action):
+        return bdfa.subset_states[bdfa.trans[bdfa.pos(mask)][action]]
+
+    assert bdfa.subset_states == tuple(range(8))
+    assert step(z, a) == xy
+    assert step(z, b) == y
+    assert step(0, a) == 0 and step(0, b) == 0
+    assert golden_nda.reverse().accepting == z
 
 
 def test_backward_determinize_no_transitions():
     nda = Nda(Carrier(("u", "v")), Carrier(("a",)), ((0,), (0,)), 0b01)
-    bdfa = backward_determinize(nda)
-    assert all(row == (0,) for row in bdfa.trans)
-    assert bdfa.accepting == 0b01
+    bdfa = moore_determinize(nda.reverse(), range(4))
+    assert all(bdfa.subset_states[row[0]] == 0 for row in bdfa.trans)
+    assert nda.reverse().accepting == 0b01
 
 
-def test_backward_determinize_cap():
-    names = tuple(f"s{i}" for i in range(13))
-    nda = Nda(Carrier(names), Carrier(("a",)), tuple((0,) for _ in names), 0)
-    with pytest.raises(CapExceeded):
-        backward_determinize(nda)
+def test_reverse_steps_into_the_mask_and_is_an_involution():
+    rng = Lcg(66)
+    for _ in range(40):
+        nda = random_nda(rng, max_states=5)
+        back = nda.reverse()
+        assert back.reverse() == nda
+        for mask in range(1 << len(nda.states)):
+            for a in range(len(nda.alphabet)):
+                assert back.post(mask, a) == _backward_step(nda, mask, a)
+
+
+def _union_closure(masks):
+    family = {0}
+    for m in masks:
+        family |= {w | m for w in family}
+    return family
+
+
+def test_backward_reachable_union_closure_is_the_respecting_family(golden_nda):
+    # U meets pre_w(F) exactly when U accepts w, so the union closure of
+    # the sets reached backward from F is the family of subsets that
+    # respect language equivalence
+    rng = Lcg(4242)
+    cases = [golden_nda] + [random_nda(rng, max_states=5) for _ in range(100)]
+    for nda in cases:
+        reached = moore_determinize(nda.reverse(), [nda.accepting]).subset_states
+        brute = respecting_subsets(nda, moore_equiv(nda).relation)
+        assert _union_closure(reached) == set(brute)
 
 
 # ------------------------------------------------------------ respecting
@@ -178,10 +212,9 @@ def test_build_respecting_automaton_golden_edges(golden_nda):
 def test_identity_eq_gives_full_backward_dfa(golden_nda):
     auto = build_respecting_automaton(golden_nda, BitRel.identity(8))
     assert auto.carrier == tuple(range(8))
-    bdfa = backward_determinize(golden_nda)
     for i, mask in enumerate(auto.carrier):
         for a in range(2):
-            assert auto.carrier[auto.trans[i][a]] == bdfa.trans[mask][a]
+            assert auto.carrier[auto.trans[i][a]] == _backward_step(golden_nda, mask, a)
 
 
 def test_witness_images_golden(golden_nda):
