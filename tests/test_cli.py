@@ -437,10 +437,6 @@ def test_argument_errors_are_one_error_line(argv, capsys):
 
 # ----------------------------------------------------------- determinize
 
-def _labels(payload):
-    return {label for t in payload["transitions"] for label in (t["from"], t["to"])}
-
-
 def test_backward_determinize_honours_initials():
     # from {z} the backward dynamics reach exactly the sets pre_w({z})
     res = run_cli(["determinize", GOLDEN, "--direction", "backward",
@@ -449,7 +445,8 @@ def test_backward_determinize_honours_initials():
     payload = json.loads(res.stdout)
     want = ["{z}", "{x,y}", "{y}", "{}"]
     assert payload["states"] == want
-    assert _labels(payload) == set(want)
+    assert {label for t in payload["transitions"]
+            for label in (t["from"], t["to"])} == set(want)
     assert payload["accepting"] == "{z}"
     assert "outputs" not in payload
 
