@@ -24,7 +24,6 @@ from .equivalence import (
     cts_conditional_bisim,
     cts_slice_bisim_oracle,
     lwa_classes,
-    lwa_equiv,
     lwa_observation_basis,
     lwa_pair,
     lwa_pair_oracle,
@@ -79,8 +78,6 @@ from .systems import (
     OutputLts,
     eval_word,
     forward_determinize,
-    lwa_output,
-    lwa_step,
     moore_determinize,
     validate,
 )

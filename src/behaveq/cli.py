@@ -268,6 +268,14 @@ def _parse_state_set(system, text: str) -> int:
     return 1 << system.states.index(text)
 
 
+def _parse_state(system, text: str) -> int:
+    """The one state of a spec written as a state or a one-state subset."""
+    mask = _parse_state_set(system, text)
+    if mask & (mask - 1) or not mask:
+        raise SchemaError(f"pair spec {text!r} must name exactly one state")
+    return mask.bit_length() - 1
+
+
 def _parse_vector(system: Lwa, text: str) -> tuple[Fraction, ...]:
     text = text.strip()
     if text.startswith("["):
@@ -345,11 +353,9 @@ def cmd_equiv(args) -> int:
                 [system.states.label(x) for x in cls]
                 for cls in result.classes(k)]
         if args.pair:
-            x = system.states.index(args.pair[0].strip("{}"))
-            y = system.states.index(args.pair[1].strip("{}"))
-            n = len(system.states)
+            x, y = (_parse_state(system, s) for s in args.pair)
             per_condition = {
-                label: result.relation.has(k * n + x, k * n + y)
+                label: result.blocks[k][x] == result.blocks[k][y]
                 for k, label in enumerate(system.conditions)}
             payload["pair"] = list(args.pair)
             payload["per_condition"] = per_condition

@@ -430,31 +430,6 @@ def preimage_subspace(matrix: Sequence[Sequence], space: Subspace) -> Subspace:
     return nullspace(constraints, len(mat))
 
 
-def mat_vec(vector: Sequence, matrix: Sequence[Sequence]) -> Vector:
-    """v . M with v a row vector; rows where v is zero are not read."""
-    v = [as_rational(x) for x in vector]
-    if len(v) != len(matrix):
-        raise DimensionMismatch("vector length does not match matrix rows")
-    out = [_ZERO] * (len(matrix[0]) if matrix else 0)
-    for a, row in zip(v, matrix):
-        if a:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += a * as_rational(x)
-    return tuple(out)
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector lengths differ")
-    total = _ZERO
-    for a, b in zip(u, v):
-        a, b = as_rational(a), as_rational(b)
-        if a and b:
-            total += a * b
-    return total
-
-
 @dataclass(frozen=True)
 class Semilattice:
     """Finite join-semilattice given by an explicit join table.

@@ -311,10 +311,6 @@ def lwa_pair(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
     return OracleVerdict(True, None)
 
 
-def lwa_equiv(lwa: Lwa, p: Sequence, q: Sequence) -> bool:
-    return lwa_pair(lwa, p, q).equivalent
-
-
 def lwa_pair_oracle(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
     """First word, in length-then-action order, whose weights from p
     and q differ.

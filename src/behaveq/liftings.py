@@ -21,8 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import (BitRel, Subspace, as_rational, bits, echelonize, nullspace,
                    orthogonal_tests, preimage_subspace)
 from .rng import WEIGHT_GRID, Lcg, random_cts, random_lwa, random_nda, random_vector
-from .systems import (Cts, DeterminizedMachine, Lwa, forward_determinize,
-                      lwa_output, lwa_step)
+from .systems import Cts, DeterminizedMachine, Lwa, forward_determinize
 
 
 @dataclass(frozen=True)
@@ -162,11 +161,11 @@ def lwa_modality(lwa: Lwa, kind, p: Sequence, region=None) -> bool:
     the stepped vector; a rational kind tests the output weight.
     """
     if isinstance(kind, int) and 0 <= kind < len(lwa.alphabet):
-        stepped = lwa_step(lwa, p, kind)
+        stepped = lwa.post(p, kind)
         if isinstance(region, Subspace):
             return region.contains(stepped)
         return bool(region(stepped))
-    return lwa_output(lwa, p) == Fraction(kind)
+    return lwa.observe(p) == Fraction(kind)
 
 
 def cts_rel_lift(rel: BitRel, u: int, v: int) -> bool:
@@ -868,7 +867,7 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
             if direct != via_table:
                 suite.record("modality-recipe-agreement", action=a, vector=p,
                              lhs=direct, rhs=via_table)
-        s = lwa_output(lwa, p)
+        s = lwa.observe(p)
         if not lwa_modality(lwa, s, p) or table.weight != s:
             suite.record("modality-recipe-agreement", kind="weight", vector=p,
                          lhs=s, rhs=table.weight)

@@ -388,8 +388,7 @@ def _report(family, labels, behavioural: BitRel, logical: BitRel, formula,
 
 
 def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
-                                vectors: Sequence[Sequence] | None = None,
-                                cap: int = 12) -> EquivReport:
+                                vectors: Sequence[Sequence] | None = None) -> EquivReport:
     """Compute behavioural and logical equivalence along independent
     routes and compare them.
 
@@ -430,7 +429,7 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
         else:
             family, search = (("nda", nda_pair_oracle) if isinstance(system, Nda)
                               else ("moore", moore_pair_oracle))
-            equiv = moore_equiv(system, initials, cap)
+            equiv = moore_equiv(system, initials)
             configs = equiv.machine.subset_states
             labels = [equiv.machine.label(i) for i in range(len(configs))]
             behavioural, iterations = equiv.relation, equiv.iterations

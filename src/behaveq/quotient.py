@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import BitRel, CapExceeded, Carrier, bits, subset_label
 from .liftings import cts_rel_lift
-from .systems import Cts, Nda
+from .systems import Cts, Nda, moore_determinize
 
 RESPECTING_CAP = 6
 
@@ -23,7 +23,7 @@ class ClosureViolation(ValueError):
     """The respecting family is not closed under the backward dynamics."""
 
 
-def respecting_subsets(nda: Nda, eq: BitRel, cap: int = RESPECTING_CAP) -> tuple[int, ...]:
+def respecting_subsets(nda: Nda, eq: BitRel) -> tuple[int, ...]:
     """Subsets W that cannot separate eq-related subset-states.
 
     W qualifies iff for every related pair (U, V): U meets W exactly
@@ -31,8 +31,9 @@ def respecting_subsets(nda: Nda, eq: BitRel, cap: int = RESPECTING_CAP) -> tuple
     small cap.
     """
     n = len(nda.states)
-    if n > cap:
-        raise CapExceeded(f"respecting-subset search over {n} states exceeds cap {cap}")
+    if n > RESPECTING_CAP:
+        raise CapExceeded(f"respecting-subset search over {n} states exceeds cap "
+                          f"{RESPECTING_CAP}")
     if eq.size != 1 << n:
         raise ValueError("equivalence must live on the full powerset carrier")
     if not eq.is_equivalence():
@@ -66,9 +67,6 @@ class RespectingAutomaton:
     trans: tuple[tuple[int, ...], ...]
     accepting: int
 
-    def pos(self, mask: int) -> int:
-        return self.carrier.index(mask)
-
     def witness_sets(self, x: int) -> tuple[int, ...]:
         return tuple(w for w in self.carrier if w >> x & 1)
 
@@ -80,35 +78,31 @@ class RespectingAutomaton:
         return tuple(subset_label(self.base.states, w) for w in self.carrier)
 
 
-def build_respecting_automaton(nda: Nda, eq: BitRel,
-                               cap: int = RESPECTING_CAP) -> RespectingAutomaton:
+def build_respecting_automaton(nda: Nda, eq: BitRel) -> RespectingAutomaton:
     """Restrict the backward dynamics to the respecting family.
 
-    Closure under the backward transitions is verified; an escaping
-    transition is an error naming the edge rather than a silent
-    truncation.
+    The family is ascending, so the subset construction of the reversed
+    automaton from it numbers its members first; closure is verified,
+    and a target past them is an escaping transition, an error naming
+    the edge rather than a silent truncation.
     """
-    carrier = respecting_subsets(nda, eq, cap)
-    position = {w: i for i, w in enumerate(carrier)}
-    backward = nda.reverse().post
+    carrier = respecting_subsets(nda, eq)
     names = nda.states
-    if nda.accepting not in position:
+    if nda.accepting not in carrier:
         raise ClosureViolation(
             f"designated accepting member {subset_label(names, nda.accepting)} "
             "is outside the respecting family")
-    trans = []
-    for w in carrier:
-        row = []
-        for a in range(len(nda.alphabet)):
-            target = backward(w, a)
-            if target not in position:
+    machine = moore_determinize(nda.reverse(), carrier)
+    size = len(carrier)
+    trans = machine.trans[:size]
+    for w, row in zip(carrier, trans):
+        for a, t in enumerate(row):
+            if t >= size:
                 raise ClosureViolation(
                     f"backward transition {subset_label(names, w)} "
-                    f"--{nda.alphabet.label(a)}--> {subset_label(names, target)} "
+                    f"--{nda.alphabet.label(a)}--> {machine.label(t)} "
                     "leaves the respecting family")
-            row.append(position[target])
-        trans.append(tuple(row))
-    return RespectingAutomaton(nda, carrier, tuple(trans), nda.accepting)
+    return RespectingAutomaton(nda, carrier, trans, nda.accepting)
 
 
 @dataclass(frozen=True)

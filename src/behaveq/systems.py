@@ -25,9 +25,8 @@ from .core import (
     Carrier,
     DimensionMismatch,
     Semilattice,
+    as_rational,
     bits,
-    dot,
-    mat_vec,
     subset_label,
 )
 
@@ -91,10 +90,27 @@ class Lwa:
     mat: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def post(self, p: Sequence, a: int) -> tuple[Fraction, ...]:
-        return lwa_step(self, p, a)
+        """One weighted step: p . mat[a]; rows where p is zero are not read."""
+        if not (0 <= a < len(self.alphabet)):
+            raise ValueError(f"unknown action index {a}")
+        p = self._config(p)
+        out = [Fraction(0)] * len(p)
+        for c, row in zip(p, self.mat[a]):
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += c * x
+        return tuple(out)
 
     def observe(self, p: Sequence) -> Fraction:
-        return lwa_output(self, p)
+        """Output weight of a configuration: p . out."""
+        return sum((c * w for c, w in zip(self._config(p), self.out) if c and w),
+                   Fraction(0))
+
+    def _config(self, p: Sequence) -> list[Fraction]:
+        if len(p) != len(self.states):
+            raise DimensionMismatch("vector length does not match state count")
+        return [as_rational(c) for c in p]
 
 
 @dataclass(frozen=True)
@@ -151,13 +167,6 @@ class DeterminizedMachine:
         except KeyError:
             raise ValueError(f"subset mask {mask} is not a reachable state") from None
 
-    def run(self, mask: int, word: Sequence[int]) -> int:
-        """Position reached from `mask` after reading `word`."""
-        i = self.pos(mask)
-        for a in word:
-            i = self.trans[i][a]
-        return i
-
     def label(self, i: int) -> str:
         return subset_label(self.base.states, self.subset_states[i])
 
@@ -203,22 +212,6 @@ def moore_determinize(system, initials: Iterable[int]) -> DeterminizedMachine:
 
 # The automaton's name for the same construction.
 forward_determinize = moore_determinize
-
-
-def lwa_step(lwa: Lwa, p: Sequence, a: int) -> tuple[Fraction, ...]:
-    """One weighted step: p . mat[a]."""
-    if not (0 <= a < len(lwa.alphabet)):
-        raise ValueError(f"unknown action index {a}")
-    if len(p) != len(lwa.states):
-        raise DimensionMismatch("vector length does not match state count")
-    return mat_vec(p, lwa.mat[a])
-
-
-def lwa_output(lwa: Lwa, p: Sequence) -> Fraction:
-    """Output weight of a configuration: p . out."""
-    if len(p) != len(lwa.states):
-        raise DimensionMismatch("vector length does not match state count")
-    return dot(p, lwa.out)
 
 
 def word_dynamics(system):

@@ -88,6 +88,21 @@ def test_equiv_cts_all(tmp_path):
     assert payload["per_condition"] == {"k": False, "k2": True}
 
 
+def test_equiv_cts_pair_specs_name_one_state(tmp_path, capsys):
+    # a side is a state or a one-state subset, read like an automaton's
+    path = tmp_path / "cts.json"
+    path.write_text(json.dumps(CTS_DOC))
+    for u in ("u", "{u}", " u", "{ u }"):
+        code, out, _ = run_main(["equiv", str(path), "--pair", u, "v", "--json"], capsys)
+        assert code == 1 and json.loads(out)["per_condition"] == {"k": False, "k2": True}
+    for u, line in [("{}", "error: pair spec '{}' must name exactly one state"),
+                    ("{u,v}", "error: pair spec '{u,v}' must name exactly one state"),
+                    ("{u", "error: subset must be written '{x,y}', got '{u'"),
+                    ("u}", "error: unknown label 'u}'"),
+                    ("{u}}", "error: unknown label 'u}'")]:
+        assert run_main(["equiv", str(path), "--pair", u, "v"], capsys) == (2, "", [line])
+
+
 def test_equiv_lwa_pair(tmp_path):
     path = tmp_path / "lwa.json"
     path.write_text(json.dumps(LWA_DOC))
@@ -592,8 +607,11 @@ LATTICE_DOC = {
 }
 
 # --pair specs: a state, a subset, two vectors, the empty subset, an
-# unknown label, a condition:state position and the empty vector
-PAIR_SPECS = ("@first", "{@first}", "[1,0]", "[0,1]", "{}", "zz", "k:u", "[]")
+# unknown label, a condition:state position, the empty vector and two
+# subsets with one brace missing
+PAIR_SPECS = ("@first", "{@first}", "[1,0]", "[0,1]", "{}", "zz", "k:u", "[]",
+              "{@first", "@first}")
+MALFORMED_SPECS = ("{@first", "@first}")
 
 PAIR_FLAGS = [semantics + cap
               for semantics in ([], ["--semantics", "failure"])
@@ -606,13 +624,14 @@ def test_equiv_pair_flag_combinations_exit_code_contract(tmp_path, capsys, kind)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     first = doc["states"][0]
-    specs = [s.replace("@first", first) for s in PAIR_SPECS]
-    for u in specs:
-        for v in specs:
+    for u in PAIR_SPECS:
+        for v in PAIR_SPECS:
+            malformed = u in MALFORMED_SPECS or v in MALFORMED_SPECS
             for flags in PAIR_FLAGS:
-                argv = ["equiv", str(path), "--pair", u, v, *flags, "--json"]
+                argv = ["equiv", str(path), "--pair", u.replace("@first", first),
+                        v.replace("@first", first), *flags, "--json"]
                 code, out, err = run_main(argv, capsys)
-                assert code in (0, 1, 2), argv
+                assert code in ((2,) if malformed else (0, 1, 2)), argv
                 if code == 2:
                     assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
                 else:

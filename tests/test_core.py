@@ -6,13 +6,14 @@ from behaveq import (
     BitRel,
     Carrier,
     DimensionMismatch,
+    Lwa,
     Semilattice,
     echelonize,
     gfp,
     refine,
     subspace_contains,
 )
-from behaveq.core import Subspace, dot, mat_vec, nullspace, preimage_subspace
+from behaveq.core import Subspace, nullspace, preimage_subspace
 from behaveq.rng import WEIGHT_GRID, Lcg
 
 from conftest import mask_of
@@ -307,14 +308,19 @@ def test_kernel_matches_dense_reference_on_random_matrices():
             assert subspace_contains(span, vec) == _reference_contains(
                 span.basis, vec, cols), (ctx, vec)
 
-        for vec in _random_matrix(rng, 2, rows):
-            product = mat_vec(vec, mat)
-            assert product == _reference_product(vec, mat, cols if rows else 0), ctx
-            assert _all_fractions([product]), ctx
-        u, v = _random_matrix(rng, 2, cols)
-        value = dot(u, v)
-        assert value == _reference_product(u, [[x] for x in v], 1)[0], ctx
-        assert type(value) is Fraction, ctx
+        # the weighted step and output weight of a square automaton
+        n = rng.randint(0, 7)
+        square = _random_matrix(rng, n, n)
+        out = _random_matrix(rng, 1, n)[0]
+        lwa = Lwa(Carrier(tuple(f"s{i}" for i in range(n))), Carrier(("a",)),
+                  tuple(out), (tuple(map(tuple, square)),))
+        for vec in _random_matrix(rng, 2, n):
+            product = lwa.post(vec, 0)
+            assert product == _reference_product(vec, square, n), (ctx, lwa)
+            assert _all_fractions([product]), (ctx, lwa)
+            value = lwa.observe(vec)
+            assert value == _reference_product(vec, [[x] for x in out], 1)[0], (ctx, lwa)
+            assert type(value) is Fraction, (ctx, lwa)
 
 
 # --------------------------------------------------------------- rationals

@@ -16,7 +16,6 @@ from behaveq import (
     cts_conditional_bisim,
     cts_slice_bisim_oracle,
     lwa_classes,
-    lwa_equiv,
     lwa_observation_basis,
     lwa_pair,
     lwa_pair_oracle,
@@ -163,8 +162,8 @@ def test_unobservable_subspace_shrinks_to_zero():
               (((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),))
     w = lwa_unobservable_subspace(lwa)
     assert w.rank == 0
-    assert not lwa_equiv(lwa, (1, 0), (0, 1))
-    assert not lwa_equiv(lwa, (1, 0), (0, 0))
+    assert not lwa_pair(lwa, (1, 0), (0, 1)).equivalent
+    assert not lwa_pair(lwa, (1, 0), (0, 0)).equivalent
 
 
 def test_lwa_trace_cases():
@@ -183,9 +182,9 @@ def test_lwa_equiv_reflexive_and_matches_subspace():
     lwa = Lwa(Carrier(("x", "y")), Carrier(("a",)),
               (Fraction(1), Fraction(1)),
               (((Fraction(0),) * 2, (Fraction(0),) * 2),))
-    assert lwa_equiv(lwa, (1, 0), (1, 0))
-    assert lwa_equiv(lwa, (1, 0), (0, 1))
-    assert not lwa_equiv(lwa, (1, 0), (2, 0))
+    assert lwa_pair(lwa, (1, 0), (1, 0)).equivalent
+    assert lwa_pair(lwa, (1, 0), (0, 1)).equivalent
+    assert not lwa_pair(lwa, (1, 0), (2, 0)).equivalent
 
 
 def test_lwa_equiv_agrees_with_word_oracle():
@@ -204,7 +203,7 @@ def test_lwa_equiv_agrees_with_word_oracle():
         probes.append(random_vector(rng, n))
         for p in probes:
             for q in probes:
-                by_subspace = lwa_equiv(lwa, p, q)
+                by_subspace = lwa_pair(lwa, p, q).equivalent
                 by_words = all(lwa_trace(lwa, p, w) == lwa_trace(lwa, q, w)
                                for w in words)
                 assert by_subspace == by_words
@@ -284,7 +283,7 @@ def test_lwa_pair_matches_word_search_oracle_and_subspace():
                 verdict = lwa_pair(lwa, p, q)
                 assert verdict == lwa_pair_oracle(lwa, p, q)
                 member = space.contains(tuple(a - b for a, b in zip(p, q)))
-                assert lwa_equiv(lwa, p, q) == member == verdict.equivalent
+                assert verdict.equivalent == member
                 refuted += not member
                 equivalent += member and p != q
     assert refuted and equivalent
@@ -550,7 +549,8 @@ def test_lwa_pair_oracle_matches_exhaustive_word_loop():
                 verdict = lwa_pair_oracle(lwa, p, q)
                 want = first_lwa_difference(lwa, p, q)
                 assert verdict.witness == want
-                assert verdict.equivalent == (want is None) == lwa_equiv(lwa, p, q)
+                assert verdict.equivalent == (want is None)
+                assert lwa_pair(lwa, p, q).equivalent == (want is None)
                 refuted += want is not None and len(want) > 0
                 equivalent += want is None and p != q
     assert refuted and equivalent

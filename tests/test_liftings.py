@@ -125,8 +125,7 @@ def test_lwa_modality_cases():
     # stepping x under a gives weight 6
     assert lwa_modality(lwa, 0, (1, 0),
                         lambda v: v == (Fraction(0), Fraction(2)))
-    from behaveq import lwa_output
-    assert lwa_modality(lwa, 0, (1, 0), lambda v: lwa_output(lwa, v) == 6)
+    assert lwa_modality(lwa, 0, (1, 0), lambda v: lwa.observe(v) == 6)
 
 
 # ------------------------------------------------------ relation liftings

@@ -196,7 +196,7 @@ def test_build_respecting_automaton_golden_edges(golden_nda):
     assert set(auto.carrier) == {empty, y, xy, z, yz, xyz}
 
     def backward(mask, action):
-        return auto.carrier[auto.trans[auto.pos(mask)][action]]
+        return auto.carrier[auto.trans[auto.carrier.index(mask)][action]]
 
     # reading direction of the drawn edges: source --act--> target means
     # backward(target, act) == source
@@ -215,6 +215,15 @@ def test_identity_eq_gives_full_backward_dfa(golden_nda):
     for i, mask in enumerate(auto.carrier):
         for a in range(2):
             assert auto.carrier[auto.trans[i][a]] == _backward_step(golden_nda, mask, a)
+
+
+def test_respecting_table_is_the_subset_construction_of_the_reversal(golden_nda):
+    rng = Lcg(61)
+    for nda in [golden_nda, *(random_nda(rng, max_states=5) for _ in range(50))]:
+        auto = build_respecting_automaton(nda, moore_equiv(nda).relation)
+        machine = moore_determinize(nda.reverse(), auto.carrier)
+        assert machine.subset_states == auto.carrier, nda
+        assert auto.trans == machine.trans, nda
 
 
 def test_witness_images_golden(golden_nda):
@@ -251,9 +260,9 @@ def test_verify_homomorphism_true_on_golden_and_identity(golden_nda):
 def test_verify_homomorphism_catches_redirected_edge(golden_nda):
     eq = moore_equiv(golden_nda).relation
     auto = build_respecting_automaton(golden_nda, eq)
-    z_pos = auto.pos(mask_of(golden_nda.states, "z"))
+    z_pos = auto.carrier.index(mask_of(golden_nda.states, "z"))
     mutated_row = list(auto.trans[z_pos])
-    mutated_row[0] = auto.pos(0)  # redirect the a-edge of {z} to {}
+    mutated_row[0] = auto.carrier.index(0)  # redirect the a-edge of {z} to {}
     trans = list(auto.trans)
     trans[z_pos] = tuple(mutated_row)
     mutated = dataclasses.replace(auto, trans=tuple(trans))

@@ -4,13 +4,12 @@ import pytest
 
 from behaveq import (
     Carrier,
+    DimensionMismatch,
     Lwa,
     Nda,
     OutputLts,
     Semilattice,
     forward_determinize,
-    lwa_output,
-    lwa_step,
     moore_determinize,
     validate,
 )
@@ -76,7 +75,10 @@ def test_determinized_acceptance_matches_naive_language_search():
             (a, b) for a in range(m) for b in range(m)] + [
             (a, b, c) for a in range(m) for b in range(m) for c in range(m)]
         for w in words:
-            got = machine.out[machine.run(start, w)]
+            i = machine.pos(start)
+            for a in w:
+                i = machine.trans[i][a]
+            got = machine.out[i]
             want = any(naive_accepts(nda, x, w)
                        for x in range(n) if start >> x & 1)
             assert got == want
@@ -99,12 +101,12 @@ def two_state_lwa():
 
 def test_lwa_step_zero_vector():
     lwa = two_state_lwa()
-    assert lwa_step(lwa, (0, 0), 0) == (Fraction(0), Fraction(0))
+    assert lwa.post((0, 0), 0) == (Fraction(0), Fraction(0))
 
 
 def test_lwa_step_single_entry_matrix():
     lwa = two_state_lwa()
-    assert lwa_step(lwa, (1, 0), 0) == (Fraction(0), Fraction(2))
+    assert lwa.post((1, 0), 0) == (Fraction(0), Fraction(2))
 
 
 def test_lwa_step_linearity():
@@ -117,21 +119,31 @@ def test_lwa_step_linearity():
         q = random_vector(rng, n)
         c = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2)])
         for a in range(len(lwa.alphabet)):
-            lhs = lwa_step(lwa, tuple(x + y for x, y in zip(p, q)), a)
-            rhs = tuple(x + y for x, y in zip(lwa_step(lwa, p, a),
-                                              lwa_step(lwa, q, a)))
+            lhs = lwa.post(tuple(x + y for x, y in zip(p, q)), a)
+            rhs = tuple(x + y for x, y in zip(lwa.post(p, a),
+                                              lwa.post(q, a)))
             assert lhs == rhs
-            assert lwa_step(lwa, tuple(c * x for x in p), a) == tuple(
-                c * x for x in lwa_step(lwa, p, a))
+            assert lwa.post(tuple(c * x for x in p), a) == tuple(
+                c * x for x in lwa.post(p, a))
 
 
 def test_lwa_output_examples():
     lwa = Lwa(Carrier(("x", "y")), Carrier(("a",)),
               (Fraction(1), Fraction(4)),
               (((Fraction(0),) * 2, (Fraction(0),) * 2),))
-    assert lwa_output(lwa, (0, 0)) == 0
-    assert lwa_output(lwa, (1, 0)) == 1
-    assert lwa_output(lwa, (2, 1)) == 6
+    assert lwa.observe((0, 0)) == 0
+    assert lwa.observe((1, 0)) == 1
+    assert lwa.observe((2, 1)) == 6
+
+
+def test_lwa_post_and_observe_refuse_bad_input():
+    lwa = two_state_lwa()
+    with pytest.raises(ValueError, match="unknown action index 1"):
+        lwa.post((1, 0), 1)
+    with pytest.raises(DimensionMismatch, match="does not match state count"):
+        lwa.post((1, 0, 0), 0)
+    with pytest.raises(DimensionMismatch, match="does not match state count"):
+        lwa.observe((1,))
 
 
 # ----------------------------------------------------------------- moore

@@ -24,6 +24,13 @@ LWA_DOC = {
                  "b": [["0", "0", "1"], ["0", "0", "1"], ["0", "0", "0"]]},
 }
 
+CTS_DOC = {
+    "kind": "cts",
+    "conditions": ["k", "k2"],
+    "states": ["u", "v"],
+    "transitions": [{"cond": "k", "from": "u", "to": "v"}],
+}
+
 # Runs each command line on a fresh import, then on another fresh
 # import with the tracer installed; prints both results and the counts.
 SCRIPT = r"""
@@ -58,12 +65,20 @@ print(json.dumps({"plain": plain, "traced": traced, "counts": dict(tracer.counts
 def test_traced_calls_print_the_same_bytes(tmp_path):
     lwa = tmp_path / "lwa.json"
     lwa.write_text(json.dumps(LWA_DOC))
+    cts = tmp_path / "cts.json"
+    cts.write_text(json.dumps(CTS_DOC))
     calls = [
         ["equiv", GOLDEN, "--pair", "{x}", "{y}", "--json"],
         ["equiv", MOORE, "--pair", "p0", "q0", "--semantics", "failure", "--json"],
         ["equiv", str(lwa), "--pair", "x", "y", "--json"],
         ["check", str(lwa), "--adequacy", "--json"],
         ["check", "--random", "nda", "--laws", "--trials", "1", "--json"],
+        ["quotient", GOLDEN, "--json"],
+        ["quotient", GOLDEN, "--identity-eq", "--json"],
+        ["determinize", GOLDEN, "--direction", "backward", "--json"],
+        ["eval", str(lwa), "--vector", "[1,1/2,0]", "--word", "ab", "--json"],
+        ["equiv", str(cts), "--pair", "u", "v", "--json"],
+        ["check", "--random", "cts", "--adequacy", "--trials", "1", "--json"],
     ]
     res = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
@@ -72,8 +87,10 @@ def test_traced_calls_print_the_same_bytes(tmp_path):
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
     assert got["traced"] == got["plain"]
-    assert [code for code, _ in got["plain"]] == [1, 1, 0, 0, 0]
+    assert [code for code, _ in got["plain"]] == [1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
     assert got["counts"]["systems.positions"] > 0
     assert got["counts"]["equivalence.oracle_calls"] > 0
     assert got["counts"]["equivalence.lwa_chain_len"] > 0
     assert got["counts"]["liftings.nda_det_step_calls"] > 0
+    assert got["counts"]["quotient.carrier_size"] > 0
+    assert got["counts"]["logic.cts_generators"] > 0
