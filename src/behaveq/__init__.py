@@ -78,6 +78,7 @@ from .systems import (
     OutputLts,
     eval_word,
     forward_determinize,
+    lattice_lts,
     moore_determinize,
     validate,
 )

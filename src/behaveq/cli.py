@@ -15,7 +15,7 @@ System files are JSON documents with a "kind" discriminator:
   moore  {"kind","states","alphabet","transitions":[{from,action,to}]}
          plus either "semantics": trace|failure|ready (outputs derived)
          or explicit "lattice":{elements,join,bottom} and
-         "outputs":{state:element}
+         "outputs":{state:element}, not both
 
 Weights are strings "p/q", integers or decimal numbers, all read
 exactly as written: the JSON number 0.10000000000000000001 is
@@ -75,6 +75,7 @@ from .systems import (
     Nda,
     OutputLts,
     eval_word,
+    lattice_lts,
     moore_determinize,
     validate,
 )
@@ -157,6 +158,9 @@ def load_system(data: dict):
                 accepting |= 1 << states.index(label)
             system = Nda(states, alphabet, delta, accepting)
         elif "lattice" in data:
+            if "semantics" in data:
+                raise SchemaError("a moore document gives either 'lattice' "
+                                  "or 'semantics', not both")
             _require(data, "outputs")
             lat_data = data["lattice"]
             _require(lat_data, "elements", "join", "bottom")
@@ -174,7 +178,7 @@ def load_system(data: dict):
                 outputs = tuple(pos[output_of[label]] for label in states.names)
             except (KeyError, TypeError) as exc:
                 raise SchemaError(f"bad outputs: {exc}") from None
-            system = OutputLts(states, alphabet, delta, outputs, lattice)
+            system = lattice_lts(states, alphabet, delta, lattice, outputs)
         else:
             semantics = data.get("semantics", "trace")
             if semantics not in SEMANTICS:
@@ -299,11 +303,14 @@ def cmd_equiv(args) -> int:
     system = load_system(raw)
     semantics = None
     if isinstance(system, OutputLts):
-        semantics = args.semantics or raw.get("semantics")
-    if isinstance(system, (Nda, OutputLts)):
-        if isinstance(system, OutputLts) and args.semantics:
+        if args.semantics:
+            if "lattice" in raw:
+                raise SchemaError("--semantics is for bare moore inputs, and "
+                                  "this one gives its own lattice")
             system = build_output_lts(
                 system.states, system.alphabet, system.delta, args.semantics)
+        semantics = args.semantics or raw.get("semantics")
+    if isinstance(system, (Nda, OutputLts)):
         initials = None
         if args.pair:
             initials = [_parse_state_set(system, s) for s in args.pair]
@@ -571,7 +578,7 @@ def cmd_eval(args) -> int:
         if isinstance(system, Nda):
             key, shown = "accepted", bool
         else:
-            key, shown = "output", lambda v: system.lattice.names[v]
+            key, shown = "output", system.show
     if spec is None:
         raise SchemaError(f"evaluation needs a start: --state or {flag}")
     start = parse(system, spec)
@@ -627,8 +634,7 @@ def cmd_determinize(args) -> int:
     if args.direction == "backward":
         payload["accepting"] = subset_label(system.states, system.accepting)
     else:
-        shown = (bool if isinstance(system, Nda)
-                 else lambda v: system.lattice.names[v])
+        shown = bool if isinstance(system, Nda) else system.show
         payload["outputs"] = {labels[i]: shown(o) for i, o in enumerate(machine.out)}
     _emit(payload, args.json,
           lambda p: (f"{t['from']} --{t['action']}--> {t['to']}"

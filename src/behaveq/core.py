@@ -456,39 +456,13 @@ class Semilattice:
     def boolean(cls) -> "Semilattice":
         return cls(("0", "1"), ((0, 1), (1, 1)), 0)
 
-    @classmethod
-    def from_join(cls, values, join, bottom, label) -> tuple["Semilattice", dict]:
-        """Close `values` plus `bottom` under a join function.
-
-        Elements are ordered by their labels, so the result is canonical
-        regardless of generation order.  Returns the lattice and a map
-        from closed value to element index.
-        """
-        closed = {bottom} | set(values)
-        while True:
-            extra = set()
-            for a in closed:
-                for b in closed:
-                    j = join(a, b)
-                    if j not in closed:
-                        extra.add(j)
-            if not extra:
-                break
-            closed |= extra
-        ordered = sorted(closed, key=label)
-        idx = {v: i for i, v in enumerate(ordered)}
-        table = tuple(tuple(idx[join(a, b)] for b in ordered) for a in ordered)
-        lat = cls.create(tuple(label(v) for v in ordered), table, idx[bottom])
-        return lat, idx
-
-    def join(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def join_all(self, items: Iterable[int]) -> int:
-        out = self.bottom
-        for i in items:
-            out = self.table[out][i]
-        return out
+    def as_sets(self) -> tuple[int, ...]:
+        """Each element v as the mask of the elements u with v not below u
+        (join(v, u) != u).  On a table that passes `diagnostics` the map
+        is injective, sends bottom to 0 and joins to unions, so the
+        semilattice is a union-closed family of sets."""
+        return tuple(sum(1 << u for u, j in enumerate(row) if j != u)
+                     for row in self.table)
 
     def diagnostics(self) -> list[str]:
         n = len(self.names)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -37,6 +38,7 @@ from .core import (
     nullspace,
     orthogonal_tests,
     refine,
+    subset_label,
 )
 from .liftings import cts_rel_lift, lwa_lift_rows
 from .systems import (
@@ -46,6 +48,7 @@ from .systems import (
     Nda,
     OutputLts,
     eval_word,
+    lattice_lts,
     moore_determinize,
 )
 
@@ -377,29 +380,28 @@ def cts_slice_bisim_oracle(cts: Cts, k: int) -> tuple[tuple[int, ...], ...]:
 
 # ------------------------------------------------------------------ Moore
 
-def enabled_actions(delta: Sequence[Sequence[int]], x: int) -> frozenset[int]:
-    return frozenset(a for a, mask in enumerate(delta[x]) if mask)
+def enabled_actions(delta: Sequence[Sequence[int]], x: int) -> int:
+    """Mask of the actions x can take."""
+    return sum(1 << a for a, mask in enumerate(delta[x]) if mask)
 
 
-def refusal_output(delta: Sequence[Sequence[int]], num_actions: int,
-                   x: int) -> frozenset[frozenset[int]]:
+def refusal_output(delta: Sequence[Sequence[int]], num_actions: int, x: int) -> int:
     """Sets of actions the state can refuse: disjoint from its enabled set.
 
     "Refused" is taken as Z with Z and enabled(x) disjoint; reports that
-    rely on it carry the assumption explicitly.
+    rely on it carry the assumption explicitly.  The result sets bit Z
+    for every refused action mask Z: each refusable action a adds Z | a
+    for every Z so far.
     """
-    enabled = enabled_actions(delta, x)
-    subsets = []
-    for mask in range(1 << num_actions):
-        z = frozenset(bits(mask))
-        if not (z & enabled):
-            subsets.append(z)
-    return frozenset(subsets)
+    out = 1
+    for a in bits(((1 << num_actions) - 1) & ~enabled_actions(delta, x)):
+        out |= out << (1 << a)
+    return out
 
 
-def ready_output(delta: Sequence[Sequence[int]], x: int) -> frozenset[frozenset[int]]:
+def ready_output(delta: Sequence[Sequence[int]], x: int) -> int:
     """The singleton holding exactly the enabled-action set."""
-    return frozenset({enabled_actions(delta, x)})
+    return 1 << enabled_actions(delta, x)
 
 
 REFUSAL_ASSUMPTION = ("refusal: Z is refused at x iff Z and the enabled set "
@@ -408,40 +410,29 @@ REFUSAL_ASSUMPTION = ("refusal: Z is refused at x iff Z and the enabled set "
 SEMANTICS = ("trace", "failure", "ready")
 
 
-def _action_set_label(alphabet, actions: frozenset[int]) -> str:
-    return "{" + ",".join(alphabet.names[a] for a in sorted(actions)) + "}"
-
-
-def _set_of_sets_label(alphabet, value: frozenset[frozenset[int]]) -> str:
-    rendered = sorted(
-        (tuple(sorted(s)) for s in value),
-        key=lambda t: (len(t), t),
-    )
-    return "{" + ",".join(
-        _action_set_label(alphabet, frozenset(t)) for t in rendered) + "}"
+def _set_of_sets_label(alphabet, value: int) -> str:
+    """The action sets whose bits `value` sets, smaller sets first, sets
+    of one size in the order of their sorted actions."""
+    members = sorted(bits(value), key=lambda z: (z.bit_count(), tuple(bits(z))))
+    return "{" + ",".join(subset_label(alphabet, z) for z in members) + "}"
 
 
 def build_output_lts(states, alphabet, delta, semantics: str) -> OutputLts:
-    """Equip a bare LTS with trace, failure, or ready outputs.
+    """Equip a bare LTS with trace, failure or ready outputs.
 
-    The semilattice is generated from the per-state outputs by closing
-    under union (join of the empty set is the bottom).
+    Trace outputs are the top of the two-element lattice.  Failure and
+    ready outputs are sets of action sets, one bit per action mask, so
+    a subset observes the union of its members' sets.
     """
     delta = tuple(tuple(row) for row in delta)
-    num_actions = len(alphabet)
     if semantics == "trace":
-        lattice = Semilattice.boolean()
-        outputs = tuple(1 for _ in range(len(states)))
-        return OutputLts(states, alphabet, delta, outputs, lattice)
+        return lattice_lts(states, alphabet, delta, Semilattice.boolean(),
+                           (1,) * len(states))
     if semantics == "failure":
-        values = [refusal_output(delta, num_actions, x)
-                  for x in range(len(states))]
+        output = [refusal_output(delta, len(alphabet), x) for x in range(len(states))]
     elif semantics == "ready":
-        values = [ready_output(delta, x) for x in range(len(states))]
+        output = [ready_output(delta, x) for x in range(len(states))]
     else:
         raise ValueError(f"unknown semantics {semantics!r}")
-    lattice, index = Semilattice.from_join(
-        values, lambda a, b: a | b, frozenset(),
-        lambda v: _set_of_sets_label(alphabet, v))
-    return OutputLts(states, alphabet, delta,
-                     tuple(index[v] for v in values), lattice)
+    return OutputLts(states, alphabet, delta, tuple(output),
+                     partial(_set_of_sets_label, alphabet))

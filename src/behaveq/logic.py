@@ -215,7 +215,7 @@ def theory_word(system, start, maxlen: int) -> dict[Word, object]:
     length-then-action order.
 
     Automata observe acceptance, weighted automata the trace weight,
-    Moore systems the joined lattice output (as an element index).
+    Moore systems the union of the output sets (as a mask).
     A table above `_TABLE_CAP_CELLS` cells is refused.
     """
     if maxlen < 0:

@@ -1,25 +1,25 @@
 """The four system families and their determinisations.
 
 Nondeterministic automata, rational-weighted automata, conditional
-transition systems and LTSs with semilattice outputs, all as validated
-immutable values.  Subsets of a state carrier are n-bit little-endian
-masks throughout.
+transition systems and LTSs whose outputs are sets joined by union, all
+as validated immutable values.  Subsets of a state carrier are n-bit
+little-endian masks throughout, and so are output sets.
 
 The three word-reading families share one-step dynamics:
 `post(config, a)` is the configuration after action a and
 `observe(config)` what is seen of it.  Configurations are subset masks
-observed by acceptance (Nda) or by the joined lattice output
-(OutputLts), and weight vectors observed by their output weight (Lwa).
+observed by acceptance (Nda) or by the union of the members' output
+sets (OutputLts), and weight vectors by their output weight (Lwa).
 Determinization, word search, theory tables and word evaluation are all
 built on this pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Carrier,
@@ -124,21 +124,41 @@ class Cts:
 
 @dataclass(frozen=True)
 class OutputLts(_SubsetSystem):
-    """LTS with per-state outputs in a finite join-semilattice.
+    """LTS whose outputs are sets joined by union.
 
-    `delta[x][a]` is a successor mask, `output[x]` a lattice element
-    index.
+    `delta[x][a]` is a successor mask and `output[x]` the mask of the
+    set state x outputs; `show` renders an observed mask.
     """
 
     states: Carrier
     alphabet: Carrier
     delta: tuple[tuple[int, ...], ...]
     output: tuple[int, ...]
-    lattice: Semilattice
+    show: Callable[[int], str] = field(compare=False)
 
     def observe(self, mask: int) -> int:
-        """Join of the members' outputs; the empty subset observes bottom."""
-        return self.lattice.join_all(self.output[x] for x in bits(mask))
+        """Union of the members' outputs; the empty subset observes 0."""
+        output = self.output
+        out = 0
+        for x in bits(mask):
+            out |= output[x]
+        return out
+
+
+def lattice_lts(states: Carrier, alphabet: Carrier, delta, lattice: Semilattice,
+                outputs: Sequence[int]) -> OutputLts:
+    """The Moore system whose state x outputs element `outputs[x]` of an
+    explicit semilattice, each element embedded as its set `as_sets()`
+    and shown by its name.  A table that fails `diagnostics` is refused."""
+    problems = lattice.diagnostics()
+    if problems:
+        raise ValueError(problems[0])
+    sets = lattice.as_sets()
+    for x, o in enumerate(outputs):
+        if not 0 <= o < len(sets):
+            raise ValueError(f"output of {states.label(x)} is not a lattice element")
+    return OutputLts(states, alphabet, delta, tuple(sets[o] for o in outputs),
+                     dict(zip(sets, lattice.names)).__getitem__)
 
 
 @dataclass(frozen=True)
@@ -147,8 +167,7 @@ class DeterminizedMachine:
 
     States are subset masks in BFS discovery order starting from the
     sorted initial masks, so construction is deterministic.  `out` holds
-    booleans for automata and lattice element indices for Moore
-    machines.
+    booleans for automata and output-set masks for Moore machines.
     """
 
     base: object
@@ -268,14 +287,8 @@ def validate(system) -> list[str]:
         if isinstance(system, Nda):
             if system.accepting >> n:
                 probs.append("accepting mask has bits outside the state carrier")
-        else:
-            if len(system.output) != n:
-                probs.append("output table length does not match state count")
-            for x, o in enumerate(system.output[:n]):
-                if not (0 <= o < len(system.lattice)):
-                    probs.append(
-                        f"output of {system.states.label(x)} is not a lattice element")
-            probs.extend(system.lattice.diagnostics())
+        elif len(system.output) != n:
+            probs.append("output table length does not match state count")
     elif isinstance(system, Semilattice):
         probs.extend(system.diagnostics())
     elif isinstance(system, DeterminizedMachine):

@@ -606,6 +606,26 @@ LATTICE_DOC = {
     "outputs": {"p": "hi", "q": "lo"},
 }
 
+# the same document also naming a semantics, which it would not use
+BOTH_KEYS_DOC = dict(LATTICE_DOC, semantics="failure")
+
+
+def test_moore_lattice_with_a_semantics_is_refused(tmp_path, capsys):
+    # the lattice decides the classes, so a semantics beside it would
+    # only be reported as an assumption that was never made
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(BOTH_KEYS_DOC))
+    for argv in (["equiv", str(path)], ["check", str(path), "--adequacy"]):
+        code, out, err = run_main([*argv, "--json"], capsys)
+        assert (code, out) == (2, "") and len(err) == 1, (argv, err)
+        assert err[0].startswith("error: ") and "not both" in err[0]
+    path.write_text(json.dumps(LATTICE_DOC))
+    code, out, err = run_main(["equiv", str(path), "--semantics", "failure"], capsys)
+    assert (code, out) == (2, "") and len(err) == 1
+    assert err[0].startswith("error: ") and "--semantics" in err[0]
+    code, out, _ = run_main(["equiv", str(path), "--json"], capsys)
+    assert code == 0 and "assumptions" not in json.loads(out)
+
 # --pair specs: a state, a subset, two vectors, the empty subset, an
 # unknown label, a condition:state position, the empty vector and two
 # subsets with one brace missing
@@ -676,12 +696,18 @@ EVAL_COMMANDS = {
 }
 
 
+SUBSET_DOCS = {**CONTRACT_DOCS, "moore-lattice": LATTICE_DOC,
+               "moore-both": BOTH_KEYS_DOC}
+
+
 @pytest.mark.parametrize("kind,command", [
-    (kind, command) for kind in CONTRACT_DOCS
+    (kind, command) for kind in SUBSET_DOCS
     for command in (*SUBSET_COMMANDS, *EVAL_COMMANDS.get(kind, ()))])
 def test_subset_commands_exit_code_contract(tmp_path, capsys, kind, command):
-    # exit 0 = computed, 2 = input error with one line; never 1
-    doc = CONTRACT_DOCS[kind]
+    # exit 0 = computed, 2 = input error with one line; never 1.  A
+    # document with both a lattice and a semantics is always refused, and
+    # the lattice document as written renders its lattice's values
+    doc = SUBSET_DOCS[kind]
     first = doc["states"][0]
     texts = {"as-written": json.dumps(doc)}
     texts.update({f"{field}={odd}": json.dumps(dict(doc, **{field: "@odd"}))
@@ -697,8 +723,11 @@ def test_subset_commands_exit_code_contract(tmp_path, capsys, kind, command):
     argv = [first if arg == "@first" else arg for arg in argv]
     for name, text in texts.items():
         path.write_text(text)
-        code, _, err = run_main([argv[0], str(path), *argv[1:], "--json"], capsys)
-        assert code in (0, 2), name
+        code, out, err = run_main([argv[0], str(path), *argv[1:], "--json"], capsys)
+        assert code in ((2,) if kind == "moore-both" else (0, 2)), name
+        if kind == "moore-lattice" and name == "as-written" and command in (
+                "determinize", "eval"):
+            assert code == 0 and '"hi"' in out, (name, err)
         if code == 2:
             assert len(err) == 1 and err[0].startswith("error: "), (name, err)
 

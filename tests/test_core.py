@@ -341,8 +341,9 @@ def test_rational_grid_arithmetic():
 def test_semilattice_boolean_and_laws():
     lat = Semilattice.boolean()
     assert lat.diagnostics() == []
-    assert lat.join(0, 1) == 1
-    assert lat.join_all([]) == 0
+    assert lat.table[0][1] == 1
+    # the empty join is bottom, which is the empty set
+    assert lat.as_sets() == (0, 1)
 
 
 def test_semilattice_violation_names_element():
@@ -353,11 +354,42 @@ def test_semilattice_violation_names_element():
         Semilattice.create(("u", "v"), ((1, 1), (1, 1)), 0)
 
 
-def test_semilattice_from_join_closure():
-    values = [frozenset({0}), frozenset({1})]
-    lat, idx = Semilattice.from_join(
-        values, lambda a, b: a | b, frozenset(),
-        lambda v: "{" + ",".join(map(str, sorted(v))) + "}")
-    assert len(lat) == 4
-    assert lat.join(idx[frozenset({0})], idx[frozenset({1})]) == idx[frozenset({0, 1})]
-    assert lat.diagnostics() == []
+def _union_closure_lattice(family):
+    """The union closure of a family of masks plus 0, as a join table
+    over its members in descending order (so bottom comes last)."""
+    closed = {0, *family}
+    while True:
+        extra = {a | b for a in closed for b in closed} - closed
+        if not extra:
+            break
+        closed |= extra
+    ordered = sorted(closed, reverse=True)
+    idx = {v: i for i, v in enumerate(ordered)}
+    return Semilattice.create(tuple(map(str, ordered)),
+                              tuple(tuple(idx[a | b] for b in ordered) for a in ordered),
+                              idx[0])
+
+
+def _chain(n):
+    return Semilattice.create(tuple(f"c{i}" for i in range(n)),
+                              tuple(tuple(max(i, j) for j in range(n)) for i in range(n)), 0)
+
+
+def test_semilattice_as_sets_laws():
+    diamond = Semilattice.create(("bot", "l", "r", "top"),
+                                 ((0, 1, 2, 3), (1, 1, 3, 3),
+                                  (2, 3, 2, 3), (3, 3, 3, 3)), 0)
+    lattices = [Semilattice.boolean(), diamond, *(_chain(n) for n in range(1, 6))]
+    rng = Lcg(1414)
+    for _ in range(40):
+        universe = rng.randint(1, 5)
+        lattices.append(_union_closure_lattice(
+            [rng.randint(0, (1 << universe) - 1) for _ in range(rng.randint(0, 5))]))
+    for lat in lattices:
+        sets = lat.as_sets()
+        n = len(lat)
+        assert len(set(sets)) == n
+        assert sets[lat.bottom] == 0
+        for a in range(n):
+            for b in range(n):
+                assert sets[lat.table[a][b]] == sets[a] | sets[b]

@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from behaveq import (
     Cts,
     Lwa,
     Nda,
-    OutputLts,
     Semilattice,
     build_output_lts,
     cts_conditional_bisim,
@@ -21,6 +21,7 @@ from behaveq import (
     lwa_pair_oracle,
     lwa_trace,
     lwa_unobservable_subspace,
+    lattice_lts,
     moore_equiv,
     moore_pair_oracle,
     nda_pair_oracle,
@@ -28,8 +29,8 @@ from behaveq import (
     refusal_output,
     theory_word,
 )
-from behaveq.core import (block_classes, echelonize, nullspace, orthogonal_tests,
-                          preimage_subspace)
+from behaveq.core import (bits, block_classes, echelonize, nullspace,
+                          orthogonal_tests, preimage_subspace)
 from behaveq.equivalence import OracleVerdict, lwa_observability_chain
 from behaveq.liftings import STOP, Step, _fx_index, _lwa_lift_rel_subspace
 from behaveq.rng import (
@@ -495,28 +496,105 @@ def test_moore_equiv_empty_subset_gets_bottom(trace_failure_lts):
     m = trace_failure_lts
     from behaveq.systems import moore_determinize
     machine = moore_determinize(m, [0])
-    assert machine.out[machine.pos(0)] == m.lattice.bottom
+    # the empty union: the empty set, which the trace lattice names 0
+    assert machine.out[machine.pos(0)] == 0
+    assert m.show(0) == "0"
 
 
 # ------------------------------------------------------ refusal and ready
 
+def _family(*action_sets):
+    """The output mask of a set of action sets: bit Z for each set Z."""
+    return sum(1 << sum(1 << a for a in z) for z in action_sets)
+
+
 def test_refusal_output_cases():
     # one state with both actions enabled, one with only a, one dead
     delta = ((0b1, 0b1), (0b1, 0b0), (0b0, 0b0))
-    assert refusal_output(delta, 2, 0) == frozenset({frozenset()})
-    assert refusal_output(delta, 2, 1) == frozenset(
-        {frozenset(), frozenset({1})})
-    assert refusal_output(delta, 2, 2) == frozenset(
-        {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})})
+    assert refusal_output(delta, 2, 0) == _family(())
+    assert refusal_output(delta, 2, 1) == _family((), (1,))
+    assert refusal_output(delta, 2, 2) == _family((), (0,), (1,), (0, 1))
 
 
 def test_ready_output_cases():
     delta = ((0b0, 0b0), (0b1, 0b0))
-    assert ready_output(delta, 0) == frozenset({frozenset()})
-    assert ready_output(delta, 1) == frozenset({frozenset({0})})
+    assert ready_output(delta, 0) == _family(())
+    assert ready_output(delta, 1) == _family((0,))
     # union of two ready outputs keeps both ready sets
     joined = ready_output(delta, 0) | ready_output(delta, 1)
-    assert joined == frozenset({frozenset(), frozenset({0})})
+    assert joined == _family((), (0,))
+
+
+def _distinct_enabled_lts(n, num_actions):
+    """n states, state x enabling exactly the actions of mask x, each
+    enabled action leading to two states."""
+    states = Carrier(tuple(f"s{x}" for x in range(n)))
+    alphabet = Carrier(tuple("abcd"[:num_actions]))
+    delta = tuple(
+        tuple((1 << (x + a + 1) % n | 1 << (3 * x + a) % n) if x >> a & 1 else 0
+              for a in range(num_actions))
+        for x in range(n))
+    return states, alphabet, delta
+
+
+class _SetOutputs:
+    """The Moore system of `lts` observing frozensets of action
+    frozensets joined by union, computed straight from its transitions."""
+
+    def __init__(self, lts, semantics):
+        self.states, self.alphabet, self.post = lts.states, lts.alphabet, lts.post
+        actions = range(len(lts.alphabet))
+        self.outputs = []
+        for row in lts.delta:
+            enabled = frozenset(a for a in actions if row[a])
+            if semantics == "ready":
+                self.outputs.append(frozenset({enabled}))
+            else:
+                refusable = [a for a in actions if a not in enabled]
+                self.outputs.append(frozenset(
+                    frozenset(z) for r in range(len(refusable) + 1)
+                    for z in itertools.combinations(refusable, r)))
+
+    def observe(self, mask):
+        return frozenset().union(*(self.outputs[x] for x in bits(mask)))
+
+
+@pytest.mark.parametrize("semantics", ["ready", "failure"])
+def test_moore_output_masks_agree_with_sets_of_action_sets(semantics):
+    states, alphabet, delta = _distinct_enabled_lts(8, 3)
+    lts = build_output_lts(states, alphabet, delta, semantics)
+    ref = _SetOutputs(lts, semantics)
+    for mask in range(1 << 8):
+        shown = sorted(ref.observe(mask), key=lambda z: (len(z), sorted(z)))
+        assert lts.show(lts.observe(mask)) == "{" + ",".join(
+            "{" + ",".join(alphabet.names[a] for a in sorted(z)) + "}"
+            for z in shown) + "}"
+    got, want = moore_equiv(lts), moore_equiv(ref)
+    assert got.classes() == want.classes()
+    assert got.iterations == want.iterations
+    rng = Lcg(3007)
+    for _ in range(200):
+        u, v = rng.randint(0, 255), rng.randint(0, 255)
+        assert moore_pair_oracle(lts, u, v) == moore_pair_oracle(ref, u, v)
+
+
+@pytest.mark.parametrize("semantics", ["ready", "failure"])
+def test_moore_equiv_on_the_full_powerset_at_the_cap(semantics):
+    states, alphabet, delta = _distinct_enabled_lts(12, 4)
+    lts = build_output_lts(states, alphabet, delta, semantics)
+    started = time.perf_counter()
+    eq = moore_equiv(lts)
+    elapsed = time.perf_counter() - started
+    assert len(eq.machine.subset_states) == 1 << 12
+    # distinct enabled sets are told apart by the empty word
+    for x in range(12):
+        for y in range(x):
+            assert not eq.related(1 << x, 1 << y)
+    rng = Lcg(3008)
+    for _ in range(100):
+        u, v = rng.randint(0, 4095), rng.randint(0, 4095)
+        assert eq.related(u, v) == moore_pair_oracle(lts, u, v).equivalent
+    assert elapsed < 5.0, elapsed
 
 
 # ------------------------------------------------------ shared word search
@@ -598,9 +676,8 @@ def test_automaton_agrees_with_its_moore_form():
     for _ in range(120):
         nda = random_nda(rng, max_states=4, max_actions=3)
         n = len(nda.states)
-        lts = OutputLts(nda.states, nda.alphabet, nda.delta,
-                        tuple(nda.accepting >> x & 1 for x in range(n)),
-                        Semilattice.boolean())
+        lts = lattice_lts(nda.states, nda.alphabet, nda.delta, Semilattice.boolean(),
+                          tuple(nda.accepting >> x & 1 for x in range(n)))
         automaton, moore = moore_equiv(nda), moore_equiv(lts)
         assert automaton.classes() == moore.classes()
         assert automaton.iterations == moore.iterations

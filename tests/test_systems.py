@@ -7,9 +7,9 @@ from behaveq import (
     DimensionMismatch,
     Lwa,
     Nda,
-    OutputLts,
     Semilattice,
     forward_determinize,
+    lattice_lts,
     moore_determinize,
     validate,
 )
@@ -150,11 +150,12 @@ def test_lwa_post_and_observe_refuse_bad_input():
 
 def test_moore_determinize_constant_one_outputs():
     states = Carrier(("u", "v"))
-    lts = OutputLts(states, Carrier(("a",)),
-                    ((0b10,), (0b00,)), (1, 1), Semilattice.boolean())
+    lts = lattice_lts(states, Carrier(("a",)),
+                      ((0b10,), (0b00,)), Semilattice.boolean(), (1, 1))
     machine = moore_determinize(lts, range(4))
     for i, mask in enumerate(machine.subset_states):
         assert machine.out[i] == (1 if mask else 0)
+        assert lts.show(machine.out[i]) == ("1" if mask else "0")
 
 
 def test_moore_determinize_singleton_and_join():
@@ -162,11 +163,12 @@ def test_moore_determinize_singleton_and_join():
                              ((0, 1, 2, 3), (1, 1, 3, 3),
                               (2, 3, 2, 3), (3, 3, 3, 3)), 0)
     states = Carrier(("x1", "x2"))
-    lts = OutputLts(states, Carrier(("a",)), ((0,), (0,)), (1, 2), lat)
+    lts = lattice_lts(states, Carrier(("a",)), ((0,), (0,)), lat, (1, 2))
     machine = moore_determinize(lts, [0b01, 0b11])
-    assert machine.out[machine.pos(0b01)] == 1
-    assert machine.out[machine.pos(0b11)] == 3
-    assert machine.out[machine.pos(0b00)] == 0
+    assert lts.show(machine.out[machine.pos(0b01)]) == "s1"
+    assert lts.show(machine.out[machine.pos(0b11)]) == "s12"
+    assert lts.show(machine.out[machine.pos(0b00)]) == "bot"
+    assert machine.out[machine.pos(0b11)] == lts.output[0] | lts.output[1]
     assert machine.subset_states[machine.trans[machine.pos(0b01)][0]] == 0
 
 
@@ -183,7 +185,12 @@ def test_validate_out_of_range_successor():
 
 
 def test_validate_bad_semilattice_diagnostic():
+    # the lattice is checked where it is turned into output sets
     bad = Semilattice(("u", "v"), ((1, 1), (1, 1)), 0)
-    lts = OutputLts(Carrier(("x",)), Carrier(("a",)), ((0,),), (0,), bad)
-    probs = validate(lts)
-    assert any("idempotent" in p and "u" in p for p in probs)
+    assert any("idempotent" in p and "u" in p for p in validate(bad))
+    with pytest.raises(ValueError, match="idempotent at u"):
+        lattice_lts(Carrier(("x",)), Carrier(("a",)), ((0,),), bad, (0,))
+    for index in (2, -1):
+        with pytest.raises(ValueError, match="output of x is not a lattice element"):
+            lattice_lts(Carrier(("x",)), Carrier(("a",)), ((0,),),
+                        Semilattice.boolean(), (index,))

@@ -67,6 +67,9 @@ def test_traced_calls_print_the_same_bytes(tmp_path):
     lwa.write_text(json.dumps(LWA_DOC))
     cts = tmp_path / "cts.json"
     cts.write_text(json.dumps(CTS_DOC))
+    failure = tmp_path / "failure.json"
+    failure.write_text(json.dumps(dict(json.load(open(MOORE)),
+                                       semantics="failure")))
     calls = [
         ["equiv", GOLDEN, "--pair", "{x}", "{y}", "--json"],
         ["equiv", MOORE, "--pair", "p0", "q0", "--semantics", "failure", "--json"],
@@ -79,6 +82,8 @@ def test_traced_calls_print_the_same_bytes(tmp_path):
         ["eval", str(lwa), "--vector", "[1,1/2,0]", "--word", "ab", "--json"],
         ["equiv", str(cts), "--pair", "u", "v", "--json"],
         ["check", "--random", "cts", "--adequacy", "--trials", "1", "--json"],
+        ["determinize", str(failure), "--json"],
+        ["eval", str(failure), "--state", "p0", "--maxlen", "1", "--json"],
     ]
     res = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
@@ -87,7 +92,7 @@ def test_traced_calls_print_the_same_bytes(tmp_path):
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
     assert got["traced"] == got["plain"]
-    assert [code for code, _ in got["plain"]] == [1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert [code for code, _ in got["plain"]] == [1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
     assert got["counts"]["systems.positions"] > 0
     assert got["counts"]["equivalence.oracle_calls"] > 0
     assert got["counts"]["equivalence.lwa_chain_len"] > 0
