@@ -437,7 +437,9 @@ class Semilattice:
     `table[i][j]` is the index of join(i, j); `bottom` is the unit.
     Use `create` to get the laws verified exhaustively; raw construction
     is allowed so that ill-formed tables can be diagnosed by
-    `diagnostics` instead of an exception.
+    `diagnostics` instead of an exception.  `problems` runs
+    `diagnostics` once per lattice, so a table checked by `create` is
+    not checked again by `systems.lattice_lts`.
     """
 
     names: tuple[str, ...]
@@ -447,9 +449,8 @@ class Semilattice:
     @classmethod
     def create(cls, names, table, bottom) -> "Semilattice":
         lat = cls(tuple(names), tuple(tuple(row) for row in table), bottom)
-        problems = lat.diagnostics()
-        if problems:
-            raise ValueError(problems[0])
+        if lat.problems:
+            raise ValueError(lat.problems[0])
         return lat
 
     @classmethod
@@ -463,6 +464,10 @@ class Semilattice:
         semilattice is a union-closed family of sets."""
         return tuple(sum(1 << u for u, j in enumerate(row) if j != u)
                      for row in self.table)
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        return tuple(self.diagnostics())
 
     def diagnostics(self) -> list[str]:
         n = len(self.names)

@@ -150,9 +150,8 @@ def lattice_lts(states: Carrier, alphabet: Carrier, delta, lattice: Semilattice,
     """The Moore system whose state x outputs element `outputs[x]` of an
     explicit semilattice, each element embedded as its set `as_sets()`
     and shown by its name.  A table that fails `diagnostics` is refused."""
-    problems = lattice.diagnostics()
-    if problems:
-        raise ValueError(problems[0])
+    if lattice.problems:
+        raise ValueError(lattice.problems[0])
     sets = lattice.as_sets()
     for x, o in enumerate(outputs):
         if not 0 <= o < len(sets):

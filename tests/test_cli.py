@@ -626,6 +626,39 @@ def test_moore_lattice_with_a_semantics_is_refused(tmp_path, capsys):
     code, out, _ = run_main(["equiv", str(path), "--json"], capsys)
     assert code == 0 and "assumptions" not in json.loads(out)
 
+
+def test_moore_lattice_laws_are_checked_once_per_load(tmp_path, capsys,
+                                                      monkeypatch):
+    # the O(L^3) law check runs in `Semilattice.create`, and the system
+    # built from the checked lattice does not run it again
+    from behaveq.core import Semilattice
+    honest, calls = Semilattice.diagnostics, []
+
+    def counting(self):
+        calls.append(self.names)
+        return honest(self)
+
+    monkeypatch.setattr(Semilattice, "diagnostics", counting)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(LATTICE_DOC))
+    code, out, _ = run_main(["equiv", str(path), "--json"], capsys)
+    assert code == 0 and json.loads(out)["classes"]
+    assert calls == [("lo", "hi")]
+
+
+def test_moore_lattice_is_reported_before_its_outputs(tmp_path, capsys):
+    bad_join = dict(LATTICE_DOC["lattice"], join=[["hi", "hi"], ["hi", "hi"]])
+    bad_outputs = {"p": "mid", "q": "lo"}
+    path = tmp_path / "doc.json"
+    for doc, line in (
+            (dict(LATTICE_DOC, lattice=bad_join, outputs=bad_outputs),
+             "error: bad lattice: join not idempotent at lo"),
+            (dict(LATTICE_DOC, lattice=bad_join),
+             "error: bad lattice: join not idempotent at lo"),
+            (dict(LATTICE_DOC, outputs=bad_outputs), "error: bad outputs: 'mid'")):
+        path.write_text(json.dumps(doc))
+        assert run_main(["equiv", str(path)], capsys) == (2, "", [line])
+
 # --pair specs: a state, a subset, two vectors, the empty subset, an
 # unknown label, a condition:state position, the empty vector and two
 # subsets with one brace missing

@@ -245,6 +245,60 @@ def test_law_reports_match_golden_digests():
         assert hashlib.sha256(data).hexdigest() == digest, (family, corruption)
 
 
+# The same digests at seed 11 and 30 trials.  Every corruption fills at
+# least one law (four failures) within its first ten trials, so most of
+# each corrupted run skips that law: the skip must not change a byte.
+_GOLDEN_FULL_LAW_REPORTS = {
+    ("nda", None): "63a983c96ed6d327d019243cc20864e548ed5a4d08267d1acd09712789453d35",
+    ("nda", "dist-law"): "d08c528df2fc44884d4a33737b7da10d272f385fd894736c1ec8f84aada2607f",
+    ("nda", "det-step"): "8b6be6728f673f140b382f62eb9c1247f17ba6a7a202dcf1b2b44cbed1799ea3",
+    ("nda", "sigma"): "d768257c0aad370281cb979b84488151d2f57f627cd36a61a8bc2dc38fc3a636",
+    ("nda", "lift"): "deeec04aa672630f61dd281928cb1381bf344f8b8f0add64f5ea2d168b8c618d",
+    ("nda", "meet"): "8786aaee91635916b563fd85d8a9aa770f976e8d8e13d3bfded5b7de2ffc61e6",
+    ("lwa", None): "b21b30b0e9721b7b87dfbff754e760afcea617afd2585c758df35e1a39307cc8",
+    ("lwa", "dist-law"): "c08ab321145c4448bccb7a724b396468b5b4a12e0598c617f58851219e5f68d8",
+    ("lwa", "det-step"): "f786c9396522237de3e14869b537114ae436d56fd138c75aaa36bcf2910a7417",
+    ("lwa", "sigma"): "c9996dd82633d0923ef800047c37d5167bc234fab096187c2eb63cb0c49d4c42",
+    ("lwa", "lift"): "bebaa1b1ef7e7ffe81f725c451b94ef98d107fc9a378f31eb77ffb94a575f4a6",
+    ("cts", None): "25750e9960819c9e05d2f9adc4f30c621963dc7ee6250340981c6dda01ceb2a6",
+    ("cts", "dist-law"): "aa890fdf6ec6c2087dca1e269fd18c30114652d14a589fe71d12746da9693fc9",
+    ("cts", "sigma"): "50265bed40d8f8c6f85e10acd355c4f8b6d0a6446111967d52af74f0c45757d3",
+    ("cts", "lift"): "47ec8a2f03859fc63b2f7100fc22218b912845fc03454d1f5610da1a82b700e6",
+    ("cts", "meet"): "932f8ca6cc7de0d759509732d8a5453c650e8d188e58cfeaab70282a837e8b72",
+}
+
+
+def _report_digest(report) -> str:
+    data = json.dumps(report.to_json(), sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_law_reports_with_full_laws_match_golden_digests():
+    assert set(_GOLDEN_FULL_LAW_REPORTS) == set(_GOLDEN_LAW_REPORTS)
+    for (family, corruption), digest in _GOLDEN_FULL_LAW_REPORTS.items():
+        report = check_lifting_laws(family, trials=30, seed=11,
+                                    corruption=corruption)
+        assert _report_digest(report) == digest, (family, corruption)
+
+
+def test_full_law_is_not_evaluated_again(monkeypatch):
+    # the meet corruption fills intersection-preservation in the first
+    # trial; evaluated in every trial, that law alone would call the
+    # lifting at least twice on each of 32 x 32 pairs per trial
+    law, entry, broken = liftings._NDA_CORRUPTIONS["meet"]
+    calls = 0
+
+    def counting(rel_pairs, t1, t2):
+        nonlocal calls
+        calls += 1
+        return broken(rel_pairs, t1, t2)
+
+    monkeypatch.setitem(liftings._NDA_CORRUPTIONS, "meet", (law, entry, counting))
+    report = check_lifting_laws("nda", trials=30, seed=11, corruption="meet")
+    assert _report_digest(report) == _GOLDEN_FULL_LAW_REPORTS[("nda", "meet")]
+    assert 0 < calls < 30 * 2 * 32 * 32
+
+
 def test_law_memo_lasts_one_call(monkeypatch):
     # a corrupted kit's tables must not reach a later clean call, nor a
     # clean call's tables a corrupted one
