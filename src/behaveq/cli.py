@@ -68,7 +68,7 @@ from .quotient import (
     redundant_members,
     verify_witness_homomorphism,
 )
-from .rng import Lcg, random_cts, random_lwa, random_nda, subseed
+from .rng import Lcg, random_cts, random_lwa, random_nda, run_trials, subseed
 from .systems import (
     Cts,
     Lwa,
@@ -488,12 +488,17 @@ def _run_adequacy_checks(args, results: list) -> None:
         })
         return
     for family in _families(args):
-        failures = []
-        for i in range(args.trials):
-            system = _ADEQUACY_SYSTEMS[family](Lcg(subseed(args.seed, i)))
-            report = check_adequacy_expressivity(system)
-            if not report.passed:
-                failures.append({"trial": i, "report": report.to_json()})
+        draw = _ADEQUACY_SYSTEMS[family]
+
+        def run_part(part: range) -> list:
+            failures = []
+            for i in part:
+                report = check_adequacy_expressivity(draw(Lcg(subseed(args.seed, i))))
+                if not report.passed:
+                    failures.append({"trial": i, "report": report.to_json()})
+            return failures
+
+        failures = [f for part in run_trials(args.trials, run_part) for f in part]
         results.append({
             "check": f"adequacy:{family}",
             "passed": not failures,

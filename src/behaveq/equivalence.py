@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -58,14 +58,18 @@ class MachineEquiv:
     """Coarsest bisimulation on a determinized machine.
 
     `blocks` assigns each machine position its class id; `relation` is
-    the same equivalence as a bit relation; `related` answers queries
-    by subset mask.
+    the same equivalence as a bit relation, built on first read (about
+    N^2/16 bytes over N positions); `related` answers queries by subset
+    mask.
     """
 
     machine: DeterminizedMachine
-    relation: BitRel
     iterations: int
     blocks: tuple[int, ...]
+
+    @cached_property
+    def relation(self) -> BitRel:
+        return BitRel.from_blocks(self.blocks)
 
     def related(self, mask_u: int, mask_v: int) -> bool:
         pos = self.machine.pos
@@ -84,7 +88,7 @@ def machine_equiv(machine: DeterminizedMachine) -> MachineEquiv:
     blocks, rounds = refine(
         len(machine.subset_states),
         lambda i, blocks: (out[i], tuple(blocks[t] for t in trans[i])))
-    return MachineEquiv(machine, BitRel.from_blocks(blocks), rounds, blocks)
+    return MachineEquiv(machine, rounds, blocks)
 
 
 @dataclass(frozen=True)

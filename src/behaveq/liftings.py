@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (BitRel, Subspace, as_rational, bits, echelonize, nullspace,
                    orthogonal_tests, preimage_subspace)
-from .rng import WEIGHT_GRID, Lcg, random_cts, random_lwa, random_nda, random_vector
+from .rng import (WEIGHT_GRID, Lcg, random_cts, random_lwa, random_nda,
+                  random_vector, run_trials)
 from .systems import Cts, DeterminizedMachine, Lwa, forward_determinize
 
 
@@ -1163,7 +1164,10 @@ def check_lifting_laws(family: str, trials: int = 100, seed: int = 0,
     report keeps the first four failures of each law, so a law that
     holds four is not evaluated again; its trials still make every
     draw, so the report is the same, byte for byte, as one that
-    evaluates every law in every trial.
+    evaluates every law in every trial.  The trials run in contiguous
+    parts on the available CPUs (`rng.run_trials`), each part with its
+    own memo, and the parts' failures are merged in trial order, so the
+    report is the same for any number of CPUs.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -1181,10 +1185,21 @@ def check_lifting_laws(family: str, trials: int = 100, seed: int = 0,
             raise ValueError(
                 f"unknown corruption {corruption!r} for {family}") from None
         kit[entry] = broken
-    suite = _Suite(laws, trials)
     master = Lcg(seed)
-    # Built with this call's kit, so it must not outlive the call.
-    memo: dict = {}
-    for i in range(trials):
-        run(suite, master.spawn(i), kit, memo)
+
+    def run_part(part: range) -> dict:
+        suite = _Suite(laws, trials)
+        # Built with this call's kit, so it must not outlive the call.
+        memo: dict = {}
+        for i in part:
+            run(suite, master.spawn(i), kit, memo)
+        return suite.failures
+
+    # A law's first failures in trial order are among the first of the
+    # part they fall in, so merging the parts in order keeps the report.
+    suite = _Suite(laws, trials)
+    for failures in run_trials(trials, run_part):
+        for law, found in failures.items():
+            kept = suite.failures[law]
+            kept.extend(found[:_MAX_FAILURES - len(kept)])
     return suite.report(family, seed, corruption)

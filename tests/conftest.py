@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import pytest
@@ -27,3 +28,16 @@ def mask_of(carrier: Carrier, *labels: str) -> int:
     for label in labels:
         out |= 1 << carrier.index(label)
     return out
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process behind, such as a forked
+    trial part that was never reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped "
+                f"({f'pid {pid}' if pid else 'still running'})")

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -123,6 +124,28 @@ def test_equiv_moore_semantics_flag():
     assert res.returncode == 1
     payload = json.loads(res.stdout)
     assert payload["witness"] == "[a]↓"
+
+
+def test_equiv_never_builds_the_machine_relation(monkeypatch, capsys):
+    # the relation of a subset machine takes ~N^2/16 bytes over N
+    # positions; `equiv` reads only the blocks
+    from behaveq import BitRel
+    honest, sizes = BitRel.from_blocks.__func__, []
+
+    def counting(cls, blocks):
+        sizes.append(len(blocks))
+        return honest(cls, blocks)
+
+    monkeypatch.setattr(BitRel, "from_blocks", classmethod(counting))
+    for argv in (["equiv", GOLDEN], ["equiv", GOLDEN, "--pair", "{x,y}", "{y}"],
+                 ["equiv", GOLDEN, "--pair", "{x}", "{y}", "--json"],
+                 ["equiv", MOORE, "--semantics", "failure"],
+                 ["equiv", MOORE, "--pair", "{p0}", "{q0}", "--semantics", "ready"]):
+        assert run_main(argv, capsys)[0] in (0, 1), argv
+    assert sizes == []
+    # the quotient reads the relation, and builds it once
+    assert run_main(["quotient", GOLDEN], capsys)[0] == 0
+    assert sizes == [8]
 
 
 # -------------------------------------------------------------- quotient
@@ -835,3 +858,89 @@ def test_unexpected_exception_exits_two(monkeypatch, capsys, exc, line):
     monkeypatch.setattr("behaveq.cli.cmd_equiv", broken)
     code, out, err = run_main(["equiv", GOLDEN], capsys)
     assert (code, out, err) == (2, "", [line])
+
+
+# ------------------------------------------------------- parallel trials
+
+def force_workers(monkeypatch, count):
+    from behaveq import rng
+    monkeypatch.setattr(rng, "workers", lambda trials: count)
+
+
+def check_output(monkeypatch, capfd, argv, workers):
+    force_workers(monkeypatch, workers)
+    code = main(argv)
+    out, err = capfd.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("family", ["nda", "lwa", "cts"])
+def test_random_adequacy_report_is_the_same_for_any_worker_count(
+        monkeypatch, capfd, family):
+    argv = ["check", "--adequacy", "--random", family, "--trials", "25",
+            "--seed", "4", "--json"]
+    one = check_output(monkeypatch, capfd, argv, 1)
+    assert one[0] == 0 and one[2] == ""
+    assert check_output(monkeypatch, capfd, argv, 3) == one
+
+
+@pytest.mark.parametrize("family", ["nda", "lwa", "cts"])
+def test_random_adequacy_failures_keep_trial_order_for_any_worker_count(
+        monkeypatch, capfd, family):
+    import dataclasses
+
+    from behaveq import cli
+    honest = cli.check_adequacy_expressivity
+
+    def fails_on_odd_sizes(system):
+        report = honest(system)
+        if len(system.states) % 2:
+            report = dataclasses.replace(report, adequate=False)
+        return report
+
+    monkeypatch.setattr(cli, "check_adequacy_expressivity", fails_on_odd_sizes)
+    argv = ["check", "--adequacy", "--random", family, "--trials", "25",
+            "--seed", "4", "--json"]
+    one = check_output(monkeypatch, capfd, argv, 1)
+    failures = json.loads(one[1])["checks"][0]["detail"]["failures"]
+    trials = [f["trial"] for f in failures]
+    assert one[0] == 1 and trials and trials == sorted(trials)
+    assert max(trials) >= 9     # past the first of three parts
+    assert check_output(monkeypatch, capfd, argv, 3) == one
+
+
+def break_nda_trials_in_children(monkeypatch, broken):
+    """Make every nda law trial after the first part call `broken`."""
+    from behaveq import liftings
+    laws, kit, corruptions, run = liftings._FAMILIES["nda"]
+    parent = os.getpid()
+
+    def trial(suite, rng, kit, memo):
+        if os.getpid() != parent:
+            broken()
+        run(suite, rng, kit, memo)
+
+    monkeypatch.setitem(liftings._FAMILIES, "nda", (laws, kit, corruptions, trial))
+
+
+def raise_error():
+    raise ArithmeticError("broken\ntrial")
+
+
+def exit_silently():
+    os._exit(1)
+
+
+@pytest.mark.parametrize("broken, detail", [
+    (raise_error, "failed: ArithmeticError: broken trial"),
+    (exit_silently, "failed: exit status 1"),
+])
+def test_failing_trial_part_exits_two_with_one_error_line(
+        monkeypatch, capfd, broken, detail):
+    break_nda_trials_in_children(monkeypatch, broken)
+    argv = ["check", "--random", "nda", "--laws", "--trials", "6", "--json"]
+    code, out, err = check_output(monkeypatch, capfd, argv, 2)
+    assert (code, out) == (2, "")
+    assert err == f"error: TrialPartError: trials 3..5 {detail}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -22,7 +22,7 @@ from behaveq import (
     nda_dist_law,
     nda_modality,
 )
-from behaveq import liftings
+from behaveq import liftings, rng
 from behaveq.liftings import CORRUPTIONS
 from behaveq.rng import Lcg, random_cts
 
@@ -281,10 +281,24 @@ def test_law_reports_with_full_laws_match_golden_digests():
         assert _report_digest(report) == digest, (family, corruption)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_law_reports_match_golden_digests_for_any_worker_count(monkeypatch,
+                                                               workers):
+    monkeypatch.setattr(rng, "workers", lambda trials: workers)
+    for golden, trials, seed in ((_GOLDEN_LAW_REPORTS, 10, 3),
+                                 (_GOLDEN_FULL_LAW_REPORTS, 30, 11)):
+        for (family, corruption), digest in golden.items():
+            report = check_lifting_laws(family, trials=trials, seed=seed,
+                                        corruption=corruption)
+            assert _report_digest(report) == digest, (family, corruption)
+
+
 def test_full_law_is_not_evaluated_again(monkeypatch):
     # the meet corruption fills intersection-preservation in the first
     # trial; evaluated in every trial, that law alone would call the
-    # lifting at least twice on each of 32 x 32 pairs per trial
+    # lifting at least twice on each of 32 x 32 pairs per trial.  One
+    # part, so that every call is made in this process and counted.
+    monkeypatch.setattr(rng, "workers", lambda trials: 1)
     law, entry, broken = liftings._NDA_CORRUPTIONS["meet"]
     calls = 0
 
@@ -301,7 +315,9 @@ def test_full_law_is_not_evaluated_again(monkeypatch):
 
 def test_law_memo_lasts_one_call(monkeypatch):
     # a corrupted kit's tables must not reach a later clean call, nor a
-    # clean call's tables a corrupted one
+    # clean call's tables a corrupted one; one part, so that every call
+    # is made in this process and counted
+    monkeypatch.setattr(rng, "workers", lambda trials: 1)
     alone = check_lifting_laws("nda", trials=10, seed=3).to_json()
     corrupted = check_lifting_laws("nda", trials=10, seed=3,
                                    corruption="det-step")
