@@ -624,7 +624,7 @@ def cmd_determinize(args) -> int:
         if n > args.cap:
             raise CapExceeded(f"default initials need {n} <= cap {args.cap}")
         initials = range(1 << n)
-    machine = moore_determinize(dynamics, initials)
+    machine = moore_determinize(dynamics, initials, args.cap)
     labels = [machine.label(i) for i in range(len(machine.subset_states))]
     payload = {
         "direction": args.direction,
@@ -672,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a JSON report")
         if cap:
             p.add_argument("--cap", type=int, default=12,
-                           help="powerset size cap (default 12)")
+                           help="at most 2^CAP subset positions (default 12)")
 
     p = sub.add_parser("equiv", help="equivalence classes or a pairwise verdict")
     p.add_argument("file")

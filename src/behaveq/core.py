@@ -19,6 +19,7 @@ never floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -243,28 +244,103 @@ def gfp(step: Callable, top, *, debug: bool = False) -> GfpResult:
         cur = nxt
 
 
-def refine(size: int, signature: Callable) -> tuple[tuple[int, ...], int]:
+_NO_SIGNATURE = object()
+
+
+def refine(size: int, signature: Callable,
+           successors: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], int]:
     """Coarsest stable partition of 0..size-1 by signature refinement.
 
-    Starting from the one-block partition, each round re-keys every
-    element by (its block, signature(element, blocks)), numbering the
-    new blocks by first occurrence.  The first round that splits no
-    block confirms stability and is counted, so round t yields the
-    relation that gfp reaches at iteration t from the full relation
-    when the step relates two elements iff their signatures agree.
-    Returns (block ids, rounds).
+    `signature(i, blocks)` reads `blocks` only at `successors[i]`, and
+    whether two signatures are equal must not depend on which ids the
+    blocks carry (true of any signature built from the ids one to one).
+
+    Round 1 keys every element by its signature under the one-block
+    partition.  Round r+1 re-keys only the dirty elements: those with a
+    successor whose id changed in round r.  Within each block, the
+    elements are split by signature; when a block splits, its largest
+    part keeps the block's id and the other parts get new ids, so only
+    their members change id.  Sizes are kept as counters, and each
+    block records `shared[b]`, the signature that all its members had
+    when they were last keyed.
+
+    A member of block b that is not re-keyed stays in b: it was last
+    keyed under ids that its successors still carry, so its signature
+    now is still shared[b].  A re-keyed member whose signature equals
+    shared[b] stays with them; the others are grouped by signature.  So
+    each round splits each block exactly as re-keying every element by
+    (block, signature) would, and by induction every round yields the
+    same partition as that plain iteration.  The first round that
+    splits no block (one with no dirty element, or whose dirty elements
+    all match) confirms stability and is counted, so the rounds are the
+    plain iteration's too, and round t yields the relation that gfp
+    reaches at iteration t from the full relation when the step relates
+    two elements iff their signatures agree.  The ids are renumbered by
+    first occurrence at the end.  Returns (block ids, rounds).
     """
+    preds: list[list[int]] = [[] for _ in range(size)]
+    for i, row in enumerate(successors):
+        for j in row:
+            preds[j].append(i)
     blocks = [0] * size
-    count = min(size, 1)
+    sizes = [size]
+    # each block's members, and perhaps some that have left it since
+    members: list = [range(size)]
+    shared = [_NO_SIGNATURE]
+    dirty: Iterable[int] = range(size)
     rounds = 0
     while True:
         rounds += 1
         keys: dict = {}
-        nxt = [keys.setdefault((blocks[i], signature(i, blocks)), len(keys))
-               for i in range(size)]
-        if len(keys) == count:
-            return tuple(blocks), rounds
-        blocks, count = nxt, len(keys)
+        kid = [keys.setdefault((blocks[i], signature(i, blocks)), len(keys))
+               for i in dirty]
+        count = Counter(kid)
+        # the parts that leave their block, and the largest per block;
+        # sizes[b] becomes the size of the part that stays
+        leaving = [(b, s, k) for (b, s), k in keys.items() if s != shared[b]]
+        largest: dict[int, int] = {}
+        for b, s, k in leaving:
+            n = count[k]
+            sizes[b] -= n
+            if n > count[largest.setdefault(b, k)]:
+                largest[b] = k
+        # the new id of each key's part; -1 where the part keeps its id
+        target = [-1] * len(keys)
+        kept, swaps = set(), []
+        for b, k in largest.items():
+            if not sizes[b]:
+                kept.add(k)  # nobody stays: the largest part keeps b
+            elif sizes[b] < count[k]:
+                swaps.append((b, k))
+        fresh = len(sizes)
+        for b, s, k in leaving:
+            if k in kept:
+                sizes[b], shared[b] = count[k], s
+            else:
+                target[k] = len(sizes)
+                sizes.append(count[k])
+                shared.append(s)
+                members.append([])
+        if fresh == len(sizes):
+            ids: dict[int, int] = {}
+            return tuple([ids.setdefault(b, len(ids)) for b in blocks]), rounds
+        for i, k in zip(dirty, kid):
+            c = target[k]
+            if c >= 0:
+                blocks[i] = c
+                members[c].append(i)
+        # a leaving part larger than the part that stays swaps ids with it
+        for b, k in swaps:
+            c = target[k]
+            stay = [m for m in members[b] if blocks[m] == b]
+            for m in stay:
+                blocks[m] = c
+            for m in members[c]:
+                blocks[m] = b
+            members[b], members[c] = members[c], stay
+            sizes[b], sizes[c] = sizes[c], sizes[b]
+            shared[b], shared[c] = shared[c], shared[b]
+        dirty = {p for part in members[fresh:] for m in part for p in preds[m]}
 
 
 def block_classes(blocks: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -87,7 +87,7 @@ def machine_equiv(machine: DeterminizedMachine) -> MachineEquiv:
     out, trans = machine.out, machine.trans
     blocks, rounds = refine(
         len(machine.subset_states),
-        lambda i, blocks: (out[i], tuple(blocks[t] for t in trans[i])))
+        lambda i, blocks: (out[i], *[blocks[t] for t in trans[i]]), trans)
     return MachineEquiv(machine, rounds, blocks)
 
 
@@ -145,14 +145,15 @@ def moore_equiv(system: Nda | OutputLts, initials: Iterable[int] | None = None,
 
     The one subset engine: an automaton is the case of the two-element
     semilattice, where a subset's output is whether it accepts, and its
-    behavioural equivalence is language equivalence.
+    behavioural equivalence is language equivalence.  Either way the
+    machine holds at most 2^cap positions.
     """
     n = len(system.states)
     if initials is None:
         if n > cap:
             raise CapExceeded(f"full powerset over {n} states exceeds cap {cap}")
         initials = range(1 << n)
-    return machine_equiv(moore_determinize(system, initials))
+    return machine_equiv(moore_determinize(system, initials, cap))
 
 
 # ------------------------------------------------------------- weighted
@@ -334,13 +335,18 @@ def lwa_pair_oracle(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
 
 @dataclass(frozen=True)
 class CtsBisimResult:
-    """`relation` is conditional bisimilarity on the condition/state
-    positions k*|X| + x; it relates only positions of one condition.
-    `blocks[k]` is condition k's partition as a block id per state."""
+    """`blocks[k]` is condition k's partition as a block id per state.
+    `relation` is conditional bisimilarity on the condition/state
+    positions k*|X| + x, built on first read (about N^2/16 bytes over
+    N positions); it relates only positions of one condition."""
 
-    relation: BitRel
     iterations: int
     blocks: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def relation(self) -> BitRel:
+        return BitRel.from_blocks(
+            [(k, b) for k, slice_blocks in enumerate(self.blocks) for b in slice_blocks])
 
     def classes(self, k: int) -> tuple[tuple[int, ...], ...]:
         return block_classes(self.blocks[k])
@@ -355,14 +361,13 @@ def cts_conditional_bisim(cts: Cts) -> CtsBisimResult:
     """
     n = len(cts.states)
     blocks, rounds = [], 1
-    for succ in cts.delta:
+    for row in cts.delta:
+        succ = [list(bits(mask)) for mask in row]
         slice_blocks, slice_rounds = refine(
-            n, lambda x, blocks: frozenset(blocks[y] for y in bits(succ[x])))
+            n, lambda x, blocks: frozenset([blocks[y] for y in succ[x]]), succ)
         blocks.append(slice_blocks)
         rounds = max(rounds, slice_rounds)
-    relation = BitRel.from_blocks(
-        [(k, b) for k, slice_blocks in enumerate(blocks) for b in slice_blocks])
-    return CtsBisimResult(relation, rounds, tuple(blocks))
+    return CtsBisimResult(rounds, tuple(blocks))
 
 
 def cts_slice_bisim_oracle(cts: Cts, k: int) -> tuple[tuple[int, ...], ...]:

@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .core import (
+    CapExceeded,
     Carrier,
     DimensionMismatch,
     Semilattice,
@@ -198,17 +199,28 @@ def _check_masks(n: int, initials: Iterable[int]) -> list[int]:
     return masks
 
 
-def moore_determinize(system, initials: Iterable[int]) -> DeterminizedMachine:
+def moore_determinize(system, initials: Iterable[int],
+                      cap: int = 12) -> DeterminizedMachine:
     """Reachable subset machine of an Nda or OutputLts from `initials`,
-    with the members' outputs joined (acceptance, for an automaton)."""
+    with the members' outputs joined (acceptance, for an automaton).
+
+    Refuses with `CapExceeded` as soon as the breadth-first queue holds
+    more than 2^cap positions; the full powerset of n <= cap states
+    fits."""
     post, observe = system.post, system.observe
     num_actions = len(system.alphabet)
-    order = _check_masks(len(system.states), initials)
+    n = len(system.states)
+    order = _check_masks(n, initials)
+    # no machine passes 2^n positions, so a larger cap bounds nothing
+    limit = 1 << max(0, min(cap, n))
     pos = {m: i for i, m in enumerate(order)}
     trans: list[list[int]] = []
     queue = list(order)
     head = 0
     while head < len(queue):
+        if len(queue) > limit:
+            raise CapExceeded(f"subset machine reaches {len(queue)} positions, "
+                              f"past the cap of 2^{cap}")
         mask = queue[head]
         head += 1
         row = []

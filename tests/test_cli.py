@@ -126,9 +126,8 @@ def test_equiv_moore_semantics_flag():
     assert payload["witness"] == "[a]↓"
 
 
-def test_equiv_never_builds_the_machine_relation(monkeypatch, capsys):
-    # the relation of a subset machine takes ~N^2/16 bytes over N
-    # positions; `equiv` reads only the blocks
+def count_relations(monkeypatch):
+    """The sizes of the relations `BitRel.from_blocks` builds from now on."""
     from behaveq import BitRel
     honest, sizes = BitRel.from_blocks.__func__, []
 
@@ -137,6 +136,13 @@ def test_equiv_never_builds_the_machine_relation(monkeypatch, capsys):
         return honest(cls, blocks)
 
     monkeypatch.setattr(BitRel, "from_blocks", classmethod(counting))
+    return sizes
+
+
+def test_equiv_never_builds_the_machine_relation(monkeypatch, capsys):
+    # the relation of a subset machine takes ~N^2/16 bytes over N
+    # positions; `equiv` reads only the blocks
+    sizes = count_relations(monkeypatch)
     for argv in (["equiv", GOLDEN], ["equiv", GOLDEN, "--pair", "{x,y}", "{y}"],
                  ["equiv", GOLDEN, "--pair", "{x}", "{y}", "--json"],
                  ["equiv", MOORE, "--semantics", "failure"],
@@ -146,6 +152,93 @@ def test_equiv_never_builds_the_machine_relation(monkeypatch, capsys):
     # the quotient reads the relation, and builds it once
     assert run_main(["quotient", GOLDEN], capsys)[0] == 0
     assert sizes == [8]
+
+
+def test_equiv_never_builds_the_cts_relation(monkeypatch, capsys, tmp_path):
+    # a cts relation takes ~N^2/16 bytes over N condition/state
+    # positions; `equiv` reads only the blocks, the adequacy check reads
+    # the relation
+    sizes = count_relations(monkeypatch)
+    path = tmp_path / "cts.json"
+    path.write_text(json.dumps(CTS_DOC))
+    for argv in (["equiv", str(path)], ["equiv", str(path), "--json"],
+                 ["equiv", str(path), "--pair", "u", "v"]):
+        assert run_main(argv, capsys)[0] in (0, 1), argv
+    assert sizes == []
+    assert run_main(["check", str(path), "--adequacy"], capsys)[0] == 0
+    assert 4 in sizes
+
+
+def kth_from_end_doc(k):
+    """Words whose k-th letter from the end is a: k + 1 states, and 2^k
+    subsets reachable from {s0}."""
+    states = [f"s{i}" for i in range(k + 1)]
+    trans = [("s0", "a", "s0"), ("s0", "b", "s0"), ("s0", "a", "s1")]
+    trans += [(states[i], a, states[i + 1]) for i in range(1, k) for a in "ab"]
+    return {"kind": "nda", "states": states, "alphabet": ["a", "b"],
+            "transitions": [{"from": x, "action": a, "to": y} for x, a, y in trans],
+            "accepting": [states[k]]}
+
+
+def test_reachable_subset_machine_is_capped(monkeypatch, capsys, tmp_path):
+    # 2^20 reachable subsets: refused once the queue passes 2^12, after
+    # about 2 x 4096 successor computations
+    from behaveq import Nda
+    honest, posts = Nda.post, [0]
+
+    def counting(self, mask, a):
+        posts[0] += 1
+        return honest(self, mask, a)
+
+    monkeypatch.setattr(Nda, "post", counting)
+    path = tmp_path / "kth20.json"
+    path.write_text(json.dumps(kth_from_end_doc(20)))
+    assert run_main(["equiv", str(path), "--pair", "{s0}", "{s0,s1}"], capsys) == (
+        2, "", ["error: subset machine reaches 4098 positions, past the cap of 2^12"])
+    assert 4096 < posts[0] <= 2 * 4097
+    posts[0] = 0
+    assert run_main(["equiv", str(path), "--pair", "{s0}", "{s0,s1}", "--cap", "4"],
+                    capsys) == (
+        2, "", ["error: subset machine reaches 18 positions, past the cap of 2^4"])
+    assert 16 < posts[0] <= 2 * 17
+
+
+def test_cap_above_the_default_computes_the_reachable_machine(tmp_path, capsys):
+    path = tmp_path / "kth13.json"
+    path.write_text(json.dumps(kth_from_end_doc(13)))
+    pair = ["equiv", str(path), "--pair", "{s0}", "{s0,s1}", "--json"]
+    assert run_main(pair, capsys)[0] == 2
+    code, out, _ = run_main([*pair, "--cap", "17"], capsys)
+    payload = json.loads(out)
+    # {s0,s1} reaches the accepting s13 after twelve letters, {s0} after 13
+    assert code == 1 and payload["witness"] == "[a]" * 12 + "↓"
+    assert len(payload["classes"]) == 1 << 13
+
+
+def test_determinize_initials_pass_the_cap(tmp_path, capsys):
+    path = tmp_path / "kth5.json"
+    path.write_text(json.dumps(kth_from_end_doc(5)))
+    argv = ["determinize", str(path), "--initials", "{s0}", "--json"]
+    assert run_main([*argv, "--cap", "4"], capsys) == (
+        2, "", ["error: subset machine reaches 18 positions, past the cap of 2^4"])
+    code, out, _ = run_main([*argv, "--cap", "5"], capsys)
+    assert code == 0 and len(json.loads(out)["states"]) == 32
+
+
+def test_equiv_cts_chain_at_two_thousand_states(tmp_path, capsys):
+    # one condition, the path q0 -> ... -> q1999: each round splits off
+    # one more state, counted from the end, and a last round confirms
+    n = 2000
+    states = [f"q{i}" for i in range(n)]
+    doc = {"kind": "cts", "conditions": ["k"], "states": states,
+           "transitions": [{"cond": "k", "from": states[x], "to": states[x + 1]}
+                           for x in range(n - 1)]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_main(["equiv", str(path), "--json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["iterations"] == n
+    assert payload["classes"]["k"] == [[x] for x in states]
 
 
 # -------------------------------------------------------------- quotient

@@ -61,17 +61,17 @@ def test_is_equivalence_matches_definition():
 
 
 def test_refine_rounds_and_block_order():
-    assert refine(0, lambda i, blocks: 0) == ((), 1)
+    assert refine(0, lambda i, blocks: 0, []) == ((), 1)
     # a constant signature splits nothing: the confirming round is round 1
-    assert refine(3, lambda i, blocks: "same") == ((0, 0, 0), 1)
+    assert refine(3, lambda i, blocks: "same", [()] * 3) == ((0, 0, 0), 1)
     # successor chain 0 -> 1 -> 2 -> 3 with 3 marked: one split per round
     succ, marked = (1, 2, 3, 3), (False, False, False, True)
     blocks, rounds = refine(
-        4, lambda i, blocks: (marked[i], blocks[succ[i]]))
+        4, lambda i, blocks: (marked[i], blocks[succ[i]]), [(s,) for s in succ])
     assert blocks == (0, 1, 2, 3)
     assert rounds == 4
     # blocks are numbered by first occurrence
-    blocks, rounds = refine(4, lambda i, blocks: i % 2 == 0)
+    blocks, rounds = refine(4, lambda i, blocks: i % 2 == 0, [()] * 4)
     assert blocks == (0, 1, 0, 1) and rounds == 2
     assert BitRel.from_blocks(blocks) == BitRel.from_pairs(
         4, [(i, j) for i in range(4) for j in range(4) if i % 2 == j % 2])
