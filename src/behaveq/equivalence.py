@@ -97,44 +97,95 @@ class OracleVerdict:
     witness: tuple[int, ...] | None
 
 
-def _word_search(system, u, v, maxlen: int | None = None) -> OracleVerdict:
+class UnionFind:
+    """Disjoint classes of hashable items, each item alone until merged.
+
+    `find` returns the root of an item's class, halving the path it
+    walks; `union` merges two classes.  A root may carry a label in
+    `labels`, and a merge keeps a labelled root as the root, so the
+    label names the merged class.
+    """
+
+    def __init__(self):
+        self.parent: dict = {}
+        self.labels: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while (up := parent.get(x, x)) != x:
+            top = parent.get(up, up)
+            parent[x] = top
+            x = top
+        return x
+
+    def union(self, x, y) -> None:
+        x, y = self.find(x), self.find(y)
+        if x != y:
+            if y in self.labels:
+                x, y = y, x
+            self.parent[y] = x
+
+
+def _word_search(system, u, v, known: UnionFind | None = None,
+                 maxlen: int | None = None) -> OracleVerdict:
     """Breadth-first product search for the first word, in
     length-then-action order, at which u and v are observed apart.
 
     A configuration pair reached again by a later word is skipped: every
     extension of the later word is preceded by the same extension of
     the earlier one.  Words longer than `maxlen` are not explored.
+
+    `known`, if given, must relate only equivalent configurations.  A
+    pair whose sides share a root there is not explored, which keeps the
+    first separating word: no separating word passes through an
+    equivalent pair.  An equivalent verdict merges in `known` every pair
+    the search saw, since each was reached from u and v by one word.
     """
     post, observe = system.post, system.observe
+    if observe(u) != observe(v):
+        return OracleVerdict(False, ())
+    find = known.find if known is not None else None
+    if find and find(u) == find(v):
+        return OracleVerdict(True, None)
     num_actions = len(system.alphabet)
     queue = deque([(u, v, ())])
     seen = {(u, v)}
+    # pairs are observed as they are reached, which is in
+    # length-then-action order too
     while queue:
-        u, v, word = queue.popleft()
-        if observe(u) != observe(v):
-            return OracleVerdict(False, word)
+        x, y, word = queue.popleft()
         if len(word) == maxlen:
             continue
         for a in range(num_actions):
-            pair = post(u, a), post(v, a)
+            pair = post(x, a), post(y, a)
             if pair not in seen:
                 seen.add(pair)
+                if find and find(pair[0]) == find(pair[1]):
+                    continue
+                if observe(pair[0]) != observe(pair[1]):
+                    return OracleVerdict(False, word + (a,))
                 queue.append((*pair, word + (a,)))
+    if known is not None:
+        for pair in seen:
+            known.union(*pair)
     return OracleVerdict(True, None)
 
 
-def nda_pair_oracle(nda: Nda, mask_u: int, mask_v: int) -> OracleVerdict:
+def nda_pair_oracle(nda: Nda, mask_u: int, mask_v: int,
+                    known: UnionFind | None = None) -> OracleVerdict:
     """Shortest distinguishing word by product search over subset masks.
 
     Works straight off the successor masks, independently of the
-    determinized machine and the refinement engine.
+    determinized machine and the refinement engine; `known` is as in
+    `_word_search`.
     """
-    return _word_search(nda, mask_u, mask_v)
+    return _word_search(nda, mask_u, mask_v, known)
 
 
-def moore_pair_oracle(lts: OutputLts, mask_u: int, mask_v: int) -> OracleVerdict:
+def moore_pair_oracle(lts: OutputLts, mask_u: int, mask_v: int,
+                      known: UnionFind | None = None) -> OracleVerdict:
     """Product search comparing joined outputs along every word."""
-    return _word_search(lts, mask_u, mask_v)
+    return _word_search(lts, mask_u, mask_v, known)
 
 
 def moore_equiv(system: Nda | OutputLts, initials: Iterable[int] | None = None,
@@ -328,7 +379,7 @@ def lwa_pair_oracle(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
     weighs 0, and the chain stops after at most |states| strict steps.
     """
     return _word_search(lwa, tuple(map(Fraction, p)), tuple(map(Fraction, q)),
-                        len(lwa.states))
+                        maxlen=len(lwa.states))
 
 
 # ------------------------------------------------------------ conditional

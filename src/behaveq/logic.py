@@ -28,6 +28,7 @@ from .core import (
     orthogonal_tests,
 )
 from .equivalence import (
+    UnionFind,
     cts_conditional_bisim,
     lwa_pair,
     lwa_observation_basis,
@@ -387,6 +388,49 @@ def _report(family, labels, behavioural: BitRel, logical: BitRel, formula,
     )
 
 
+def _word_blocks(search, system, configs: Sequence) -> list[int]:
+    """Logical block of each configuration, numbered in order of first
+    appearance: two share a block when `search` finds no word that
+    separates them.
+
+    "No separating word" is an equivalence, so comparing each
+    configuration with one representative of each block found so far
+    gives the blocks.  Three things spare searches without changing the
+    answer.  Representatives are grouped by what is observed of them, so
+    a search that separates by the empty word rules out the rest of its
+    group.  Every search that ends equivalent merges the pairs it saw in
+    `proven`, and later searches do not explore a pair merged there.  A
+    configuration whose merged class already has a block takes it
+    without a search.
+    """
+    proven, groups, count = UnionFind(), [], 0
+
+    def block_of(c) -> int:
+        nonlocal count
+        for group in groups:
+            for block, rep in group:
+                verdict = search(system, rep, c, proven)
+                if verdict.equivalent:
+                    return block
+                if verdict.witness == ():   # observed apart from the group
+                    break
+            else:                   # observed alike, equivalent to none
+                group.append((count, c))
+                break
+        else:
+            groups.append([(count, c)])
+        count += 1
+        return count - 1
+
+    blocks = []
+    for c in configs:
+        if proven.find(c) not in proven.labels:
+            block = block_of(c)
+            proven.labels[proven.find(c)] = block
+        blocks.append(proven.labels[proven.find(c)])
+    return blocks
+
+
 def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
                                 vectors: Sequence[Sequence] | None = None) -> EquivReport:
     """Compute behavioural and logical equivalence along independent
@@ -435,15 +479,7 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             behavioural, iterations = equiv.relation, equiv.iterations
             note = ("no distinguishing word exists but the behavioural "
                     "relation separates the pair")
-            # "no separating word" is an equivalence, so comparing each
-            # position with one representative of each class found so
-            # far gives the classes
-            reps, blocks = [], []
-            for c in configs:
-                blocks.append(next((b for b, r in enumerate(reps)
-                                    if search(system, r, c).equivalent), len(reps)))
-                if blocks[-1] == len(reps):
-                    reps.append(c)
+            blocks = _word_blocks(search, system, configs)
             logical = BitRel.from_blocks(blocks)
         return _report(
             family, labels, behavioural, logical,

@@ -32,17 +32,56 @@ from .core import (
 )
 
 
+# States per union table: a table has one entry per subset of its chunk.
+_CHUNK = 8
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _union_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """For each chunk of `_CHUNK` consecutive states, the union of
+    `masks[x]` over every subset of the chunk, indexed by the subset's
+    bits.  Each entry is the entry without its lowest bit joined with
+    that bit's mask."""
+    tables = []
+    for base in range(0, len(masks), _CHUNK):
+        chunk = masks[base:base + _CHUNK]
+        table = [0] * (1 << len(chunk))
+        for sub in range(1, len(table)):
+            low = sub & -sub
+            table[sub] = table[sub ^ low] | chunk[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 class _SubsetSystem:
     """One step of an Nda or OutputLts: `delta[x][a]` is the successor
     mask of state x under action a, and a subset steps to the union of
-    its members' successors."""
+    its members' successors.
+
+    Unions over a subset are read from per-chunk union tables, built on
+    first use, one lookup per chunk of the mask; a mask with a member
+    outside the carrier is refused."""
+
+    @cached_property
+    def _post_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(_union_tables([row[a] for row in self.delta])
+                     for a in range(len(self.alphabet)))
+
+    def _joined(self, tables, mask: int) -> int:
+        out, rest = 0, mask
+        try:
+            for table in tables:
+                out |= table[rest & _CHUNK_MASK]
+                rest >>= _CHUNK
+        except IndexError:      # a member past the last, partial chunk
+            rest = -1
+        if rest:
+            raise ValueError(f"subset mask {mask} out of range for "
+                             f"{len(self.states)} states")
+        return out
 
     def post(self, mask: int, a: int) -> int:
-        delta = self.delta
-        out = 0
-        for x in bits(mask):
-            out |= delta[x][a]
-        return out
+        return self._joined(self._post_tables[a], mask)
 
 
 @dataclass(frozen=True)
@@ -137,13 +176,13 @@ class OutputLts(_SubsetSystem):
     output: tuple[int, ...]
     show: Callable[[int], str] = field(compare=False)
 
+    @cached_property
+    def _output_tables(self) -> tuple[tuple[int, ...], ...]:
+        return _union_tables(self.output)
+
     def observe(self, mask: int) -> int:
         """Union of the members' outputs; the empty subset observes 0."""
-        output = self.output
-        out = 0
-        for x in bits(mask):
-            out |= output[x]
-        return out
+        return self._joined(self._output_tables, mask)
 
 
 def lattice_lts(states: Carrier, alphabet: Carrier, delta, lattice: Semilattice,

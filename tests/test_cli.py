@@ -386,8 +386,10 @@ def test_main_builds_the_argument_parser_once(capsys):
 @pytest.mark.parametrize("semantics", ["trace", "failure", "ready"])
 def test_check_adequacy_on_all_subsets_of_trace_vs_failure(tmp_path, semantics):
     # 512 subset positions in 9 classes under trace semantics; comparing
-    # each position with one representative per class keeps this well
-    # inside the timeout, where all 262,144 ordered pairs took ~10 s
+    # each position with representatives of the classes found so far,
+    # and skipping positions and pairs that earlier searches proved
+    # equivalent, keeps this well inside the timeout, where all 262,144
+    # ordered pairs took ~10 s
     path = tmp_path / "lts.json"
     path.write_text(json.dumps(dict(json.load(open(MOORE)), semantics=semantics)))
     res = run_cli(["check", str(path), "--adequacy", "--json"], timeout=5)
@@ -395,6 +397,39 @@ def test_check_adequacy_on_all_subsets_of_trace_vs_failure(tmp_path, semantics):
     detail = json.loads(res.stdout)["checks"][0]["detail"]
     assert len(sum(detail["logical_classes"], [])) == 512
     assert detail["logical_classes"] == detail["behavioural_classes"]
+
+
+def random_subset_doc(seed, n, kind, semantics=None, one_in=4):
+    """A seeded automaton or Moore system on n states over {a, b}, each
+    possible edge present with probability 1/one_in."""
+    rng = Lcg(seed)
+    states = [f"s{i}" for i in range(n)]
+    doc = {"kind": kind, "states": states, "alphabet": ["a", "b"],
+           "transitions": [{"from": x, "action": a, "to": y}
+                           for x in states for a in "ab" for y in states
+                           if rng.randint(1, one_in) == 1]}
+    if kind == "nda":
+        doc["accepting"] = [x for x in states if rng.bit()]
+    else:
+        doc["semantics"] = semantics
+    return doc
+
+
+# Moore systems get fewer edges, so that some states refuse an action
+# and the failure and ready outputs tell subsets apart
+@pytest.mark.parametrize("kind, n, semantics, one_in", [
+    ("nda", 12, None, 4), ("moore", 10, "trace", 8), ("moore", 10, "failure", 8),
+    ("moore", 10, "ready", 8)])
+def test_check_adequacy_on_the_full_powerset_at_the_cap(tmp_path, capsys, kind, n,
+                                                        semantics, one_in):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(random_subset_doc(2012 + n, n, kind, semantics, one_in)))
+    code, out, err = run_main(["check", str(path), "--adequacy", "--json"], capsys)
+    assert (code, err) == (0, [])
+    detail = json.loads(out)["checks"][0]["detail"]
+    assert len(sum(detail["logical_classes"], [])) == 1 << n
+    assert detail["logical_classes"] == detail["behavioural_classes"]
+    assert len(detail["logical_classes"]) > 5
 
 
 def test_check_adequacy_on_a_12_state_lwa_copy_pair(tmp_path):

@@ -36,7 +36,7 @@ from behaveq.rng import (
     subseed,
 )
 
-from conftest import mask_of
+from conftest import CountedSteps, mask_of
 
 
 # ------------------------------------------------------------ word logic
@@ -469,9 +469,9 @@ def test_word_logical_relation_is_the_pairwise_oracle_relation():
     rng = Lcg(3503)
     cases = []
     for _ in range(30):
-        nda = random_nda(rng, max_states=4)
+        nda = random_nda(rng, max_states=6)
         cases.append((nda, moore_equiv(nda), nda_pair_oracle))
-        states, alphabet, delta = random_lts(rng, max_states=4)
+        states, alphabet, delta = random_lts(rng, max_states=6)
         for semantics in ("trace", "failure", "ready"):
             lts = build_output_lts(states, alphabet, delta, semantics)
             cases.append((lts, moore_equiv(lts), moore_pair_oracle))
@@ -524,3 +524,24 @@ def test_moore_adequacy_on_semantics(trace_failure_lts):
     q0 = mask_of(m.states, "q0")
     report = check_adequacy_expressivity(m, initials=[p0, q0])
     assert report.adequate and report.expressive
+
+
+def test_adequacy_search_count_on_trace_vs_failure(trace_failure_lts, monkeypatch):
+    # 512 subset positions in 9 classes.  Measured: 2329 pair searches
+    # taking 7070 steps; asking each position against every
+    # representative, and exploring pairs already proved equivalent,
+    # took 2355 searches and 28656 steps.  The bounds are the measured
+    # counts, so that a return to re-searching fails.
+    steps, searches = CountedSteps(trace_failure_lts), 0
+    honest = logic.moore_pair_oracle
+
+    def counted(system, *rest):
+        nonlocal searches
+        assert system is trace_failure_lts
+        searches += 1
+        return honest(steps, *rest)
+    monkeypatch.setattr(logic, "moore_pair_oracle", counted)
+    report = check_adequacy_expressivity(trace_failure_lts)
+    assert report.passed and len(report.logical_classes) == 9
+    assert len(sum(report.logical_classes, ())) == 512
+    assert searches <= 2329 and steps.posts <= 7070, (searches, steps.posts)

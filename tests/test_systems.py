@@ -14,6 +14,7 @@ from behaveq import (
     validate,
 )
 from behaveq.core import bits
+from behaveq.equivalence import build_output_lts
 from behaveq.rng import Lcg, random_nda, random_vector
 
 from conftest import mask_of
@@ -170,6 +171,71 @@ def test_moore_determinize_singleton_and_join():
     assert lts.show(machine.out[machine.pos(0b00)]) == "bot"
     assert machine.out[machine.pos(0b11)] == lts.output[0] | lts.output[1]
     assert machine.subset_states[machine.trans[machine.pos(0b01)][0]] == 0
+
+
+# ------------------------------------------------- subset post and observe
+
+# The definitions that the per-chunk union tables replace, kept as the
+# reference: a subset steps to, and is observed as, the union over its
+# members.
+
+def reference_post(system, mask: int, a: int) -> int:
+    out = 0
+    for x in bits(mask):
+        out |= system.delta[x][a]
+    return out
+
+
+def reference_observe(system, mask: int):
+    if isinstance(system, Nda):
+        return bool(mask & system.accepting)
+    out = 0
+    for x in bits(mask):
+        out |= system.output[x]
+    return out
+
+
+_FOUR = Semilattice.create(("bot", "s1", "s2", "s12"),
+                           ((0, 1, 2, 3), (1, 1, 3, 3), (2, 3, 2, 3), (3, 3, 3, 3)), 0)
+
+
+def subset_systems(rng: Lcg, n: int):
+    """A seeded automaton on n states, its reversal, the Moore systems of
+    its transitions under each semantics, and a lattice-output system."""
+    states = Carrier(tuple(f"q{i}" for i in range(n)))
+    alphabet = Carrier(("a", "b", "c"))
+    delta = tuple(tuple(rng.randint(0, (1 << n) - 1) for _ in alphabet)
+                  for _ in range(n))
+    nda = Nda(states, alphabet, delta, rng.randint(0, (1 << n) - 1))
+    return [nda, nda.reverse(),
+            *(build_output_lts(states, alphabet, delta, semantics)
+              for semantics in ("trace", "failure", "ready")),
+            lattice_lts(states, alphabet, delta, _FOUR,
+                        [rng.randint(0, 3) for _ in range(n)])]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25])
+def test_subset_post_and_observe_are_the_unions_over_members(n):
+    rng = Lcg(1800 + n)
+    masks = (range(1 << n) if n <= 9
+             else [rng.randint(0, (1 << n) - 1) for _ in range(500)])
+    for system in subset_systems(rng, n):
+        assert validate(system) == []
+        for mask in masks:
+            assert system.observe(mask) == reference_observe(system, mask)
+            for a in range(len(system.alphabet)):
+                assert system.post(mask, a) == reference_post(system, mask, a)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_subset_post_and_observe_refuse_a_mask_past_the_carrier(n):
+    nda, _, lts, *_ = subset_systems(Lcg(1900 + n), n)
+    for mask in (1 << n, (1 << n) | 1, 1 << (n + 8), 1 << (n + 40), -1):
+        message = f"subset mask {mask} out of range for {n} states"
+        for step in (lambda m: nda.post(m, 0), lambda m: lts.post(m, 2),
+                     lts.observe):
+            with pytest.raises(ValueError, match=message):
+                step(mask)
 
 
 # -------------------------------------------------------------- validate
