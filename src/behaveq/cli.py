@@ -125,6 +125,31 @@ def _rational(value) -> Fraction:
     raise SchemaError(f"not an exact rational: {value!r}")
 
 
+def _weight_reader():
+    """`_rational` for one document or vector: each distinct weight as
+    written (its JSON type and text) is read once, and equal entries
+    share one Fraction.  Keys never compare values, since equal numbers
+    can differ in what is accepted: 0.0 is a weight and 0e5000 is not,
+    nor is true, which equals 1.  Other types go to `_rational` as they
+    come, to be refused."""
+    memo = {}
+
+    def read(value) -> Fraction:
+        kind = type(value)
+        if kind is _JsonNumber:
+            key = (kind, value.text)
+        elif kind is str or kind is int:
+            key = (kind, value)
+        else:
+            return _rational(value)
+        weight = memo.get(key)
+        if weight is None:
+            weight = memo[key] = _rational(value)
+        return weight
+
+    return read
+
+
 def _carrier(data, key) -> Carrier:
     names = data[key]
     if (not isinstance(names, list) or not names
@@ -189,9 +214,10 @@ def load_system(data: dict):
         states = _carrier(data, "states")
         alphabet = _carrier(data, "alphabet")
         n = len(states)
+        weight = _weight_reader()
         out = [Fraction(0)] * n
         for label, value in _typed(data, "output", dict).items():
-            out[states.index(label)] = _rational(value)
+            out[states.index(label)] = weight(value)
         matrices = _typed(data, "matrices", dict)
         mats = []
         for a in alphabet.names:
@@ -201,8 +227,7 @@ def load_system(data: dict):
             if (not isinstance(rows, list) or len(rows) != n
                     or any(not isinstance(r, list) or len(r) != n for r in rows)):
                 raise SchemaError(f"matrix for {a!r} is not {n}x{n}")
-            mats.append(tuple(tuple(_rational(v) for v in row)
-                              for row in rows))
+            mats.append(tuple(tuple(map(weight, row)) for row in rows))
         system = Lwa(states, alphabet, tuple(out), tuple(mats))
     elif kind == "cts":
         _require(data, "conditions", "states", "transitions")
@@ -287,7 +312,7 @@ def _parse_vector(system: Lwa, text: str) -> tuple[Fraction, ...]:
             raise SchemaError(f"malformed vector {text!r}")
         body = text[1:-1].strip()
         parts = [p.strip() for p in body.split(",")] if body else []
-        vec = tuple(_rational(p) for p in parts)
+        vec = tuple(map(_weight_reader(), parts))
         if len(vec) != len(system.states):
             raise SchemaError(
                 f"vector has {len(vec)} entries for {len(system.states)} states")

@@ -60,12 +60,13 @@ class _SubsetSystem:
 
     Unions over a subset are read from per-chunk union tables, built on
     first use, one lookup per chunk of the mask; a mask with a member
-    outside the carrier is refused."""
+    outside the carrier, or an action outside the alphabet, is refused."""
 
     @cached_property
-    def _post_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(_union_tables([row[a] for row in self.delta])
-                     for a in range(len(self.alphabet)))
+    def _post_tables(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        # keyed by action index, so that a negative index misses
+        return {a: _union_tables([row[a] for row in self.delta])
+                for a in range(len(self.alphabet))}
 
     def _joined(self, tables, mask: int) -> int:
         out, rest = 0, mask
@@ -81,7 +82,11 @@ class _SubsetSystem:
         return out
 
     def post(self, mask: int, a: int) -> int:
-        return self._joined(self._post_tables[a], mask)
+        try:
+            tables = self._post_tables[a]
+        except KeyError:
+            raise ValueError(f"unknown action index {a}") from None
+        return self._joined(tables, mask)
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,9 @@ class Nda(_SubsetSystem):
                    self.accepting)
 
     def observe(self, mask: int) -> bool:
+        if mask >> len(self.states):    # nonzero for a negative mask too
+            raise ValueError(f"subset mask {mask} out of range for "
+                             f"{len(self.states)} states")
         return bool(mask & self.accepting)
 
 

@@ -976,6 +976,106 @@ def test_rational_error_shows_json_number_as_written(tmp_path, capsys):
     assert code == 2 and err == ["error: not an exact rational: 1e10000"], err
 
 
+# ------------------------------------------------------- reading weights
+
+# JSON texts of weights: equal numbers written as strings, ints and
+# decimal numbers, each read exactly
+WEIGHT_TEXTS = ['"1/2"', '"2/4"', '"-0"', '-0', '0', '1', '-1', '2', '0.5',
+                '0.50', '5e-1', '-5E-1', '1.0', '"0.5"', '"-1/2"', '"3"']
+
+
+def lwa_text(n, weights) -> str:
+    """An lwa document over two letters whose weights are the JSON texts
+    drawn by `weights()`: outputs first, then the matrices row by row."""
+    states = [f"s{i}" for i in range(n)]
+    output = ",".join(f'"{s}":{weights()}' for s in states)
+    matrices = ",".join(
+        f'"{a}":[' + ",".join("[" + ",".join(weights() for _ in states) + "]"
+                              for _ in states) + "]"
+        for a in "ab")
+    return (f'{{"kind":"lwa","states":{json.dumps(states)},"alphabet":["a","b"],'
+            f'"output":{{{output}}},"matrices":{{{matrices}}}}}')
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_weights_load_the_system_read_entry_by_entry(tmp_path, seed):
+    from behaveq import Lwa
+    from behaveq.cli import _carrier, _rational, read_json
+    rng = Lcg(3100 + seed)
+    path = tmp_path / "lwa.json"
+    path.write_text(lwa_text(rng.randint(1, 7), lambda: rng.choice(WEIGHT_TEXTS)))
+    raw = read_json(str(path))
+    states = _carrier(raw, "states")
+    expect = Lwa(states, _carrier(raw, "alphabet"),
+                 tuple(_rational(raw["output"][s]) for s in states),
+                 tuple(tuple(tuple(_rational(v) for v in row)
+                             for row in raw["matrices"][a]) for a in "ab"))
+    assert load_system(raw) == expect
+
+
+# A refused weight next to a weight that is accepted and equal to it, or
+# next to itself; the message names the refused one as it was written.
+REFUSED_WEIGHTS = [
+    ("0e5000", "0.0", "0e5000"),
+    ("true", "1", "True"),
+    ('"1/0"', '"1/0"', "'1/0'"),
+    ('["1"]', '"1"', "['1']"),
+]
+
+
+@pytest.mark.parametrize("bad,twin,shown", REFUSED_WEIGHTS)
+@pytest.mark.parametrize("place", ["first", "repeat"])
+def test_a_refused_weight_is_refused_wherever_it_stands(
+        tmp_path, capsys, bad, twin, shown, place):
+    texts = [bad, twin] if place == "first" else [twin, twin, twin, bad, twin, bad]
+    path = tmp_path / "lwa.json"
+    path.write_text(lwa_text(2, iter(texts + ["0"] * (10 - len(texts))).__next__))
+    for argv in (["equiv", str(path)], ["equiv", str(path), "--pair", "s0", "s1"]):
+        assert run_main(argv, capsys) == (
+            2, "", [f"error: not an exact rational: {shown}"])
+
+
+def test_zero_with_a_huge_exponent_is_refused_after_zero(tmp_path, capsys):
+    path = tmp_path / "lwa.json"
+    path.write_text(lwa_text(2, iter(["0.0", "0e5000"] + ["0"] * 8).__next__))
+    assert run_main(["equiv", str(path)], capsys) == (
+        2, "", ["error: not an exact rational: 0e5000"])
+
+
+def test_each_distinct_weight_is_read_once(tmp_path, monkeypatch):
+    from behaveq import cli
+    from behaveq.rng import WEIGHT_GRID
+    rng = Lcg(3200)
+    # A (+) A: a 16-state block next to its copy, integral weights written
+    # as ints and the others as "p/q"
+    block = [[[rng.choice(WEIGHT_GRID) for _ in range(16)] for _ in range(16)]
+             for _ in "ab"]
+    out = [rng.choice(WEIGHT_GRID) for _ in range(16)] * 2
+    mats = [[row + [0] * 16 for row in mat] + [[0] * 16 + row for row in mat]
+            for mat in block]
+
+    def written(w):
+        return int(w) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+
+    doc = {"kind": "lwa", "states": [f"s{i}" for i in range(32)],
+           "alphabet": ["a", "b"],
+           "output": {f"s{i}": written(w) for i, w in enumerate(out)},
+           "matrices": {a: [[written(w) for w in row] for row in mat]
+                        for a, mat in zip("ab", mats)}}
+    entries = [*doc["output"].values(),
+               *(v for mat in doc["matrices"].values() for row in mat for v in row)]
+    assert len(entries) == 2048 + 32
+    calls = []
+    read = cli._rational
+    monkeypatch.setattr(cli, "_rational", lambda v: calls.append(v) or read(v))
+    system = load_system(json.loads(json.dumps(doc)))
+    assert len(calls) == len({json.dumps(v) for v in entries})
+    assert system.out == tuple(out)
+    calls.clear()
+    cli._parse_vector(system, "[" + ",".join(["1/2", "2/4", "1/2", "0"] * 8) + "]")
+    assert calls == ["1/2", "2/4", "0"]
+
+
 @pytest.mark.parametrize("exc,line", [
     (RuntimeError("engine\nfailed"), "error: RuntimeError: engine failed"),
     (KeyError("x"), "error: KeyError: 'x'"),

@@ -233,9 +233,18 @@ def test_subset_post_and_observe_refuse_a_mask_past_the_carrier(n):
     for mask in (1 << n, (1 << n) | 1, 1 << (n + 8), 1 << (n + 40), -1):
         message = f"subset mask {mask} out of range for {n} states"
         for step in (lambda m: nda.post(m, 0), lambda m: lts.post(m, 2),
-                     lts.observe):
+                     nda.observe, lts.observe):
             with pytest.raises(ValueError, match=message):
                 step(mask)
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_subset_post_refuses_an_action_outside_the_alphabet(n):
+    nda, reverse, lts, *_ = subset_systems(Lcg(2000 + n), n)
+    for system in (nda, reverse, lts):
+        for a in (len(system.alphabet), -1):
+            with pytest.raises(ValueError, match=f"unknown action index {a}$"):
+                system.post(1, a)
 
 
 # -------------------------------------------------------------- validate
