@@ -431,9 +431,7 @@ def cts_slice_bisim_oracle(cts: Cts, k: int) -> tuple[tuple[int, ...], ...]:
     succ = cts.delta[k]
 
     def step(rel: BitRel) -> BitRel:
-        return BitRel(n, tuple(
-            sum(1 << y for y in range(n) if cts_rel_lift(rel, succ[x], succ[y]))
-            for x in range(n)))
+        return BitRel(n, cts_rel_lift(rel, succ, succ))
 
     return gfp(step, BitRel.full(n)).relation.classes()
 

@@ -13,7 +13,9 @@ corruptions can be injected by name; the suite must catch each one.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -169,21 +171,53 @@ def lwa_modality(lwa: Lwa, kind, p: Sequence, region=None) -> bool:
     return lwa.observe(p) == Fraction(kind)
 
 
-def cts_rel_lift(rel: BitRel, u: int, v: int) -> bool:
-    """Two-sided simulation condition between two masks over the
-    carrier of `rel`: every member of u is related to a member of v,
-    and every member of v to a member of u.
+def cts_rel_lift(rel: BitRel, left: Sequence[int],
+                 right: Sequence[int]) -> tuple[int, ...]:
+    """Two-sided relation lifting of `rel` to masks over its carrier,
+    one row mask per entry of `left`: bit j of row i is set iff every
+    member of left[i] is related to a member of right[j], and every
+    member of right[j] to a member of left[i].
 
     On condition/state positions k*|X| + x, the masks of condition k
     are its successor sets shifted by k*|X|.
     """
-    image = 0
-    for x in bits(u):
-        row = rel.rows[x] & v
-        if not row:
-            return False
-        image |= row
-    return image == v
+    support, holders, meets = _cts_columns(rel, left, right)
+    full = (1 << len(right)) - 1
+    rows = []
+    for u in left:
+        row, image = full, 0
+        for x in bits(u):
+            row &= meets[x]
+            image |= rel.rows[x]
+        # a right mask holding a position outside the image is not covered
+        for y in bits(support & ~image):
+            row &= ~holders[y]
+        rows.append(row)
+    return tuple(rows)
+
+
+def _cts_columns(rel: BitRel, left: Sequence[int], right: Sequence[int]):
+    """Column masks over `right` for `cts_rel_lift`: the union of the
+    right masks; per position y in it, the mask of right entries holding
+    y; and per position x of a left mask, the mask of right entries
+    that meet x's row of `rel`."""
+    reach = functools.reduce(operator.or_, left, 0)
+    support = functools.reduce(operator.or_, right, 0)
+    used = reach | support
+    if used < 0 or used >> rel.size:
+        bad = next(m for m in (*left, *right) if m < 0 or m >> rel.size)
+        raise ValueError(f"mask {bad} out of range for {rel.size} positions")
+    holders = dict.fromkeys(bits(support), 0)
+    for j, v in enumerate(right):
+        for y in bits(v):
+            holders[y] |= 1 << j
+    meets = {}
+    for x in bits(reach):
+        col = 0
+        for y in bits(rel.rows[x] & support):
+            col |= holders[y]
+        meets[x] = col
+    return support, holders, meets
 
 
 # --------------------------------------------------------------------------
@@ -304,12 +338,40 @@ def _nda_sigma_pred(carrier_size: int, num_actions: int, kind,
     return frozenset(out)
 
 
-def _nda_lift_rel(rel_pairs, t1: NdaStepTable, t2: NdaStepTable) -> bool:
+def _nda_lift_rel(rel_pairs, left: Sequence[NdaStepTable],
+                  right: Sequence[NdaStepTable]) -> tuple[int, ...]:
     """Derived relation lifting on collected tables, with the relation
-    as a set of pairs of target sets."""
-    if t1.accept != t2.accept:
-        return False
-    return rel_pairs.issuperset(zip(t1.succ, t2.succ))
+    as a set of pairs of target sets: one row mask per left table, bit
+    j set iff the tables agree on acceptance and each action's
+    successor sets are related."""
+    accept, related = _nda_columns(rel_pairs, right)
+    rows = []
+    for t in left:
+        row = accept[t.accept]
+        for succ, targets in zip(t.succ, related):
+            row &= targets.get(succ, 0)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _nda_columns(rel_pairs, right: Sequence[NdaStepTable]):
+    """Column masks over `right` for the row liftings: the masks of the
+    rejecting and the accepting tables, and per action a map from a
+    target set u to the mask of the tables whose a-successors are
+    related to u."""
+    accepting = sum(1 << j for j, t in enumerate(right) if t.accept)
+    accept = ((1 << len(right)) - 1 & ~accepting, accepting)
+    related = []
+    for a in range(len(right[0].succ) if right else 0):
+        holders: dict[frozenset, int] = {}
+        for j, t in enumerate(right):
+            holders[t.succ[a]] = holders.get(t.succ[a], 0) | 1 << j
+        targets: dict[frozenset, int] = {}
+        for u, v in rel_pairs:
+            if v in holders:
+                targets[u] = targets.get(u, 0) | holders[v]
+        related.append(targets)
+    return accept, related
 
 
 def _nda_lift_pred(table: NdaStepTable, kind, region: frozenset) -> bool:
@@ -340,14 +402,19 @@ def _nda_sigma_odd_stop(carrier_size, num_actions, kind, region) -> frozenset:
     return _nda_sigma_pred(carrier_size, num_actions, kind, region)
 
 
-def _nda_lift_ignores_stop(rel_pairs, t1: NdaStepTable, t2: NdaStepTable) -> bool:
-    return rel_pairs.issuperset(zip(t1.succ, t2.succ))
+def _nda_lift_ignores_stop(rel_pairs, left, right) -> tuple[int, ...]:
+    _, related = _nda_columns(rel_pairs, right)
+    full = (1 << len(right)) - 1
+    return tuple(functools.reduce(operator.and_, (
+        targets.get(succ, 0) for succ, targets in zip(t.succ, related)), full)
+        for t in left)
 
 
-def _nda_lift_any_action(rel_pairs, t1: NdaStepTable, t2: NdaStepTable) -> bool:
-    if t1.accept != t2.accept:
-        return False
-    return not rel_pairs.isdisjoint(zip(t1.succ, t2.succ))
+def _nda_lift_any_action(rel_pairs, left, right) -> tuple[int, ...]:
+    accept, related = _nda_columns(rel_pairs, right)
+    return tuple(accept[t.accept] & functools.reduce(operator.or_, (
+        targets.get(succ, 0) for succ, targets in zip(t.succ, related)), 0)
+        for t in left)
 
 
 _NDA_CORRUPTIONS = {
@@ -373,6 +440,15 @@ def _replay(suite: _Suite, law: str, memo: dict, key, failures) -> None:
         memo[key] = list(failures())
     for ce in memo[key]:
         suite.record(law, **ce)
+
+
+def _differing(lhs: Sequence[int], rhs: Sequence[int]):
+    """(i, j, bit j of lhs[i], bit j of rhs[i]) for each bit where two
+    lists of row masks differ, rows in order and bits ascending: the
+    order of a loop over the pairs of a row lifting."""
+    for i, (a, b) in enumerate(zip(lhs, rhs)):
+        for j in bits(a ^ b):
+            yield i, j, bool(a >> j & 1), bool(b >> j & 1)
 
 
 def _nda_step_rows(memo: dict, num_states: int, num_actions: int) -> list:
@@ -501,13 +577,12 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
         rel_pulled = frozenset((u, v) for u in _powerset(range(small_nx))
                                for v in _powerset(range(small_nx))
                                if (g_hat(u), g_hat(v)) in rel)
-        for u, t1, image1 in rows:
-            for v, t2, image2 in rows:
-                lhs = lift_rel(rel_pulled, t1, t2)
-                rhs = lift_rel(rel, image1, image2)
-                if lhs != rhs:
-                    suite.record("rel-lift-naturality", map=g, pair=(u, v),
-                                 lhs=lhs, rhs=rhs)
+        tables = [table for _, table, _ in rows]
+        images = [image for _, _, image in rows]
+        for i, j, lhs, rhs in _differing(lift_rel(rel_pulled, tables, tables),
+                                         lift_rel(rel, images, images)):
+            suite.record("rel-lift-naturality", map=g,
+                         pair=(rows[i][0], rows[j][0]), lhs=lhs, rhs=rhs)
 
     # Derived forms agree with the generic pullback recipe.  Derived
     # forms read the honest tables, recipes the kit's `det`.
@@ -528,14 +603,27 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
                                  lhs=derived, rhs=recipe)
 
     rel2 = frozenset((u, v) for u in masks for v in masks if rng.bit())
-    pair_samples = ([(a, b) for a in rows for b in rows]
-                    if len(rows) <= 32 else
-                    [(rng.choice(rows), rng.choice(rows)) for _ in range(200)])
+    if len(rows) <= 32:
+        left = right = range(len(rows))
+        pair_samples = [(i, j) for i in left for j in right]
+    else:
+        last = len(rows) - 1
+        pair_samples = [(rng.randint(0, last), rng.randint(0, last))
+                        for _ in range(200)]
+        # the tables of the sampled pairs, each once, are lifted
+        left = list(dict.fromkeys(i for i, _ in pair_samples))
+        right = list(dict.fromkeys(j for _, j in pair_samples))
     if not suite.full("rel-recipe-agreement"):
-        for (u, table1, t1), (v, table2, t2) in pair_samples:
-            recipe = t1.accept == t2.accept and all(
-                (t1.succ[a], t2.succ[a]) in rel2 for a in range(m))
-            derived = lift_rel(rel2, table1, table2)
+        # row of left table i, and bit of right table j
+        lifted = dict(zip(left, lift_rel(rel2, [rows[i][1] for i in left],
+                                         [rows[j][1] for j in right])))
+        column = {j: c for c, j in enumerate(right)}
+        for i, j in pair_samples:
+            (u, _, t1), (v, _, t2) = rows[i], rows[j]
+            # accept bits agree and each action's successor sets are related
+            recipe = (t1.accept == t2.accept
+                      and rel2.issuperset(zip(t1.succ, t2.succ)))
+            derived = bool(lifted[i] >> column[j] & 1)
             if recipe != derived:
                 suite.record("rel-recipe-agreement", pair=(u, v),
                              lhs=derived, rhs=recipe)
@@ -580,23 +668,23 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
     r2 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
     r12 = r1 & r2
     fixed = _nda_step_rows(memo, 2, 2)
+    fixed_tables = [table for _, table in fixed]
+
+    def lift_fixed(rel_pairs) -> tuple[int, ...]:
+        return lift_rel(rel_pairs, fixed_tables, fixed_tables)
+
     if not suite.full("intersection-preservation"):
-        for u, t1 in fixed:
-            for v, t2 in fixed:
-                meet = lift_rel(r12, t1, t2)
-                both = lift_rel(r1, t1, t2) and lift_rel(r2, t1, t2)
-                if meet != both:
-                    suite.record("intersection-preservation", pair=(u, v),
-                                 lhs=meet, rhs=both)
+        both = [a & b for a, b in zip(lift_fixed(r1), lift_fixed(r2))]
+        for i, j, meet, rhs in _differing(lift_fixed(r12), both):
+            suite.record("intersection-preservation",
+                         pair=(fixed[i][0], fixed[j][0]), lhs=meet, rhs=rhs)
 
     # Lifting the identity relation yields the identity.
     def equality_failures():
         diag = frozenset((u, u) for u in masks2)
-        for i, (u, t1) in enumerate(fixed):
-            for j, (v, t2) in enumerate(fixed):
-                related = lift_rel(diag, t1, t2)
-                if related != (i == j):
-                    yield {"pair": (u, v), "lhs": related, "rhs": i == j}
+        identity = [1 << i for i in range(len(fixed))]
+        for i, j, related, rhs in _differing(lift_fixed(diag), identity):
+            yield {"pair": (fixed[i][0], fixed[j][0]), "lhs": related, "rhs": rhs}
 
     _replay(suite, "equality-preservation", memo, ("equality",),
             equality_failures)
@@ -945,8 +1033,12 @@ def _cts_sigma_odd_overlap(carrier: Sequence, region: frozenset) -> frozenset:
     return _cts_sigma_pred(carrier, region)
 
 
-def _cts_lift_one_sided(rel: BitRel, u: int, v: int) -> bool:
-    return all(rel.rows[x] & v for x in bits(u))
+def _cts_lift_one_sided(rel: BitRel, left, right) -> tuple[int, ...]:
+    _, _, meets = _cts_columns(rel, left, right)
+    full = (1 << len(right)) - 1
+    return tuple(functools.reduce(operator.and_, map(meets.__getitem__, bits(u)),
+                                  full)
+                 for u in left)
 
 
 def _cts_box_overlaps(succ: frozenset, region: frozenset) -> bool:
@@ -1040,15 +1132,13 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
             (k * n + x, k * n + x2) for k in K for x in X for x2 in X
             if rel.has(k * ny + g[(k, x)], k * ny + g[(k, x2)])))
         for k in K:
-            rows = [(u, mask, sum(1 << y for y in {g[(k, x)] for x in u}) << k * ny)
-                    for u, mask in zip(subsets, masks[k])]
-            for u, mask_u, image_u in rows:
-                for v, mask_v, image_v in rows:
-                    lhs = lift_rel(rel_pulled, mask_u, mask_v)
-                    rhs = lift_rel(rel, image_u, image_v)
-                    if lhs != rhs:
-                        suite.record("rel-lift-naturality", condition=k,
-                                     pair=(u, v), lhs=lhs, rhs=rhs)
+            images = [sum(1 << y for y in {g[(k, x)] for x in u}) << k * ny
+                      for u in subsets]
+            for i, j, lhs, rhs in _differing(
+                    lift_rel(rel_pulled, masks[k], masks[k]),
+                    lift_rel(rel, images, images)):
+                suite.record("rel-lift-naturality", condition=k,
+                             pair=(subsets[i], subsets[j]), lhs=lhs, rhs=rhs)
 
     # Derived predicate lifting agrees with the spread-then-test recipe.
     pred = frozenset((k, x) for k in K for x in X if rng.bit())
@@ -1064,23 +1154,28 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
     # Derived relation lifting agrees with the full pullback recipe.
     pairs = frozenset(((k, x), (k, x2)) for k in K for x in X for x2 in X
                       if rng.bit())
-    rel3 = BitRel.from_pairs(nk * n, (
-        (k * n + x, k * n + x2) for (k, x), (_, x2) in pairs))
-
-    def sim(su: frozenset, sv: frozenset) -> bool:
-        return (all(any((p, q) in pairs for q in sv) for p in su)
-                and all(any((p, q) in pairs for p in su) for q in sv))
-
     if not suite.full("rel-recipe-agreement"):
+        rel3 = BitRel.from_pairs(nk * n, (
+            (k * n + x, k * n + x2) for (k, x), (_, x2) in pairs))
+        # the recipe reads the pairs through their successor and
+        # predecessor sets, never through the lifting: su and sv are
+        # related iff su lies in the predecessors of sv and sv in the
+        # successors of su
+        post = {(k, x): set() for k in K for x in X}
+        pre = {(k, x): set() for k in K for x in X}
+        for p, q in pairs:
+            post[p].add(q)
+            pre[q].add(p)
         for k in K:
-            rows = list(zip(subsets, masks[k], spread[k]))
-            for u, mask_u, spread_u in rows:
-                for v, mask_v, spread_v in rows:
-                    derived = lift_rel(rel3, mask_u, mask_v)
-                    recipe = sim(spread_u, spread_v)
-                    if derived != recipe:
-                        suite.record("rel-recipe-agreement", condition=k,
-                                     pair=(u, v), lhs=derived, rhs=recipe)
+            succ = [set().union(*map(post.__getitem__, su)) for su in spread[k]]
+            pred = [set().union(*map(pre.__getitem__, sv)) for sv in spread[k]]
+            recipe = [sum(1 << j for j, sv in enumerate(spread[k])
+                          if sv <= succ[i] and su <= pred[j])
+                      for i, su in enumerate(spread[k])]
+            for i, j, lhs, rhs in _differing(lift_rel(rel3, masks[k], masks[k]),
+                                             recipe):
+                suite.record("rel-recipe-agreement", condition=k,
+                             pair=(subsets[i], subsets[j]), lhs=lhs, rhs=rhs)
 
     # Machine-level box agrees with pulling back along the dynamics.
     cts = random_cts(rng, max_conditions=3, max_states=4)
@@ -1115,13 +1210,12 @@ def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
     # Lifting per-condition equality yields per-condition equality.
     def equality_failures():
         diag = BitRel.identity(nk * n)
+        identity = [1 << i for i in range(len(subsets))]
         for k in K:
-            for i, (u, mask_u) in enumerate(zip(subsets, masks[k])):
-                for j, (v, mask_v) in enumerate(zip(subsets, masks[k])):
-                    related = lift_rel(diag, mask_u, mask_v)
-                    if related != (i == j):
-                        yield {"condition": k, "pair": (u, v),
-                               "lhs": related, "rhs": i == j}
+            for i, j, related, rhs in _differing(
+                    lift_rel(diag, masks[k], masks[k]), identity):
+                yield {"condition": k, "pair": (subsets[i], subsets[j]),
+                       "lhs": related, "rhs": rhs}
 
     _replay(suite, "equality-preservation", memo, ("equality", nk, n),
             equality_failures)

@@ -197,12 +197,12 @@ def cts_quotient(cts: Cts, rel: BitRel) -> CtsQuotientResult:
         raise ValueError(f"relation over {rel.size} positions, "
                          f"expected {nk} conditions x {n} states")
     name = lambda i: f"{cts.conditions.label(i // n)}:{cts.states.label(i % n)}"
+    succ = [mask << k * n for k, row in enumerate(cts.delta) for mask in row]
+    lifted = cts_rel_lift(rel, succ, succ)
     for i, j in rel.pairs():
-        k = i // n
-        if j // n != k:
+        if j // n != i // n:
             raise ValueError(f"pair ({name(i)},{name(j)}) crosses conditions")
-        if not cts_rel_lift(rel, cts.delta[k][i % n] << k * n,
-                            cts.delta[k][j % n] << k * n):
+        if not lifted[i] >> j & 1:
             raise ValueError(
                 f"not a conditional bisimulation: pair ({name(i)},{name(j)}) "
                 "fails the transfer condition")

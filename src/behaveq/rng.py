@@ -40,10 +40,11 @@ _LETTERS = "abcdefgh"
 
 # Fewest trials worth a part of its own in `run_trials`.  A fork, pipe
 # and reap cost about 2 ms, and a part also rebuilds what its trials
-# share (the law suite's memo).  A trial costs 0.3 ms (cts adequacy) to
-# 3 ms (nda laws) on a 2-CPU host; there, at 20 trials in two parts the
-# cheapest kinds break even (cts adequacy 5.6 -> 6.0 ms) and the others
-# gain 15-35%, while at 16 cts adequacy lost 3.0 -> 5.0 ms.
+# share (the law suite's memo).  A trial costs 0.3-0.4 ms (cts laws, nda
+# and cts adequacy) to 1.4-1.9 ms (nda laws) on a 2-CPU host; there, at
+# 20 trials in two parts the cheapest kinds break even (cts laws 7.2 ->
+# 7.3 ms, cts adequacy 5.9 -> 6.1 ms) and the others gain 13-37%, while
+# at 16 cts adequacy lost 4.8 -> 5.3 ms and nda adequacy 5.2 -> 5.8 ms.
 MIN_TRIALS_PER_PART = 10
 
 

@@ -433,8 +433,8 @@ def test_cts_bisim_is_postfixpoint():
         n = len(cts.states)
         for i, j in rel.pairs():
             k = i // n
-            assert cts_rel_lift(rel, cts.delta[k][i % n] << k * n,
-                                cts.delta[k][j % n] << k * n)
+            assert cts_rel_lift(rel, [cts.delta[k][i % n] << k * n],
+                                [cts.delta[k][j % n] << k * n]) == (1,)
 
 
 # ----------------------------------------------------------------- moore

@@ -23,6 +23,7 @@ from behaveq import (
     nda_modality,
 )
 from behaveq import liftings, rng
+from behaveq.core import bits
 from behaveq.liftings import CORRUPTIONS
 from behaveq.rng import Lcg, random_cts
 
@@ -132,10 +133,10 @@ def test_lwa_modality_cases():
 
 def test_cts_rel_lift_cases():
     rel = BitRel.from_pairs(2, [(0, 1)])
-    assert cts_rel_lift(rel, 0, 0)
-    assert not cts_rel_lift(rel, 0b01, 0)
-    assert cts_rel_lift(rel, 0b01, 0b10)
-    assert not cts_rel_lift(rel, 0b10, 0b01)
+    assert cts_rel_lift(rel, [0], [0]) == (1,)
+    assert cts_rel_lift(rel, [0b01], [0]) == (0,)
+    assert cts_rel_lift(rel, [0b01], [0b10]) == (1,)
+    assert cts_rel_lift(rel, [0b10], [0b01]) == (0,)
 
 
 def test_cts_rel_lift_single_condition_is_classic_lifting():
@@ -153,7 +154,105 @@ def test_cts_rel_lift_single_condition_is_classic_lifting():
                 for x in range(n) if u >> x & 1)
             and all(any(rel.has(x, y) for x in range(n) if u >> x & 1)
                     for y in range(n) if v >> y & 1))
-        assert cts_rel_lift(rel, u, v) == classic
+        assert cts_rel_lift(rel, [u], [v]) == ((1,) if classic else (0,))
+
+
+# The pairwise liftings that the row forms replaced, kept as references:
+# one verdict per pair of tables or masks.
+
+def reference_nda_lift_rel(rel_pairs, t1, t2) -> bool:
+    if t1.accept != t2.accept:
+        return False
+    return rel_pairs.issuperset(zip(t1.succ, t2.succ))
+
+
+def reference_nda_lift_ignores_stop(rel_pairs, t1, t2) -> bool:
+    return rel_pairs.issuperset(zip(t1.succ, t2.succ))
+
+
+def reference_nda_lift_any_action(rel_pairs, t1, t2) -> bool:
+    if t1.accept != t2.accept:
+        return False
+    return not rel_pairs.isdisjoint(zip(t1.succ, t2.succ))
+
+
+def reference_cts_rel_lift(rel, u, v) -> bool:
+    image = 0
+    for x in bits(u):
+        row = rel.rows[x] & v
+        if not row:
+            return False
+        image |= row
+    return image == v
+
+
+def reference_cts_lift_one_sided(rel, u, v) -> bool:
+    return all(rel.rows[x] & v for x in bits(u))
+
+
+def reference_rows(pairwise, rel, left, right) -> tuple[int, ...]:
+    return tuple(sum(1 << j for j, b in enumerate(right) if pairwise(rel, a, b))
+                 for a in left)
+
+
+def _sample(rng, items, count):
+    return [rng.choice(items) for _ in range(count)]
+
+
+def test_nda_row_liftings_are_the_pairwise_definitions():
+    row_forms = ((liftings._nda_lift_rel, reference_nda_lift_rel),
+                 (liftings._nda_lift_ignores_stop, reference_nda_lift_ignores_stop),
+                 (liftings._nda_lift_any_action, reference_nda_lift_any_action))
+    rng = Lcg(20)
+    for m in (1, 2):
+        for _ in range(40):
+            nx = rng.randint(1, 3)
+            steps = [STOP] + [Step.act(a, x) for a in range(m) for x in range(nx)]
+            tables = [nda_det_step(u, m) for u in liftings._powerset(steps)]
+            targets = liftings._powerset(range(nx))
+            rel = frozenset((u, v) for u in targets for v in targets if rng.bit())
+            # lists of different lengths, with repeats, and empty ones
+            for left, right in ((_sample(rng, tables, rng.randint(0, 9)),
+                                 _sample(rng, tables, rng.randint(0, 9))),
+                                (tables, tables), ([], tables), (tables, [])):
+                for row_form, pairwise in row_forms:
+                    assert row_form(rel, left, right) == reference_rows(
+                        pairwise, rel, left, right), (m, row_form.__name__)
+
+
+def test_cts_row_liftings_are_the_pairwise_definitions():
+    row_forms = ((cts_rel_lift, reference_cts_rel_lift),
+                 (liftings._cts_lift_one_sided, reference_cts_lift_one_sided))
+    rng = Lcg(21)
+    for _ in range(60):
+        nk, n = rng.randint(1, 3), rng.randint(1, 4)
+        size = nk * n
+        rel = BitRel.from_pairs(size, [(i, j) for i in range(size)
+                                       for j in range(size) if rng.bit()])
+        # the masks of condition k are subsets of its slice, shifted by k*n
+        slices = [[u << k * n for u in range(1 << n)] for k in range(nk)]
+        cases = [(_sample(rng, masks, rng.randint(0, 6)),
+                  _sample(rng, masks, rng.randint(0, 6))) for masks in slices]
+        cases += [(slices[0], slices[-1]), ([], slices[0]), (slices[0], []),
+                  ([rng.randint(0, (1 << size) - 1) for _ in range(4)],
+                   [rng.randint(0, (1 << size) - 1) for _ in range(3)])]
+        for left, right in cases:
+            for row_form, pairwise in row_forms:
+                assert row_form(rel, left, right) == reference_rows(
+                    pairwise, rel, left, right), row_form.__name__
+
+
+def test_cts_rel_lift_refuses_masks_past_the_carrier():
+    rel = BitRel.full(2)
+    for row_form in (cts_rel_lift, liftings._cts_lift_one_sided):
+        for left, right, bad in (([0b1], [0b101], 5), ([0b100], [0b1], 4),
+                                 ([0], [-4], -4), ([-1, 0b11], [0b10], -1),
+                                 ([0b11], [0b01, 0b1000], 8)):
+            with pytest.raises(ValueError,
+                               match=f"^mask {bad} out of range for 2 positions$"):
+                row_form(rel, left, right)
+    # masks inside the carrier, the full one among them, are lifted
+    assert cts_rel_lift(rel, [0b11, 0], [0b11, 0b01, 0]) == (0b011, 0b100)
 
 
 # -------------------------------------------------------------- law suite
@@ -295,17 +394,18 @@ def test_law_reports_match_golden_digests_for_any_worker_count(monkeypatch,
 
 def test_full_law_is_not_evaluated_again(monkeypatch):
     # the meet corruption fills intersection-preservation in the first
-    # trial; evaluated in every trial, that law alone would call the
-    # lifting at least twice on each of 32 x 32 pairs per trial.  One
-    # part, so that every call is made in this process and counted.
+    # trial; evaluated in every trial, that law alone would lift three
+    # relations, each deciding all 32 x 32 pairs, per trial.  The
+    # counter adds the pairs each call decides.  One part, so that
+    # every call is made in this process and counted.
     monkeypatch.setattr(rng, "workers", lambda trials: 1)
     law, entry, broken = liftings._NDA_CORRUPTIONS["meet"]
     calls = 0
 
-    def counting(rel_pairs, t1, t2):
+    def counting(rel_pairs, left, right):
         nonlocal calls
-        calls += 1
-        return broken(rel_pairs, t1, t2)
+        calls += len(left) * len(right)
+        return broken(rel_pairs, left, right)
 
     monkeypatch.setitem(liftings._NDA_CORRUPTIONS, "meet", (law, entry, counting))
     report = check_lifting_laws("nda", trials=30, seed=11, corruption="meet")

@@ -127,8 +127,8 @@ def gfp_cts_bisim(cts):
         for k in range(nk):
             for x in range(n):
                 for y in range(n):
-                    if cts_rel_lift(rel, cts.delta[k][x] << k * n,
-                                    cts.delta[k][y] << k * n):
+                    if cts_rel_lift(rel, [cts.delta[k][x] << k * n],
+                                    [cts.delta[k][y] << k * n]) == (1,):
                         keep.append((k * n + x, k * n + y))
         return BitRel.from_pairs(nk * n, keep)
 
