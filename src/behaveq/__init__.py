@@ -65,7 +65,6 @@ from .quotient import (
     ClosureViolation,
     RespectingAutomaton,
     build_respecting_automaton,
-    cts_quotient,
     redundant_members,
     respecting_subsets,
     verify_witness_homomorphism,
@@ -80,7 +79,6 @@ from .systems import (
     forward_determinize,
     lattice_lts,
     moore_determinize,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
-"""Equivalence-respecting subautomata, the membership witness relation,
-and the conditional-system quotient.
+"""Equivalence-respecting subautomata and the membership witness
+relation.
 
-The automaton pipeline: carve out the family of subsets that cannot
+The pipeline: carve out the family of subsets that cannot
 tell equivalent subset-states apart, restrict the backward dynamics
 (the reversed automaton's `post`) to that family (closure is checked,
 not assumed), and verify that the membership relation x related-to W iff
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BitRel, CapExceeded, Carrier, bits, subset_label
-from .liftings import cts_rel_lift
-from .systems import Cts, Nda, moore_determinize
+from .core import BitRel, CapExceeded, subset_label
+from .systems import Nda, moore_determinize
 
 RESPECTING_CAP = 6
 
@@ -165,82 +164,3 @@ def redundant_members(auto: RespectingAutomaton) -> tuple[int, ...]:
         if union == w:
             out.append(w)
     return tuple(out)
-
-
-# ---------------------------------------------------------------- CTS side
-
-@dataclass(frozen=True)
-class CtsQuotientResult:
-    """Quotient system plus the class map q over condition/state pairs.
-
-    `class_of[k][x]` indexes the quotient state carrier.  The quotient
-    dynamics do not depend on the condition input: each class steps to
-    the classes of its members' successors under the class's own
-    condition.
-    """
-
-    quotient: Cts
-    class_of: tuple[tuple[int, ...], ...]
-
-
-def cts_quotient(cts: Cts, rel: BitRel) -> CtsQuotientResult:
-    """Quotient a conditional system by a conditional bisimulation.
-
-    `rel` relates condition/state positions k*|X| + x, never two of
-    different conditions, and must be a post-fixpoint of the
-    bisimulation step; a violating pair is reported otherwise.  The
-    least equivalence containing `rel` is taken.  Classwise consistency
-    of the successor map is verified.
-    """
-    nk, n = len(cts.conditions), len(cts.states)
-    if rel.size != nk * n:
-        raise ValueError(f"relation over {rel.size} positions, "
-                         f"expected {nk} conditions x {n} states")
-    name = lambda i: f"{cts.conditions.label(i // n)}:{cts.states.label(i % n)}"
-    succ = [mask << k * n for k, row in enumerate(cts.delta) for mask in row]
-    lifted = cts_rel_lift(rel, succ, succ)
-    for i, j in rel.pairs():
-        if j // n != i // n:
-            raise ValueError(f"pair ({name(i)},{name(j)}) crosses conditions")
-        if not lifted[i] >> j & 1:
-            raise ValueError(
-                f"not a conditional bisimulation: pair ({name(i)},{name(j)}) "
-                "fails the transfer condition")
-
-    # The least equivalence: close under reflexivity and symmetry, then
-    # under transitivity by Warshall's algorithm on the row masks.
-    rows = [row | 1 << i for i, row in enumerate(rel.rows)]
-    for i, j in rel.pairs():
-        rows[j] |= 1 << i
-    for m in range(len(rows)):
-        for i in range(len(rows)):
-            if rows[i] >> m & 1:
-                rows[i] |= rows[m]
-    classes = BitRel(len(rows), tuple(rows)).classes()
-    class_of = [[0] * n for _ in range(nk)]
-    for c, cls in enumerate(classes):
-        for i in cls:
-            class_of[i // n][i % n] = c
-    class_of = tuple(map(tuple, class_of))
-    labels = ["{" + ",".join(map(name, cls)) + "}" for cls in classes]
-
-    succ_class: list[int] = []
-    for cls, label in zip(classes, labels):
-        masks = set()
-        for i in cls:
-            k = i // n
-            mask = 0
-            for y in bits(cts.delta[k][i % n]):
-                mask |= 1 << class_of[k][y]
-            masks.add(mask)
-        if len(masks) != 1:
-            raise ValueError(
-                f"quotient dynamics not classwise well-defined at class {label}")
-        succ_class.append(masks.pop())
-
-    quotient = Cts(
-        conditions=cts.conditions,
-        states=Carrier(tuple(labels)),
-        delta=tuple(tuple(succ_class) for _ in range(nk)),
-    )
-    return CtsQuotientResult(quotient, class_of)

@@ -2,8 +2,11 @@
 
 Nondeterministic automata, rational-weighted automata, conditional
 transition systems and LTSs whose outputs are sets joined by union, all
-as validated immutable values.  Subsets of a state carrier are n-bit
-little-endian masks throughout, and so are output sets.
+as immutable values that refuse a malformed shape at construction with
+a `ValueError`: a table of the wrong size, a successor or accepting
+mask outside the states, an output table of the wrong length, or a
+weight that is not an exact rational.  Subsets of a state carrier are
+n-bit little-endian masks throughout, and so are output sets.
 
 The three word-reading families share one-step dynamics:
 `post(config, a)` is the configuration after action a and
@@ -53,6 +56,18 @@ def _union_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def _check_table(delta, rows: int, cols: int, n: int, where) -> None:
+    """Refuse a `delta` that is not a rows x cols table of masks over n
+    states; `where(r, c)` names the entry whose successors leave them."""
+    if len(delta) != rows or any(len(row) != cols for row in delta):
+        raise ValueError(f"delta is not a {rows}x{cols} table")
+    for r, row in enumerate(delta):
+        for mask in row:
+            if mask >> n:       # nonzero for a negative mask too
+                raise ValueError(f"successors of {where(r, row.index(mask))} "
+                                 "leave the carrier")
+
+
 class _SubsetSystem:
     """One step of an Nda or OutputLts: `delta[x][a]` is the successor
     mask of state x under action a, and a subset steps to the union of
@@ -61,6 +76,10 @@ class _SubsetSystem:
     Unions over a subset are read from per-chunk union tables, built on
     first use, one lookup per chunk of the mask; a mask with a member
     outside the carrier, or an action outside the alphabet, is refused."""
+
+    def __post_init__(self):
+        _check_table(self.delta, len(self.states), len(self.alphabet),
+                     len(self.states), lambda x, a: self.states.label(x))
 
     @cached_property
     def _post_tables(self) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -104,6 +123,11 @@ class Nda(_SubsetSystem):
     delta: tuple[tuple[int, ...], ...]
     accepting: int
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.accepting >> len(self.states):
+            raise ValueError("accepting mask has bits outside the state carrier")
+
     def reverse(self) -> "Nda":
         """Every edge turned round, with the same accepting mask: its
         `post(mask, a)` is the set of states with an a-step into `mask`,
@@ -137,6 +161,22 @@ class Lwa:
     out: tuple[Fraction, ...]
     mat: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
+    def __post_init__(self):
+        n, m = len(self.states), len(self.alphabet)
+        if len(self.out) != n:
+            raise ValueError(f"output vector has length {len(self.out)}, expected {n}")
+        if len(self.mat) != m:
+            raise ValueError(f"{len(self.mat)} matrices for {m} actions")
+        for a, mat in enumerate(self.mat):
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise ValueError(f"matrix for {self.alphabet.label(a)} is not {n}x{n}")
+        for vec in (self.out, *(row for mat in self.mat for row in mat)):
+            for v in vec:
+                # Fraction first: almost every weight is one
+                if not isinstance(v, Fraction) and (
+                        not isinstance(v, int) or isinstance(v, bool)):
+                    raise ValueError(f"non-rational weight {v!r}")
+
     def post(self, p: Sequence, a: int) -> tuple[Fraction, ...]:
         """One weighted step: p . mat[a]; rows where p is zero are not read."""
         if not (0 <= a < len(self.alphabet)):
@@ -169,6 +209,11 @@ class Cts:
     states: Carrier
     delta: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        names, conditions = self.states, self.conditions
+        _check_table(self.delta, len(conditions), len(names), len(names),
+                     lambda k, x: f"{names.label(x)} under {conditions.label(k)}")
+
 
 @dataclass(frozen=True)
 class OutputLts(_SubsetSystem):
@@ -183,6 +228,11 @@ class OutputLts(_SubsetSystem):
     delta: tuple[tuple[int, ...], ...]
     output: tuple[int, ...]
     show: Callable[[int], str] = field(compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.output) != len(self.states):
+            raise ValueError("output table length does not match state count")
 
     @cached_property
     def _output_tables(self) -> tuple[tuple[int, ...], ...]:
@@ -305,56 +355,3 @@ def eval_word(system, start, word: Sequence[int]):
     for a in word:
         start = post(start, a)
     return observe(start)
-
-
-def validate(system) -> list[str]:
-    """Human-readable invariant diagnostics; empty means well formed."""
-    probs: list[str] = []
-    if isinstance(system, Lwa):
-        n, m = len(system.states), len(system.alphabet)
-        if len(system.out) != n:
-            probs.append(f"output vector has length {len(system.out)}, expected {n}")
-        if len(system.mat) != m:
-            probs.append(f"{len(system.mat)} matrices for {m} actions")
-        for a, mat in enumerate(system.mat[:m]):
-            if len(mat) != n or any(len(row) != n for row in mat):
-                probs.append(f"matrix for {system.alphabet.label(a)} is not {n}x{n}")
-        for vec in (system.out, *(row for mat in system.mat for row in mat)):
-            for v in vec:
-                if not isinstance(v, Fraction):
-                    probs.append(f"non-rational weight {v!r}")
-                    return probs
-    elif isinstance(system, Cts):
-        k, n = len(system.conditions), len(system.states)
-        if len(system.delta) != k or any(len(row) != n for row in system.delta):
-            probs.append(f"delta is not a {k}x{n} table")
-        for ki, row in enumerate(system.delta[:k]):
-            for x, mask in enumerate(row[:n]):
-                if mask >> n:
-                    probs.append(
-                        f"successors of {system.states.label(x)} under "
-                        f"{system.conditions.label(ki)} leave the carrier")
-    elif isinstance(system, (Nda, OutputLts)):
-        n, m = len(system.states), len(system.alphabet)
-        if len(system.delta) != n or any(len(row) != m for row in system.delta):
-            probs.append(f"delta is not a {n}x{m} table")
-        for x, row in enumerate(system.delta[:n]):
-            for mask in row:
-                if mask >> n:
-                    probs.append(f"successors of {system.states.label(x)} leave the carrier")
-        if isinstance(system, Nda):
-            if system.accepting >> n:
-                probs.append("accepting mask has bits outside the state carrier")
-        elif len(system.output) != n:
-            probs.append("output table length does not match state count")
-    elif isinstance(system, Semilattice):
-        probs.extend(system.diagnostics())
-    elif isinstance(system, DeterminizedMachine):
-        count = len(system.subset_states)
-        for i, row in enumerate(system.trans):
-            for t in row:
-                if not (0 <= t < count):
-                    probs.append(f"transition target {t} from state {i} not in the machine")
-    else:
-        probs.append(f"unknown system type {type(system).__name__}")
-    return probs

@@ -1172,3 +1172,143 @@ def test_failing_trial_part_exits_two_with_one_error_line(
     assert err == f"error: TrialPartError: trials 3..5 {detail}\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# ------------------------------------------- exit-code contract, fuzzed
+# Seeded structural mutations of whole documents, run through every
+# command with drawn specs and flags.  Flags that could ask for a large
+# allocation or many processes (--cap, --trials, --maxlen, --depth) are
+# drawn small or refused.
+
+FUZZ_DOCS = {"paper-nda": CONTRACT_DOCS["nda"], "trace-vs-failure": json.load(open(MOORE)),
+             "lwa": LWA_DOC, "cts": CTS_DOC, "lattice": LATTICE_DOC}
+
+# values put in place of a field or an entry
+FUZZ_VALUES = [None, True, 0, -1, 1.5, "", "x", "1/0", [], {}, [None], {"x": "y"}]
+
+
+def fuzz_paths(value, path=()):
+    """Every position inside a JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from fuzz_paths(child, path + (key,))
+
+
+def mutate(rng: Lcg, doc, edits: int):
+    """A copy of `doc` after `edits` edits, each at a drawn position:
+    deleted, given a wrong value, given the value of another position,
+    or swapped with a sibling."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(edits):
+        paths = list(fuzz_paths(doc))
+        if not paths:
+            break
+        *head, key = rng.choice(paths)
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        kind = rng.randint(0, 3)
+        if kind == 0:
+            del parent[key]
+        elif kind == 1:
+            parent[key] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+        elif kind == 2:
+            value = doc
+            for step in rng.choice(paths):
+                value = value[step]
+            parent[key] = json.loads(json.dumps(value))
+        else:
+            other = rng.choice(list(parent.keys() if isinstance(parent, dict)
+                                    else range(len(parent))))
+            parent[key], parent[other] = parent[other], parent[key]
+    return doc
+
+
+def fuzz_argv(rng: Lcg, path: str, doc: dict) -> list[str]:
+    """One command line on `path`.  Specs are drawn from the labels of
+    `doc` as it was before mutation, and one in four is junk."""
+    labels = lambda key: [s for s in doc.get(key, []) if isinstance(s, str)] or ["x"]
+    states, letters = labels("states"), labels("alphabet")
+    pick = lambda *options: options[rng.randint(0, len(options) - 1)]
+    junk = lambda good, *bad: pick(*bad) if rng.randint(0, 3) == 0 else good()
+    state = lambda: junk(lambda: rng.choice(states), "zz", "")
+    subset = lambda: junk(lambda: "{" + ",".join(
+        s for s in states if rng.randint(0, 1)) + "}", "{zz}", "{", "x,y")
+    vector = lambda: junk(lambda: "[" + ",".join(
+        pick("1", "0", "1/2", "-3") for _ in states) + "]", "[1]", "[1/0]", "[")
+    spec = lambda: pick(state, vector if doc["kind"] == "lwa" else subset)()
+    cap = pick([], [], [], ["--cap", pick("0", "2", "12", "-1")])
+    json_flag = pick([], ["--json"])
+    command = rng.randint(0, 5)
+    if command == 0:
+        return ["equiv", path, *cap, *json_flag,
+                *pick([], [], ["--semantics", pick("trace", "failure", "ready")])]
+    if command == 1:
+        return ["equiv", path, "--pair", spec(), spec(), *cap, *json_flag]
+    if command == 2:
+        initials = pick([], ["--initials"], ["--initials", subset(), subset()])
+        backward = ["--direction", "backward"] if doc["kind"] == "nda" else []
+        return ["determinize", path, *initials, *cap, *json_flag,
+                *pick([], backward)]
+    if command == 3:
+        return ["quotient", path, *pick([], ["--identity-eq"]), *json_flag]
+    if command == 4:
+        if doc["kind"] == "cts":
+            return ["eval", path, *json_flag, *pick(
+                ["--formula", junk(lambda: pick("tt", "[]tt", "!tt & []!tt"),
+                                   "([]", "zz")],
+                ["--depth", pick("-1", "0", "1")], [])]
+        start = pick(["--state", state()], ["--vector", vector()]
+                     if doc["kind"] == "lwa" else ["--subset", subset()], [])
+        word = junk(lambda: "".join(rng.choice(letters)
+                                    for _ in range(rng.randint(0, 3))), "zz", "[")
+        query = pick(["--word", word], ["--maxlen", pick("-1", "0", "2")])
+        return ["eval", path, *start, *query, *json_flag]
+    return ["check", path, "--adequacy", "--trials",
+            junk(lambda: pick("1", "2"), "0", "-1"),
+            "--seed", str(rng.randint(0, 9)), *json_flag]
+
+
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path, capsys,
+                                                        monkeypatch):
+    # 0 = equivalent or computed, 1 = inequivalent, 2 = input error with
+    # one error line; only the refusals that main expects leave a command
+    from behaveq import CapExceeded, cli
+    escaped = []
+
+    def recording(command):
+        def run(args):
+            try:
+                return command(args)
+            except (cli.SchemaError, CapExceeded, ValueError):
+                raise
+            except Exception as exc:
+                escaped.append(exc)
+                raise
+        return run
+
+    for name in ("cmd_equiv", "cmd_quotient", "cmd_check", "cmd_eval",
+                 "cmd_determinize"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    rng = Lcg(2121)
+    codes = set()
+    for name, doc in FUZZ_DOCS.items():
+        for i in range(200):
+            path = tmp_path / f"{name}-{i}.json"
+            # zero edits two times in five, so that commands also run
+            edits = max(0, rng.randint(-1, 3))
+            path.write_text(json.dumps(mutate(rng, doc, edits)))
+            argv = fuzz_argv(rng, str(path), doc)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 1, 2), (argv, path.read_text())
+            if code == 2:
+                assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+            assert not escaped, (argv, path.read_text(), escaped)
+            codes.add(code)
+    assert codes == {0, 1, 2}

@@ -6,12 +6,8 @@ from behaveq import (
     BitRel,
     Carrier,
     ClosureViolation,
-    Cts,
     Nda,
     build_respecting_automaton,
-    cts_conditional_bisim,
-    cts_quotient,
-    cts_slice_bisim_oracle,
     moore_determinize,
     moore_equiv,
     redundant_members,
@@ -19,7 +15,7 @@ from behaveq import (
     subset_label,
     verify_witness_homomorphism,
 )
-from behaveq.rng import Lcg, random_cts, random_nda
+from behaveq.rng import Lcg, random_nda
 
 from conftest import mask_of
 
@@ -295,96 +291,3 @@ def test_mutated_accepting_still_verifies(golden_nda):
     auto = build_respecting_automaton(mutated, eq)
     assert set(auto.carrier) == {0}
     assert verify_witness_homomorphism(mutated, auto)
-
-
-# ------------------------------------------------------------ cts side
-
-def test_cts_quotient_identity_keeps_everything():
-    cts = Cts(Carrier(("k", "k2")), Carrier(("u", "v")),
-              ((0b10, 0b00), (0b00, 0b00)))
-    rel = BitRel.identity(4)
-    result = cts_quotient(cts, rel)
-    assert len(result.quotient.states) == 4
-    # class map is injective and successor classes mirror the original
-    seen = set()
-    for k in range(2):
-        for x in range(2):
-            c = result.class_of[k][x]
-            assert c not in seen
-            seen.add(c)
-            succ = result.quotient.delta[0][c]
-            want = 0
-            for y in range(2):
-                if cts.delta[k][x] >> y & 1:
-                    want |= 1 << result.class_of[k][y]
-            assert succ == want
-
-
-def test_cts_quotient_merges_fully_bisimilar_states():
-    # two states with identical behaviour under both conditions
-    cts = Cts(Carrier(("k", "k2")), Carrier(("u", "v")),
-              ((0b00, 0b00), (0b00, 0b00)))
-    res = cts_conditional_bisim(cts)
-    result = cts_quotient(cts, res.relation)
-    assert len(result.quotient.states) == 2  # one class per condition
-    for k in range(2):
-        assert result.class_of[k][0] == result.class_of[k][1]
-        assert len(cts_slice_bisim_oracle(cts, k)) == 1
-
-
-def test_cts_quotient_single_condition_is_classic_lts_quotient():
-    rng = Lcg(111)
-    for _ in range(15):
-        cts = random_cts(rng, max_conditions=1, max_states=5)
-        res = cts_conditional_bisim(cts)
-        result = cts_quotient(cts, res.relation)
-        assert len(result.quotient.states) == len(cts_slice_bisim_oracle(cts, 0))
-
-
-def test_cts_quotient_minimal_per_condition():
-    # re-analysing the quotient merges no two classes of the same
-    # condition (classes of different conditions may still agree
-    # behaviourally, e.g. childless classes)
-    rng = Lcg(222)
-    for _ in range(15):
-        cts = random_cts(rng, max_conditions=3, max_states=4)
-        res = cts_conditional_bisim(cts)
-        result = cts_quotient(cts, res.relation)
-        requotient = cts_conditional_bisim(result.quotient)
-        nk = len(cts.conditions)
-        n = len(cts.states)
-        m = len(result.quotient.states)
-        condition_of = {}
-        for k in range(nk):
-            for x in range(n):
-                condition_of[result.class_of[k][x]] = k
-        for i, j in requotient.relation.pairs():
-            c1, c2 = i % m, j % m
-            if c1 != c2 and condition_of[c1] == condition_of[c2]:
-                pytest.fail(f"same-condition classes {c1},{c2} merged again")
-
-
-def test_cts_quotient_rejects_non_bisimulation():
-    cts = Cts(Carrier(("k",)), Carrier(("u", "v")), ((0b10, 0b00),))
-    bad = BitRel.full(2)
-    with pytest.raises(ValueError, match="transfer"):
-        cts_quotient(cts, bad)
-
-
-def test_cts_quotient_takes_least_equivalence():
-    cts = Cts(Carrier(("k",)), Carrier(("u", "v")), ((0b00, 0b00),))
-    asymmetric = BitRel.from_pairs(2, [(0, 0), (1, 1), (0, 1)])
-    # the closure is taken and the states merge
-    result = cts_quotient(cts, asymmetric)
-    assert len(result.quotient.states) == 1
-
-
-def test_cts_quotient_rejects_cross_condition_pair():
-    # u under k and u under k2 both deadlock, so the pair passes the
-    # transfer condition, but a conditional relation never crosses
-    # conditions
-    cts = Cts(Carrier(("k", "k2")), Carrier(("u", "v")),
-              ((0b00, 0b00), (0b00, 0b00)))
-    crossing = BitRel.identity(4) | BitRel.from_pairs(4, [(0, 2), (2, 0)])
-    with pytest.raises(ValueError, match="crosses conditions"):
-        cts_quotient(cts, crossing)

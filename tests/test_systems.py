@@ -4,14 +4,15 @@ import pytest
 
 from behaveq import (
     Carrier,
+    Cts,
     DimensionMismatch,
     Lwa,
     Nda,
+    OutputLts,
     Semilattice,
     forward_determinize,
     lattice_lts,
     moore_determinize,
-    validate,
 )
 from behaveq.core import bits
 from behaveq.equivalence import build_output_lts
@@ -220,7 +221,6 @@ def test_subset_post_and_observe_are_the_unions_over_members(n):
     masks = (range(1 << n) if n <= 9
              else [rng.randint(0, (1 << n) - 1) for _ in range(500)])
     for system in subset_systems(rng, n):
-        assert validate(system) == []
         for mask in masks:
             assert system.observe(mask) == reference_observe(system, mask)
             for a in range(len(system.alphabet)):
@@ -247,22 +247,92 @@ def test_subset_post_refuses_an_action_outside_the_alphabet(n):
                 system.post(1, a)
 
 
-# -------------------------------------------------------------- validate
+# ---------------------------------------------------------- construction
+# Each family refuses a malformed shape when it is built, so no engine
+# ever meets one.  One malformed instance per invariant and family, with
+# the exact message.
 
-def test_validate_golden_nda(golden_nda):
-    assert validate(golden_nda) == []
+_X, _XY = Carrier(("x",)), Carrier(("x", "y"))
+_A, _AB = Carrier(("a",)), Carrier(("a", "b"))
+_K, _UV = Carrier(("k",)), Carrier(("u", "v"))
+_0, _1 = Fraction(0), Fraction(1)
+_ZERO2 = ((_0, _0), (_0, _0))
 
 
-def test_validate_out_of_range_successor():
-    nda = Nda(Carrier(("x",)), Carrier(("a",)), ((0b10,),), 0)
-    probs = validate(nda)
-    assert len(probs) == 1 and "successor" in probs[0]
+def _lts(delta, output, states=_X):
+    return OutputLts(states, _A, delta, output, str)
 
 
-def test_validate_bad_semilattice_diagnostic():
+MALFORMED = [
+    pytest.param(lambda: Nda(_XY, _A, ((0,),), 0),
+                 "delta is not a 2x1 table", id="nda-too-few-rows"),
+    pytest.param(lambda: Nda(_XY, _A, ((0,), (0, 0)), 0),
+                 "delta is not a 2x1 table", id="nda-row-too-long"),
+    pytest.param(lambda: Nda(_X, _A, ((0b10,),), 0),
+                 "successors of x leave the carrier", id="nda-successor-outside"),
+    pytest.param(lambda: Nda(_XY, _AB, ((0, 0), (0, -1)), 0),
+                 "successors of y leave the carrier", id="nda-negative-successor"),
+    pytest.param(lambda: Nda(_X, _A, ((0,),), 0b10),
+                 "accepting mask has bits outside the state carrier",
+                 id="nda-accepting-outside"),
+    pytest.param(lambda: Nda(_X, _A, ((0,),), -1),
+                 "accepting mask has bits outside the state carrier",
+                 id="nda-negative-accepting"),
+    pytest.param(lambda: _lts(((0, 0),), (0,)),
+                 "delta is not a 1x1 table", id="lts-row-too-long"),
+    pytest.param(lambda: _lts(((0b11,),), (0,)),
+                 "successors of x leave the carrier", id="lts-successor-outside"),
+    pytest.param(lambda: _lts(((0,), (0,)), (0,), states=_XY),
+                 "output table length does not match state count",
+                 id="lts-output-too-short"),
+    pytest.param(lambda: Lwa(_XY, _A, (_0,), (_ZERO2,)),
+                 "output vector has length 1, expected 2", id="lwa-output-length"),
+    pytest.param(lambda: Lwa(_XY, _A, (_0, _0), (_ZERO2, _ZERO2)),
+                 "2 matrices for 1 actions", id="lwa-matrix-count"),
+    pytest.param(lambda: Lwa(_XY, _AB, (_0, _0), (_ZERO2, ((_0, _0),))),
+                 "matrix for b is not 2x2", id="lwa-too-few-rows"),
+    pytest.param(lambda: Lwa(_XY, _A, (_0, _0), (((_0, _0), (_0,)),)),
+                 "matrix for a is not 2x2", id="lwa-row-too-short"),
+    pytest.param(lambda: Lwa(_X, _A, (0.5,), (((_0,),),)),
+                 "non-rational weight 0.5", id="lwa-float-output"),
+    pytest.param(lambda: Lwa(_X, _A, (_1,), (((True,),),)),
+                 "non-rational weight True", id="lwa-bool-entry"),
+    pytest.param(lambda: Lwa(_X, _A, (_1,), ((("1",),),)),
+                 "non-rational weight '1'", id="lwa-string-entry"),
+    pytest.param(lambda: Cts(_K, _UV, ((0, 0), (0, 0))),
+                 "delta is not a 1x2 table", id="cts-too-many-rows"),
+    pytest.param(lambda: Cts(_K, _UV, ((0,),)),
+                 "delta is not a 1x2 table", id="cts-row-too-short"),
+    # a successor mask past the states once reached every cts engine,
+    # which then disagreed on it
+    pytest.param(lambda: Cts(_K, _UV, ((0b100, 0b01),)),
+                 "successors of u under k leave the carrier",
+                 id="cts-successor-outside"),
+    pytest.param(lambda: Cts(Carrier(("k", "k2")), _UV, ((0, 0), (0, -2))),
+                 "successors of v under k2 leave the carrier",
+                 id="cts-negative-successor"),
+]
+
+
+@pytest.mark.parametrize("build, message", MALFORMED)
+def test_construction_refuses_a_malformed_shape(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_lwa_accepts_int_weights_as_rationals():
+    lwa = Lwa(_XY, _A, (0, 3), (((0, 2), (_0, -1)),))
+    assert lwa.post((1, 1), 0) == (_0, Fraction(1))
+    assert lwa.observe((Fraction(1, 3), 1)) == 3
+    with pytest.raises(ValueError, match=r"^non-rational weight 2\.0$"):
+        Lwa(_XY, _A, (0, 3), (((0, 2.0), (_0, -1)),))
+
+
+def test_bad_semilattice_is_diagnosed_and_refused_as_outputs():
     # the lattice is checked where it is turned into output sets
     bad = Semilattice(("u", "v"), ((1, 1), (1, 1)), 0)
-    assert any("idempotent" in p and "u" in p for p in validate(bad))
+    assert any("idempotent" in p and "u" in p for p in bad.diagnostics())
     with pytest.raises(ValueError, match="idempotent at u"):
         lattice_lts(Carrier(("x",)), Carrier(("a",)), ((0,),), bad, (0,))
     for index in (2, -1):
