@@ -171,6 +171,16 @@ def _word_search(system, u, v, known: UnionFind | None = None,
     return OracleVerdict(True, None)
 
 
+def observe_after(system, config, word: Sequence[int]):
+    """What is observed of `config` after reading `word`, read off
+    `system.post` and `system.observe` as `_word_search` reads them, so
+    any object with those two methods will do."""
+    post = system.post
+    for a in word:
+        config = post(config, a)
+    return system.observe(config)
+
+
 def nda_pair_oracle(nda: Nda, mask_u: int, mask_v: int,
                     known: UnionFind | None = None) -> OracleVerdict:
     """Shortest distinguishing word by product search over subset masks.

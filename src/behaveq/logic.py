@@ -5,10 +5,11 @@ dynamics (`post`/`observe` in `systems`); conditional systems get a
 box/Boolean modal grammar.
 An adequacy check compares the behavioural relation (fixpoint engine or
 invariant subspace) against a logical relation computed along an
-independent route: the family's search for a separating word for
-automata and Moore systems, the values on a backward Krylov basis of
-the output for weighted automata, formula enumeration for conditional
-systems.
+independent route: for automata and Moore systems, a classification
+tree of the separating words that the family's pair search returns,
+with at most one search per position; the values on a backward Krylov
+basis of the output for weighted automata; formula enumeration for
+conditional systems.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .equivalence import (
     moore_equiv,
     moore_pair_oracle,
     nda_pair_oracle,
+    observe_after,
 )
 from .liftings import cts_box
 from .systems import Cts, Lwa, Nda, OutputLts, word_dynamics
@@ -393,34 +395,55 @@ def _word_blocks(search, system, configs: Sequence) -> list[int]:
     appearance: two share a block when `search` finds no word that
     separates them.
 
-    "No separating word" is an equivalence, so comparing each
-    configuration with one representative of each block found so far
-    gives the blocks.  Three things spare searches without changing the
-    answer.  Representatives are grouped by what is observed of them, so
-    a search that separates by the empty word rules out the rest of its
-    group.  Every search that ends equivalent merges the pairs it saw in
+    The blocks found so far are the leaves of a classification tree
+    (Kearns and Vazirani's discrimination tree).  An inner node holds a
+    word, with one child per observation after it; the root's word is
+    the empty one.  A leaf holds a block, whose representative is the
+    configuration that opened it.  Two invariants make the tree decide
+    blocks with at most one search per configuration:
+    - leaves are pairwise separated, by the word at their lowest common
+      ancestor;
+    - a configuration equivalent to a leaf's representative walks to
+      that leaf, since it observes what the representative observes
+      after every word.
+    So a configuration walks down by what it observes after each
+    node's word.  A missing child makes it a new block, with no search.
+    At a leaf one search decides: an equivalent verdict gives the leaf's
+    block, and a separating word w turns the leaf into a node for w
+    over the old leaf and a new one.  Observations are read through
+    `observe_after`, the seam that the searches read the system through.
+
+    Every search that ends equivalent merges the pairs it saw in
     `proven`, and later searches do not explore a pair merged there.  A
     configuration whose merged class already has a block takes it
     without a search.
     """
-    proven, groups, count = UnionFind(), [], 0
+    # an inner node is a pair (word, children by observation); a leaf is
+    # its block's number, which indexes `reps`
+    proven, reps = UnionFind(), []
+    root = ((), {})
 
     def block_of(c) -> int:
-        nonlocal count
-        for group in groups:
-            for block, rep in group:
-                verdict = search(system, rep, c, proven)
-                if verdict.equivalent:
-                    return block
-                if verdict.witness == ():   # observed apart from the group
-                    break
-            else:                   # observed alike, equivalent to none
-                group.append((count, c))
+        word, children = root
+        while True:
+            key = observe_after(system, c, word)
+            node = children.get(key)
+            if node is None:
                 break
-        else:
-            groups.append([(count, c)])
-        count += 1
-        return count - 1
+            if not isinstance(node, int):
+                word, children = node
+                continue
+            verdict = search(system, reps[node], c, proven)
+            if verdict.equivalent:
+                return node
+            word = verdict.witness
+            children[key] = word, {observe_after(system, reps[node], word): node}
+            children = children[key][1]
+            key = observe_after(system, c, word)
+            break
+        children[key] = len(reps)
+        reps.append(c)
+        return len(reps) - 1
 
     blocks = []
     for c in configs:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from behaveq import logic
 from behaveq.cli import load_system, main
 from behaveq.rng import Lcg
 
@@ -430,6 +431,30 @@ def test_check_adequacy_on_the_full_powerset_at_the_cap(tmp_path, capsys, kind, 
     assert len(sum(detail["logical_classes"], [])) == 1 << n
     assert detail["logical_classes"] == detail["behavioural_classes"]
     assert len(detail["logical_classes"]) > 5
+
+
+def test_check_adequacy_at_the_cap_makes_one_search_per_position(
+        tmp_path, capsys, monkeypatch):
+    # 4,096 subset positions in 336 classes.  Comparing each position
+    # with the representatives of its observation group took 629,994
+    # searches; the tree of separating words makes at most one per
+    # position (4,088 measured)
+    searches, honest = 0, logic.nda_pair_oracle
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return honest(*args)
+    monkeypatch.setattr(logic, "nda_pair_oracle", counted)
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(random_subset_doc(2024, 12, "nda", one_in=12)))
+    code, out, err = run_main(["check", str(path), "--adequacy", "--json"], capsys)
+    assert (code, err) == (0, [])
+    detail = json.loads(out)["checks"][0]["detail"]
+    assert len(sum(detail["logical_classes"], [])) == 1 << 12
+    assert len(detail["logical_classes"]) == 336
+    assert detail["logical_classes"] == detail["behavioural_classes"]
+    assert searches <= 1 << 12, searches
 
 
 def test_check_adequacy_on_a_12_state_lwa_copy_pair(tmp_path):

@@ -25,6 +25,7 @@ from behaveq import (
 )
 from behaveq import logic
 from behaveq.core import format_rational
+from behaveq.equivalence import UnionFind
 from behaveq.logic import TT, box, cts_logical_analysis, neg
 from behaveq.rng import (
     Lcg,
@@ -352,9 +353,12 @@ def _forced_cts():
                                   _forced_cts])
 def test_adequacy_counterexamples_on_forced_disagreement(case, monkeypatch):
     checked, name, other, expected, note, separates = case()
-    honest = getattr(logic, name)
-    monkeypatch.setattr(logic, name,
-                        lambda system, *rest: honest(other, *rest))
+    # the word families' logical side reads the system through two names,
+    # the pair search and `observe_after`; both answer for `other`
+    for patched in (name, "observe_after"):
+        honest = getattr(logic, patched)
+        monkeypatch.setattr(logic, patched,
+                            lambda system, *rest, honest=honest: honest(other, *rest))
     report = check_adequacy_expressivity(checked)
     assert not report.adequate and not report.expressive
     got = [(tuple(ce["pair"]), ce["kind"]) for ce in report.counterexamples]
@@ -488,6 +492,75 @@ def test_word_logical_relation_is_the_pairwise_oracle_relation():
     assert merged > 20
 
 
+def reference_word_blocks(search, system, configs):
+    """Logical block of each configuration, numbered in order of first
+    appearance, by comparing it with the representatives of its
+    observation group one search at a time; positions and pairs merged
+    in `proven` by an equivalent search are not searched again."""
+    proven, groups, count = UnionFind(), [], 0
+
+    def block_of(c):
+        nonlocal count
+        for group in groups:
+            for block, rep in group:
+                verdict = search(system, rep, c, proven)
+                if verdict.equivalent:
+                    return block
+                if verdict.witness == ():   # observed apart from the group
+                    break
+            else:                   # observed alike, equivalent to none
+                group.append((count, c))
+                break
+        else:
+            groups.append([(count, c)])
+        count += 1
+        return count - 1
+
+    blocks = []
+    for c in configs:
+        if proven.find(c) not in proven.labels:
+            block = block_of(c)
+            proven.labels[proven.find(c)] = block
+        blocks.append(proven.labels[proven.find(c)])
+    return blocks
+
+
+def _sized_delta(rng, n, one_in):
+    """n states over {a, b}, each possible edge present with
+    probability 1/one_in."""
+    return tuple(tuple(sum(1 << y for y in range(n) if rng.randint(1, one_in) == 1)
+                       for _ in range(2)) for _ in range(n))
+
+
+def test_word_blocks_match_the_representative_reference(golden_nda,
+                                                        trace_failure_lts):
+    # past the sizes the pairwise oracle test reaches: 7-10 states, sparse
+    # enough for dozens of classes, over the full powerset and from a few
+    # initial subsets; and both data files
+    rng, ab = Lcg(3507), Carrier(("a", "b"))
+    cases = [(golden_nda, None), (trace_failure_lts, None),
+             (trace_failure_lts, [mask_of(trace_failure_lts.states, "p0"),
+                                  mask_of(trace_failure_lts.states, "q0")])]
+    for n in (7, 8, 9, 10):
+        states = Carrier(tuple(f"q{i}" for i in range(n)))
+        systems = [Nda(states, ab, _sized_delta(rng, n, n // 2),
+                       rng.randint(0, (1 << n) - 1))]
+        delta = _sized_delta(rng, n, n // 2 + 1)
+        systems += [build_output_lts(states, ab, delta, semantics)
+                    for semantics in ("trace", "failure", "ready")]
+        for system in systems:
+            cases.append((system, None))
+            cases.append((system, [rng.randint(1, (1 << n) - 1) for _ in range(3)]))
+    sizes = []
+    for system, initials in cases:
+        search = nda_pair_oracle if isinstance(system, Nda) else moore_pair_oracle
+        configs = moore_equiv(system, initials).machine.subset_states
+        blocks = logic._word_blocks(search, system, configs)
+        assert blocks == reference_word_blocks(search, system, configs)
+        sizes.append(max(blocks) + 1)
+    assert sum(size > 20 for size in sizes) > 5, sizes
+
+
 def test_cts_single_condition_matches_hennessy_milner_oracle():
     # with one condition the logical classes are the bisimilarity blocks
     for i in range(10):
@@ -527,21 +600,28 @@ def test_moore_adequacy_on_semantics(trace_failure_lts):
 
 
 def test_adequacy_search_count_on_trace_vs_failure(trace_failure_lts, monkeypatch):
-    # 512 subset positions in 9 classes.  Measured: 2329 pair searches
-    # taking 7070 steps; asking each position against every
-    # representative, and exploring pairs already proved equivalent,
-    # took 2355 searches and 28656 steps.  The bounds are the measured
-    # counts, so that a return to re-searching fails.
+    # 512 subset positions in 9 classes.  Measured: 504 pair searches and
+    # 4540 steps, 3052 in the searches and 1488 in walking positions down
+    # the tree of separating words.  Asking each position against every
+    # representative of its observation group took 2329 searches and 7070
+    # steps, and exploring pairs already proved equivalent as well took
+    # 2355 searches and 28656 steps.  The bounds are the measured counts,
+    # so that a return to either fails.
     steps, searches = CountedSteps(trace_failure_lts), 0
-    honest = logic.moore_pair_oracle
+    honest, honest_observe = logic.moore_pair_oracle, logic.observe_after
 
     def counted(system, *rest):
         nonlocal searches
         assert system is trace_failure_lts
         searches += 1
         return honest(steps, *rest)
+
+    def counted_observe(system, *rest):
+        assert system is trace_failure_lts
+        return honest_observe(steps, *rest)
     monkeypatch.setattr(logic, "moore_pair_oracle", counted)
+    monkeypatch.setattr(logic, "observe_after", counted_observe)
     report = check_adequacy_expressivity(trace_failure_lts)
     assert report.passed and len(report.logical_classes) == 9
     assert len(sum(report.logical_classes, ())) == 512
-    assert searches <= 2329 and steps.posts <= 7070, (searches, steps.posts)
+    assert searches <= 504 and steps.posts <= 4540, (searches, steps.posts)
