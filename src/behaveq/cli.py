@@ -53,7 +53,7 @@ from .equivalence import (
     moore_pair_oracle,
     nda_pair_oracle,
 )
-from .liftings import check_lifting_laws
+from .liftings import CORRUPTIONS, check_lifting_laws
 from .logic import (
     check_adequacy_expressivity,
     cts_logical_analysis,
@@ -541,6 +541,12 @@ def cmd_check(args) -> int:
         raise SchemaError("pass FILE or --random, not both")
     if args.trials < 1:
         raise SchemaError("trials must be at least 1")
+    # an unknown corruption is refused before any suite runs, in the
+    # words of check_lifting_laws
+    for family in _families(args):
+        if args.corruption not in (None, *CORRUPTIONS[family]):
+            raise SchemaError(
+                f"unknown corruption {args.corruption!r} for {family}")
     results: list[dict] = []
     if args.laws:
         _run_law_checks(args, results)

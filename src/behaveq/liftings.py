@@ -18,13 +18,14 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (BitRel, Subspace, as_rational, bits, echelonize, nullspace,
                    orthogonal_tests, preimage_subspace)
 from .rng import (WEIGHT_GRID, Lcg, random_cts, random_lwa, random_nda,
                   random_vector, run_trials)
-from .systems import Cts, DeterminizedMachine, Lwa, forward_determinize
+from .systems import Cts, DeterminizedMachine, Lwa, moore_determinize
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,6 @@ class Step:
 
     action: object
     target: object
-
-    @classmethod
-    def act(cls, action, target) -> "Step":
-        return cls(action, target)
 
     @property
     def is_stop(self) -> bool:
@@ -79,7 +76,7 @@ def nda_dist_law(step: Step) -> frozenset[Step]:
     """Push a set-valued target out of one step: (a,U) to {a} x U."""
     if step.is_stop:
         return frozenset({STOP})
-    return frozenset(Step.act(step.action, x) for x in step.target)
+    return frozenset(Step(step.action, x) for x in step.target)
 
 
 def nda_det_step(steps: Iterable[Step], num_actions: int) -> NdaStepTable:
@@ -99,7 +96,7 @@ def lwa_dist_law(step: Step) -> dict[Step, Fraction]:
     if step.is_stop:
         return {STOP: _ONE}
     return {
-        Step.act(step.action, x): as_rational(w)
+        Step(step.action, x): as_rational(w)
         for x, w in enumerate(step.target) if w
     }
 
@@ -283,28 +280,10 @@ class LawReport:
         }
 
 
-class _Suite:
-    """Collects per-law failures across sampled trials."""
-
-    def __init__(self, laws: Sequence[str], trials: int):
-        self.trials = trials
-        self.failures: dict[str, list[dict]] = {law: [] for law in laws}
-
-    def full(self, law: str) -> bool:
-        """Whether `law` already holds its last reportable failure, so
-        that evaluating it again cannot change the report."""
-        return len(self.failures[law]) >= _MAX_FAILURES
-
-    def record(self, law: str, **ce):
-        if not self.full(law):
-            self.failures[law].append({k: _show(v) if not isinstance(v, str) else v
-                                       for k, v in ce.items()})
-
-    def report(self, family: str, seed: int, corruption) -> LawReport:
-        results = tuple(LawResult(law, self.trials, tuple(fails))
-                        for law, fails in self.failures.items())
-        return LawReport(family, seed, corruption, results)
-
+# A family's suite is (draw, laws, kit, corruptions).  `draw(rng)` makes
+# every draw of a trial; each `law(instance, kit, memo)` yields failures
+# and draws nothing, listed as (name, law, sizes) in report order, with
+# `sizes` the only instance fields it reads (None: it reads the draws).
 
 # ---------------------------------------------------------------- NDA laws
 
@@ -329,10 +308,7 @@ def _nda_sigma_pred(carrier_size: int, num_actions: int, kind,
     out = []
     for p in itertools.product(range(carrier_size), repeat=num_actions):
         for b in (False, True):
-            if kind == "stop":
-                ok = b
-            else:
-                ok = p[kind] in region
+            ok = b if kind == "stop" else p[kind] in region
             if ok:
                 out.append((p, b))
     return frozenset(out)
@@ -430,18 +406,6 @@ def _random_subset(rng: Lcg, items: Sequence) -> frozenset:
     return frozenset(x for x in items if rng.bit())
 
 
-def _replay(suite: _Suite, law: str, memo: dict, key, failures) -> None:
-    """Record the failures of an instance that draws nothing, as a trial
-    would; `failures()` runs only on the first use of `key` in a call,
-    and not at all once `law` is full."""
-    if suite.full(law):
-        return
-    if key not in memo:
-        memo[key] = list(failures())
-    for ce in memo[key]:
-        suite.record(law, **ce)
-
-
 def _differing(lhs: Sequence[int], rhs: Sequence[int]):
     """(i, j, bit j of lhs[i], bit j of rhs[i]) for each bit where two
     lists of row masks differ, rows in order and bits ascending: the
@@ -452,61 +416,90 @@ def _differing(lhs: Sequence[int], rhs: Sequence[int]):
 
 
 def _nda_step_rows(memo: dict, num_states: int, num_actions: int) -> list:
-    """Every set of steps over `num_states` targets and `num_actions`
-    actions, in powerset order, each with its honest table; built once
-    per call."""
+    """Each step set over the targets and actions, with its honest table."""
     key = ("steps", num_states, num_actions)
     if key not in memo:
-        steps = [STOP] + [Step.act(a, x) for a in range(num_actions)
+        steps = [STOP] + [Step(a, x) for a in range(num_actions)
                           for x in range(num_states)]
         memo[key] = [(u, nda_det_step(u, num_actions)) for u in _powerset(steps)]
     return memo[key]
 
 
-def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
-    dist, det = kit["dist"], kit["det"]
-    sigma_pred, lift_rel = kit["sigma_pred"], kit["lift_rel"]
+def _nda_recipe_rows(memo: dict, det, num_states: int, num_actions: int) -> list:
+    """`_nda_step_rows` with each set's table under the kit's `det` added."""
+    key = ("recipes", num_states, num_actions)
+    if key not in memo:
+        memo[key] = [(u, table, det(u, num_actions))
+                     for u, table in _nda_step_rows(memo, num_states, num_actions)]
+    return memo[key]
 
-    nx = rng.randint(1, 4)
-    m = rng.randint(1, 2)
-    X = range(nx)
-    fx = [STOP] + [Step.act(a, x) for a in range(m) for x in X]
-    masks = _powerset(X)
 
-    # Unit square of the distribution law, pointwise over F X.
-    def unit_failures():
-        for e in fx:
-            wrapped = STOP if e.is_stop else Step.act(e.action, frozenset({e.target}))
-            got = dist(wrapped)
-            if got != frozenset({e}):
-                yield {"element": e, "lhs": got, "rhs": frozenset({e})}
+def _nda_draw(rng: Lcg) -> SimpleNamespace:
+    """Every draw of one nda trial, in order."""
+    t = SimpleNamespace(nx=rng.randint(1, 4), m=rng.randint(1, 2))
+    masks = _powerset(range(t.nx))
+    t.samples = [STOP] + [Step(rng.randint(0, t.m - 1),
+                               frozenset(_random_subset(rng, masks)))
+                          for _ in range(3)]
+    ftx = [STOP] + [Step(a, u) for a in range(t.m) for u in masks]
+    t.nested = [_random_subset(rng, ftx) for _ in range(3)]
+    t.ny = rng.randint(1, 3)
+    t.nx2 = rng.randint(1, 3)
+    t.f = tuple(rng.randint(0, t.ny - 1) for _ in range(t.nx2))
+    t.region = _random_subset(rng, range(t.ny))
+    t.small_nx, t.small_ny = rng.randint(1, 2), rng.randint(1, 2)
+    t.g = tuple(_random_subset(rng, range(t.small_ny)) for _ in range(t.small_nx))
+    t.big_region = frozenset(_random_subset(rng, _powerset(range(t.small_ny)))
+                             for _ in range(3))
+    t.rel = frozenset((u, v) for u in _powerset(range(t.small_ny))
+                      for v in _powerset(range(t.small_ny)) if rng.bit())
+    t.region_sets = frozenset(_random_subset(rng, masks) for _ in range(3))
+    t.rel2 = frozenset((u, v) for u in masks for v in masks if rng.bit())
+    # the step sets over nx targets: all their pairs if there are at most
+    # 32 sets, else 200 sampled pairs of their indices
+    count = 1 << (1 + t.nx * t.m)
+    t.pair_draws = None if count <= 32 else [
+        (rng.randint(0, count - 1), rng.randint(0, count - 1))
+        for _ in range(200)]
+    t.nda = random_nda(rng, max_states=3, max_actions=2)
+    # the machine from every subset has one position per subset
+    t.position_region = sum(1 << i for i in range(1 << len(t.nda.states))
+                            if rng.bit())
+    masks2 = _powerset(range(2))
+    t.r1 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
+    t.r2 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
+    return t
 
-    _replay(suite, "kleisli-unit", memo, ("unit", nx, m), unit_failures)
 
-    # Multiplication square, sampled over F T T X.
-    samples = [STOP] + [Step.act(rng.randint(0, m - 1),
-                                 frozenset(_random_subset(rng, masks)))
-                        for _ in range(3)]
-    if not suite.full("kleisli-mult"):
-        for e in samples:
-            if e.is_stop:
-                flat = STOP
-            else:
-                flat = Step.act(e.action, frozenset(x for u in e.target for x in u))
-            lhs = dist(flat)
-            inner = dist(e) if e.is_stop else frozenset(
-                Step.act(e.action, u) for u in e.target)
-            rhs = frozenset(x for s in inner for x in dist(s))
-            if lhs != rhs:
-                suite.record("kleisli-mult", element=e, lhs=lhs, rhs=rhs)
+def _nda_unit(t, kit: dict, memo: dict):
+    """Unit square of the distribution law, pointwise over F X."""
+    for e in [STOP] + [Step(a, x) for a in range(t.m) for x in range(t.nx)]:
+        wrapped = STOP if e.is_stop else Step(e.action, frozenset({e.target}))
+        got = kit["dist"](wrapped)
+        if got != frozenset({e}):
+            yield dict(element=e, lhs=got, rhs=frozenset({e}))
 
-    # Compatibility of the collected table with union-flattening,
-    # sampled over T F T X.
-    ftx = [STOP] + [Step.act(a, u) for a in range(m) for u in masks]
-    for _ in range(3):
-        w = _random_subset(rng, ftx)
-        if suite.full("gamma-theta-mu"):
-            continue
+
+def _nda_mult(t, kit: dict, memo: dict):
+    """Multiplication square, sampled over F T T X."""
+    dist = kit["dist"]
+    for e in t.samples:
+        if e.is_stop:
+            flat = STOP
+        else:
+            flat = Step(e.action, frozenset(x for u in e.target for x in u))
+        lhs = dist(flat)
+        inner = dist(e) if e.is_stop else frozenset(
+            Step(e.action, u) for u in e.target)
+        rhs = frozenset(x for s in inner for x in dist(s))
+        if lhs != rhs:
+            yield dict(element=e, lhs=lhs, rhs=rhs)
+
+
+def _nda_gamma(t, kit: dict, memo: dict):
+    """The collected table commutes with flattening, over T F T X."""
+    dist, det, m = kit["dist"], kit["det"], t.m
+    for w in t.nested:
         flat = frozenset(x for s in w for x in dist(s))
         lhs = det(flat, m)
         nested = det(w, m)
@@ -515,198 +508,177 @@ def _check_nda_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
                   for a in range(m)),
             nested.accept)
         if lhs != rhs:
-            suite.record("gamma-theta-mu", element=w, lhs=lhs, rhs=rhs)
+            yield dict(element=w, lhs=lhs, rhs=rhs)
 
-    # Naturality of the branching-level predicate lifting along functions.
-    ny = rng.randint(1, 3)
-    nx2 = rng.randint(1, 3)
-    f = tuple(rng.randint(0, ny - 1) for _ in range(nx2))
-    region = _random_subset(rng, range(ny))
-    pullback = frozenset(x for x in range(nx2) if f[x] in region)
-    if not suite.full("pred-sigma-naturality"):
-        for kind in list(range(m)) + ["stop"]:
-            lhs = sigma_pred(nx2, m, kind, pullback)
-            upper = sigma_pred(ny, m, kind, region)
-            rhs = frozenset(
-                (p, b)
-                for p in itertools.product(range(nx2), repeat=m)
-                for b in (False, True)
-                if (tuple(f[i] for i in p), b) in upper)
-            if lhs != rhs:
-                suite.record("pred-sigma-naturality", fn=f, kind=kind,
-                             region=region, lhs=lhs, rhs=rhs)
 
-    # Naturality of the composed predicate lifting along one-to-many maps.
-    small_nx, small_ny = rng.randint(1, 2), rng.randint(1, 2)
-    g = tuple(_random_subset(rng, range(small_ny)) for _ in range(small_nx))
-    big_region = frozenset(_random_subset(rng, _powerset(range(small_ny)))
-                           for _ in range(3))
+def _nda_sigma_naturality(t, kit: dict, memo: dict):
+    """Naturality of the branching-level predicate lifting."""
+    sigma_pred, f, m = kit["sigma_pred"], t.f, t.m
+    pullback = frozenset(x for x in range(t.nx2) if f[x] in t.region)
+    for kind in list(range(m)) + ["stop"]:
+        lhs = sigma_pred(t.nx2, m, kind, pullback)
+        upper = sigma_pred(t.ny, m, kind, t.region)
+        rhs = frozenset(
+            (p, b)
+            for p in itertools.product(range(t.nx2), repeat=m)
+            for b in (False, True)
+            if (tuple(f[i] for i in p), b) in upper)
+        if lhs != rhs:
+            yield dict(fn=f, kind=kind, region=t.region, lhs=lhs, rhs=rhs)
 
-    def g_hat(u: frozenset) -> frozenset:
-        return frozenset(y for x in u for y in g[x])
 
+def _nda_image_rows(t, memo: dict) -> list:
+    """(step set, its table, the table of its image along g) per step set
+    over small_nx targets, built once per call and map g."""
     def step_image(ubar: frozenset) -> frozenset:
         out = set()
         for s in ubar:
             if s.is_stop:
                 out.add(STOP)
             else:
-                out.update(Step.act(s.action, y) for y in g[s.target])
+                out.update(Step(s.action, y) for y in t.g[s.target])
         return frozenset(out)
 
-    # Rows of (step set, its table, the table of its image); an image is
-    # a step set over the small_ny targets, so its table is prebuilt too.
-    image_tables = dict(_nda_step_rows(memo, small_ny, m))
-    rows = [(u, table, image_tables[step_image(u)])
-            for u, table in _nda_step_rows(memo, small_nx, m)]
-    if not suite.full("pred-lift-naturality"):
-        pulled = frozenset(u for u in _powerset(range(small_nx))
-                           if g_hat(u) in big_region)
-        for kind in list(range(m)) + ["stop"]:
-            for ubar, table, image in rows:
-                lhs = _nda_lift_pred(table, kind, pulled)
-                rhs = _nda_lift_pred(image, kind, big_region)
-                if lhs != rhs:
-                    suite.record("pred-lift-naturality", map=g, kind=kind,
-                                 steps=ubar, lhs=lhs, rhs=rhs)
-
-    # Naturality of the composed relation lifting along one-to-many maps.
-    rel = frozenset((u, v) for u in _powerset(range(small_ny))
-                    for v in _powerset(range(small_ny)) if rng.bit())
-    if not suite.full("rel-lift-naturality"):
-        rel_pulled = frozenset((u, v) for u in _powerset(range(small_nx))
-                               for v in _powerset(range(small_nx))
-                               if (g_hat(u), g_hat(v)) in rel)
-        tables = [table for _, table, _ in rows]
-        images = [image for _, _, image in rows]
-        for i, j, lhs, rhs in _differing(lift_rel(rel_pulled, tables, tables),
-                                         lift_rel(rel, images, images)):
-            suite.record("rel-lift-naturality", map=g,
-                         pair=(rows[i][0], rows[j][0]), lhs=lhs, rhs=rhs)
-
-    # Derived forms agree with the generic pullback recipe.  Derived
-    # forms read the honest tables, recipes the kit's `det`.
-    region_sets = frozenset(_random_subset(rng, masks) for _ in range(3))
-    key = ("recipes", nx, m)
+    key = ("images", t.g, t.small_ny, t.m)
     if key not in memo:
-        memo[key] = [(u, table, det(u, m))
-                     for u, table in _nda_step_rows(memo, nx, m)]
-    rows = memo[key]
-    if not suite.full("pred-recipe-agreement"):
-        for kind in list(range(m)) + ["stop"]:
-            for ubar, table, recipe_table in rows:
-                recipe = (recipe_table.accept if kind == "stop"
-                          else recipe_table.succ[kind] in region_sets)
-                derived = _nda_lift_pred(table, kind, region_sets)
-                if recipe != derived:
-                    suite.record("pred-recipe-agreement", kind=kind, steps=ubar,
-                                 lhs=derived, rhs=recipe)
+        image_tables = dict(_nda_step_rows(memo, t.small_ny, t.m))
+        memo[key] = [(u, table, image_tables[step_image(u)])
+                     for u, table in _nda_step_rows(memo, t.small_nx, t.m)]
+    return memo[key]
 
-    rel2 = frozenset((u, v) for u in masks for v in masks if rng.bit())
-    if len(rows) <= 32:
+
+def _nda_pred_naturality(t, kit: dict, memo: dict):
+    """Naturality of the composed predicate lifting along g."""
+    pulled = frozenset(u for u in _powerset(range(t.small_nx))
+                       if frozenset(y for x in u for y in t.g[x]) in t.big_region)
+    rows = _nda_image_rows(t, memo)
+    for kind in list(range(t.m)) + ["stop"]:
+        for ubar, table, image in rows:
+            lhs = _nda_lift_pred(table, kind, pulled)
+            rhs = _nda_lift_pred(image, kind, t.big_region)
+            if lhs != rhs:
+                yield dict(map=t.g, kind=kind, steps=ubar, lhs=lhs, rhs=rhs)
+
+
+def _nda_rel_naturality(t, kit: dict, memo: dict):
+    """Naturality of the composed relation lifting along g."""
+    lift_rel, subsets = kit["lift_rel"], _powerset(range(t.small_nx))
+    image = {u: frozenset(y for x in u for y in t.g[x]) for u in subsets}
+    rel_pulled = frozenset((u, v) for u in subsets for v in subsets
+                           if (image[u], image[v]) in t.rel)
+    rows = _nda_image_rows(t, memo)
+    tables = [table for _, table, _ in rows]
+    images = [image for _, _, image in rows]
+    for i, j, lhs, rhs in _differing(lift_rel(rel_pulled, tables, tables),
+                                     lift_rel(t.rel, images, images)):
+        yield dict(map=t.g, pair=(rows[i][0], rows[j][0]), lhs=lhs, rhs=rhs)
+
+
+def _nda_pred_recipe(t, kit: dict, memo: dict):
+    """The derived predicate lifting agrees with the pullback recipe."""
+    rows = _nda_recipe_rows(memo, kit["det"], t.nx, t.m)
+    for kind in list(range(t.m)) + ["stop"]:
+        for ubar, table, recipe_table in rows:
+            recipe = (recipe_table.accept if kind == "stop"
+                      else recipe_table.succ[kind] in t.region_sets)
+            derived = _nda_lift_pred(table, kind, t.region_sets)
+            if recipe != derived:
+                yield dict(kind=kind, steps=ubar, lhs=derived, rhs=recipe)
+
+
+def _nda_rel_recipe(t, kit: dict, memo: dict):
+    """The derived relation lifting agrees with the pullback recipe."""
+    rows = _nda_recipe_rows(memo, kit["det"], t.nx, t.m)
+    if t.pair_draws is None:
         left = right = range(len(rows))
         pair_samples = [(i, j) for i in left for j in right]
     else:
-        last = len(rows) - 1
-        pair_samples = [(rng.randint(0, last), rng.randint(0, last))
-                        for _ in range(200)]
+        pair_samples = t.pair_draws
         # the tables of the sampled pairs, each once, are lifted
         left = list(dict.fromkeys(i for i, _ in pair_samples))
         right = list(dict.fromkeys(j for _, j in pair_samples))
-    if not suite.full("rel-recipe-agreement"):
-        # row of left table i, and bit of right table j
-        lifted = dict(zip(left, lift_rel(rel2, [rows[i][1] for i in left],
-                                         [rows[j][1] for j in right])))
-        column = {j: c for c, j in enumerate(right)}
-        for i, j in pair_samples:
-            (u, _, t1), (v, _, t2) = rows[i], rows[j]
-            # accept bits agree and each action's successor sets are related
-            recipe = (t1.accept == t2.accept
-                      and rel2.issuperset(zip(t1.succ, t2.succ)))
-            derived = bool(lifted[i] >> column[j] & 1)
-            if recipe != derived:
-                suite.record("rel-recipe-agreement", pair=(u, v),
-                             lhs=derived, rhs=recipe)
+    # row of left table i, and bit of right table j
+    lifted = dict(zip(left, kit["lift_rel"](t.rel2, [rows[i][1] for i in left],
+                                            [rows[j][1] for j in right])))
+    column = {j: c for c, j in enumerate(right)}
+    for i, j in pair_samples:
+        (u, _, t1), (v, _, t2) = rows[i], rows[j]
+        # accept bits agree and each action's successor sets are related
+        recipe = (t1.accept == t2.accept
+                  and t.rel2.issuperset(zip(t1.succ, t2.succ)))
+        derived = bool(lifted[i] >> column[j] & 1)
+        if recipe != derived:
+            yield dict(pair=(u, v), lhs=derived, rhs=recipe)
 
-    # Machine-level modality agrees with pulling the lifting back along
-    # the dynamics.
-    nda = random_nda(rng, max_states=3, max_actions=2)
-    n, na = len(nda.states), len(nda.alphabet)
-    machine = forward_determinize(nda, range(1 << n))
-    # the region is drawn over the machine's positions, so the machine
-    # is built even when the law is full
-    position_region = sum(1 << i for i in range(len(machine.subset_states))
-                          if rng.bit())
-    if not suite.full("modality-recipe-agreement"):
-        region_masks = frozenset(
-            frozenset(bits(machine.subset_states[i]))
-            for i in bits(position_region))
-        tables = []
-        for mask in machine.subset_states:
-            ubar = set()
-            if mask & nda.accepting:
-                ubar.add(STOP)
-            for x in bits(mask):
-                for a, succ in enumerate(nda.delta[x]):
-                    ubar.update(Step.act(a, x2) for x2 in bits(succ))
-            tables.append(nda_det_step(frozenset(ubar), na))
-        for kind in list(range(na)) + ["accept"]:
-            got = nda_modality(machine, kind, position_region)
-            for i, table in enumerate(tables):
-                want = _nda_lift_pred(
-                    table, "stop" if kind == "accept" else kind, region_masks)
-                if bool(got >> i & 1) != want:
-                    suite.record("modality-recipe-agreement", kind=kind,
-                                 state=machine.label(i), lhs=bool(got >> i & 1),
-                                 rhs=want)
 
-    # Meet preservation of the relation lifting (two actions needed to
-    # tell conjunction from disjunction), on the step sets over two
-    # targets and two actions.
-    masks2 = _powerset(range(2))
-    r1 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
-    r2 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
-    r12 = r1 & r2
+def _nda_modality(t, kit: dict, memo: dict):
+    """The machine-level modality agrees with the lifting's pullback."""
+    machine = moore_determinize(t.nda, range(1 << len(t.nda.states)))
+    region_masks = frozenset(frozenset(bits(machine.subset_states[i]))
+                             for i in bits(t.position_region))
+    tables = []
+    for mask in machine.subset_states:
+        ubar = set()
+        if mask & t.nda.accepting:
+            ubar.add(STOP)
+        for x in bits(mask):
+            for a, succ in enumerate(t.nda.delta[x]):
+                ubar.update(Step(a, x2) for x2 in bits(succ))
+        tables.append(nda_det_step(frozenset(ubar), len(t.nda.alphabet)))
+    for kind in list(range(len(t.nda.alphabet))) + ["accept"]:
+        got = nda_modality(machine, kind, t.position_region)
+        for i, table in enumerate(tables):
+            want = _nda_lift_pred(
+                table, "stop" if kind == "accept" else kind, region_masks)
+            if bool(got >> i & 1) != want:
+                yield dict(kind=kind, state=machine.label(i),
+                           lhs=bool(got >> i & 1), rhs=want)
+
+
+def _nda_fixed_lifting(kit: dict, memo: dict):
+    """The step sets over two targets and actions, and the kit's lifting."""
     fixed = _nda_step_rows(memo, 2, 2)
-    fixed_tables = [table for _, table in fixed]
-
-    def lift_fixed(rel_pairs) -> tuple[int, ...]:
-        return lift_rel(rel_pairs, fixed_tables, fixed_tables)
-
-    if not suite.full("intersection-preservation"):
-        both = [a & b for a, b in zip(lift_fixed(r1), lift_fixed(r2))]
-        for i, j, meet, rhs in _differing(lift_fixed(r12), both):
-            suite.record("intersection-preservation",
-                         pair=(fixed[i][0], fixed[j][0]), lhs=meet, rhs=rhs)
-
-    # Lifting the identity relation yields the identity.
-    def equality_failures():
-        diag = frozenset((u, u) for u in masks2)
-        identity = [1 << i for i in range(len(fixed))]
-        for i, j, related, rhs in _differing(lift_fixed(diag), identity):
-            yield {"pair": (fixed[i][0], fixed[j][0]), "lhs": related, "rhs": rhs}
-
-    _replay(suite, "equality-preservation", memo, ("equality",),
-            equality_failures)
+    tables = [table for _, table in fixed]
+    return ([u for u, _ in fixed],
+            lambda rel_pairs: kit["lift_rel"](rel_pairs, tables, tables))
 
 
-_NDA_LAWS = (
-    "kleisli-unit", "kleisli-mult", "gamma-theta-mu",
-    "pred-sigma-naturality", "pred-lift-naturality", "rel-lift-naturality",
-    "pred-recipe-agreement", "rel-recipe-agreement",
-    "modality-recipe-agreement",
-    "intersection-preservation", "equality-preservation",
-)
+def _nda_meet(t, kit: dict, memo: dict):
+    """Meet preservation of the relation lifting."""
+    fixed, lift = _nda_fixed_lifting(kit, memo)
+    both = [a & b for a, b in zip(lift(t.r1), lift(t.r2))]
+    for i, j, meet, rhs in _differing(lift(t.r1 & t.r2), both):
+        yield dict(pair=(fixed[i], fixed[j]), lhs=meet, rhs=rhs)
+
+
+def _nda_equality(t, kit: dict, memo: dict):
+    """Lifting the identity relation yields the identity."""
+    fixed, lift = _nda_fixed_lifting(kit, memo)
+    diag = frozenset((u, u) for u in _powerset(range(2)))
+    identity = [1 << i for i in range(len(fixed))]
+    for i, j, related, rhs in _differing(lift(diag), identity):
+        yield dict(pair=(fixed[i], fixed[j]), lhs=related, rhs=rhs)
+
+
+_NDA = (_nda_draw, (
+    ("kleisli-unit", _nda_unit, ("nx", "m")),
+    ("kleisli-mult", _nda_mult, None),
+    ("gamma-theta-mu", _nda_gamma, None),
+    ("pred-sigma-naturality", _nda_sigma_naturality, None),
+    ("pred-lift-naturality", _nda_pred_naturality, None),
+    ("rel-lift-naturality", _nda_rel_naturality, None),
+    ("pred-recipe-agreement", _nda_pred_recipe, None),
+    ("rel-recipe-agreement", _nda_rel_recipe, None),
+    ("modality-recipe-agreement", _nda_modality, None),
+    ("intersection-preservation", _nda_meet, None),
+    ("equality-preservation", _nda_equality, ()),
+), _nda_kit, _NDA_CORRUPTIONS)
 
 
 # ---------------------------------------------------------------- LWA laws
 
 def _bag_norm(bag: Mapping) -> dict:
     return {k: v for k, v in bag.items() if v}
-
-
-def _bag_eq(a: Mapping, b: Mapping) -> bool:
-    return _bag_norm(a) == _bag_norm(b)
 
 
 def _fx_index(num_states: int, num_actions: int):
@@ -735,7 +707,7 @@ def lwa_lift_rows(tests: Sequence[Sequence], num_states: int,
         for z in tests:
             row = [_ZERO] * dim
             for x in range(num_states):
-                row[index(Step.act(a, x))] = z[x]
+                row[index(Step(a, x))] = z[x]
             rows.append(row)
     return rows
 
@@ -813,7 +785,7 @@ def _bag_apply_matrix(bag: Mapping[Step, Fraction], matrix, num_states_out,
             for y in range(num_states_out):
                 c = matrix[step.target][y]
                 if c:
-                    key = Step.act(step.action, y)
+                    key = Step(step.action, y)
                     out[key] = out.get(key, _ZERO) + w * c
     return _bag_norm(out)
 
@@ -822,65 +794,86 @@ def _bag_apply_matrix(bag: Mapping[Step, Fraction], matrix, num_states_out,
 _SIGMA_WEIGHTS = (_ZERO, _ONE, Fraction(1, 2))
 
 
-def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
-    dist, det = kit["dist"], kit["det"]
-    sigma_pred, lift_subspace = kit["sigma_pred"], kit["lift_subspace"]
-
-    n = rng.randint(1, 3)
-    m = rng.randint(1, 2)
-
-    # Unit square, pointwise over F X.
-    def unit_failures():
-        for e in [STOP] + [Step.act(a, x) for a in range(m) for x in range(n)]:
-            if e.is_stop:
-                wrapped = STOP
-            else:
-                unit = tuple(_ONE if i == e.target else _ZERO for i in range(n))
-                wrapped = Step.act(e.action, unit)
-            got = _bag_norm(dist(wrapped))
-            if got != {e: _ONE}:
-                yield {"element": e, "lhs": got, "rhs": {e: 1}}
-
-    _replay(suite, "kleisli-unit", memo, ("unit", n, m), unit_failures)
-
-    # Multiplication square on sampled nested bags.
+def _lwa_draw(rng: Lcg) -> SimpleNamespace:
+    """Every draw of one lwa trial, in order."""
+    t = SimpleNamespace(n=rng.randint(1, 3), m=rng.randint(1, 2))
+    n, m = t.n, t.m
+    t.mult_samples = []
     for _ in range(3):
         support = [random_vector(rng, n) for _ in range(2)]
         weights = [rng.choice(WEIGHT_GRID) for _ in support]
-        a = rng.randint(0, m - 1)
-        if suite.full("kleisli-mult"):
-            continue
-        flat = tuple(sum(w * v[i] for v, w in zip(support, weights))
-                     for i in range(n))
-        lhs = _bag_norm(dist(Step.act(a, flat)))
-        rhs: dict[Step, Fraction] = {}
-        for v, w in zip(support, weights):
-            if not w:
-                continue
-            for step, c in dist(Step.act(a, v)).items():
-                rhs[step] = rhs.get(step, _ZERO) + w * c
-        if not _bag_eq(lhs, rhs):
-            suite.record("kleisli-mult", action=a, vectors=tuple(support),
-                         lhs=lhs, rhs=rhs)
-
-    # Compatibility of the collected table with bag flattening.
+        t.mult_samples.append((support, weights, rng.randint(0, m - 1)))
+    t.nested = []
     for _ in range(3):
         w_bag: dict[Step, Fraction] = {}
         for _ in range(rng.randint(1, 3)):
             if rng.bit():
                 key = STOP
             else:
-                key = Step.act(rng.randint(0, m - 1), random_vector(rng, n))
+                key = Step(rng.randint(0, m - 1), random_vector(rng, n))
             weight = rng.choice(WEIGHT_GRID)
             w_bag[key] = w_bag.get(key, _ZERO) + weight
-        w_bag = _bag_norm(w_bag)
-        if suite.full("gamma-theta-mu"):
-            continue
+        t.nested.append(_bag_norm(w_bag))
+    t.ny, t.nx2 = rng.randint(1, 3), rng.randint(1, 3)
+    t.f = tuple(rng.randint(0, t.ny - 1) for _ in range(t.nx2))
+    t.region = _random_subset(rng, range(t.ny))
+    t.ky = ky = rng.randint(1, 3)
+    t.gmat = tuple(random_vector(rng, ky) for _ in range(n))
+    t.w_space = echelonize([random_vector(rng, ky)
+                            for _ in range(rng.randint(0, ky))], ky)
+    # W pulled back along gmat, read by both naturality laws
+    t.pulled_space = preimage_subspace(t.gmat, t.w_space)
+    t.bags = [_bag_norm({
+        (STOP if rng.bit() else Step(rng.randint(0, m - 1),
+                                     rng.randint(0, n - 1))):
+        rng.choice(WEIGHT_GRID)
+        for _ in range(rng.randint(1, 4))}) for _ in range(4)]
+    t.lwa = random_lwa(rng, max_states=3, max_actions=2)
+    ln = len(t.lwa.states)
+    t.space = echelonize([random_vector(rng, ln)
+                          for _ in range(rng.randint(0, ln))], ln)
+    t.vectors = [random_vector(rng, ln) for _ in range(3)]
+    return t
+
+
+def _lwa_unit(t, kit: dict, memo: dict):
+    """Unit square, pointwise over F X."""
+    for e in [STOP] + [Step(a, x) for a in range(t.m) for x in range(t.n)]:
+        if e.is_stop:
+            wrapped = STOP
+        else:
+            unit = tuple(_ONE if i == e.target else _ZERO for i in range(t.n))
+            wrapped = Step(e.action, unit)
+        got = _bag_norm(kit["dist"](wrapped))
+        if got != {e: _ONE}:
+            yield dict(element=e, lhs=got, rhs={e: 1})
+
+
+def _lwa_mult(t, kit: dict, memo: dict):
+    """Multiplication square on sampled nested bags."""
+    for support, weights, a in t.mult_samples:
+        flat = tuple(sum(w * v[i] for v, w in zip(support, weights))
+                     for i in range(t.n))
+        lhs = _bag_norm(kit["dist"](Step(a, flat)))
+        rhs: dict[Step, Fraction] = {}
+        for v, w in zip(support, weights):
+            if not w:
+                continue
+            for step, c in kit["dist"](Step(a, v)).items():
+                rhs[step] = rhs.get(step, _ZERO) + w * c
+        if lhs != _bag_norm(rhs):
+            yield dict(action=a, vectors=tuple(support), lhs=lhs, rhs=rhs)
+
+
+def _lwa_gamma(t, kit: dict, memo: dict):
+    """Compatibility of the collected table with bag flattening."""
+    n, m = t.n, t.m
+    for w_bag in t.nested:
         flat: dict[Step, Fraction] = {}
         for step, weight in w_bag.items():
-            for inner, c in dist(step).items():
+            for inner, c in kit["dist"](step).items():
                 flat[inner] = flat.get(inner, _ZERO) + weight * c
-        lhs = det(flat, n, m)
+        lhs = kit["det"](flat, n, m)
         slices = []
         for a in range(m):
             vec = [_ZERO] * n
@@ -891,89 +884,63 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
             slices.append(tuple(vec))
         rhs = LwaStepTable(tuple(slices), w_bag.get(STOP, _ZERO))
         if lhs != rhs:
-            suite.record("gamma-theta-mu", bag=w_bag, lhs=lhs, rhs=rhs)
+            yield dict(bag=w_bag, lhs=lhs, rhs=rhs)
 
-    # Naturality of the branching-level lifting along functions,
-    # pointwise on table elements with grid weights.
-    ny, nx2 = rng.randint(1, 3), rng.randint(1, 3)
-    f = tuple(rng.randint(0, ny - 1) for _ in range(nx2))
-    region = _random_subset(rng, range(ny))
-    pulled = frozenset(x for x in range(nx2) if f[x] in region)
-    if not suite.full("pred-sigma-naturality"):
-        for kind in (*range(m), _ONE, _ZERO):
-            for p in itertools.product(range(nx2), repeat=m):
-                for s in _SIGMA_WEIGHTS:
-                    lhs = sigma_pred(nx2, m, kind, pulled, (p, s))
-                    fp = tuple(f[i] for i in p)
-                    rhs = sigma_pred(ny, m, kind, region, (fp, s))
-                    if lhs != rhs:
-                        suite.record("pred-sigma-naturality", fn=f, kind=kind,
-                                     element=(p, s), lhs=lhs, rhs=rhs)
 
-    # Naturality of the composed predicate lifting, with subspace
-    # regions, pointwise on sampled bags.
-    ky = rng.randint(1, 3)
-    gmat = tuple(random_vector(rng, ky) for _ in range(n))
-    w_space = echelonize([random_vector(rng, ky)
-                          for _ in range(rng.randint(0, ky))], ky)
-    pulled_space = preimage_subspace(gmat, w_space)
-    for _ in range(4):
-        bag = _bag_norm({
-            (STOP if rng.bit() else Step.act(rng.randint(0, m - 1),
-                                             rng.randint(0, n - 1))):
-            rng.choice(WEIGHT_GRID)
-            for _ in range(rng.randint(1, 4))})
-        if suite.full("pred-lift-naturality"):
-            continue
-        table_x = lwa_det_step(bag, n, m)
-        image = _bag_apply_matrix(bag, gmat, ky, m)
-        table_y = lwa_det_step(image, ky, m)
-        for a in range(m):
-            lhs = pulled_space.contains(table_x.slices[a])
-            rhs = w_space.contains(table_y.slices[a])
+def _lwa_sigma_naturality(t, kit: dict, memo: dict):
+    """Naturality of the branching-level lifting, at grid weights."""
+    sigma_pred, f, m = kit["sigma_pred"], t.f, t.m
+    pulled = frozenset(x for x in range(t.nx2) if f[x] in t.region)
+    for kind in (*range(m), _ONE, _ZERO):
+        for p in itertools.product(range(t.nx2), repeat=m):
+            for s in _SIGMA_WEIGHTS:
+                lhs = sigma_pred(t.nx2, m, kind, pulled, (p, s))
+                fp = tuple(f[i] for i in p)
+                rhs = sigma_pred(t.ny, m, kind, t.region, (fp, s))
+                if lhs != rhs:
+                    yield dict(fn=f, kind=kind, element=(p, s), lhs=lhs, rhs=rhs)
+
+
+def _lwa_pred_naturality(t, kit: dict, memo: dict):
+    """Naturality of the composed predicate lifting on subspaces."""
+    for bag in t.bags:
+        table_x = lwa_det_step(bag, t.n, t.m)
+        image = _bag_apply_matrix(bag, t.gmat, t.ky, t.m)
+        table_y = lwa_det_step(image, t.ky, t.m)
+        for a in range(t.m):
+            lhs = t.pulled_space.contains(table_x.slices[a])
+            rhs = t.w_space.contains(table_y.slices[a])
             if lhs != rhs:
-                suite.record("pred-lift-naturality", matrix=gmat, action=a,
-                             bag=bag, lhs=lhs, rhs=rhs)
+                yield dict(matrix=t.gmat, action=a, bag=bag, lhs=lhs, rhs=rhs)
         if (table_x.weight == 1) != (table_y.weight == 1):
-            suite.record("pred-lift-naturality", matrix=gmat, kind="weight",
-                         bag=bag, lhs=table_x.weight, rhs=table_y.weight)
+            yield dict(matrix=t.gmat, kind="weight", bag=bag,
+                       lhs=table_x.weight, rhs=table_y.weight)
 
-    # Naturality of the relation lifting, exact on difference subspaces.
-    if not suite.full("rel-lift-naturality"):
-        index_y, dim_fy = _fx_index(ky, m)
-        index_x, dim_fx = _fx_index(n, m)
-        step_matrix = [[_ZERO] * dim_fy for _ in range(dim_fx)]
-        step_matrix[index_x(STOP)][index_y(STOP)] = _ONE
-        for a in range(m):
-            for x in range(n):
-                row = step_matrix[index_x(Step.act(a, x))]
-                for y in range(ky):
-                    row[index_y(Step.act(a, y))] = gmat[x][y]
-        lhs_space = lift_subspace(pulled_space, n, m)
-        rhs_space = preimage_subspace(step_matrix, lift_subspace(w_space, ky, m))
-        if lhs_space != rhs_space:
-            suite.record("rel-lift-naturality", matrix=gmat,
-                         lhs=lhs_space, rhs=rhs_space)
 
-    # Lifting the zero difference space (equality) yields equality.
-    def equality_failures():
-        zero = echelonize([], n)
-        lifted = lift_subspace(zero, n, m)
-        if not lifted.is_zero():
-            yield {"lhs": lifted, "rhs": zero}
+def _lwa_rel_naturality(t, kit: dict, memo: dict):
+    """Naturality of the relation lifting on difference subspaces."""
+    n, m, ky = t.n, t.m, t.ky
+    index_y, dim_fy = _fx_index(ky, m)
+    index_x, dim_fx = _fx_index(n, m)
+    step_matrix = [[_ZERO] * dim_fy for _ in range(dim_fx)]
+    step_matrix[index_x(STOP)][index_y(STOP)] = _ONE
+    for a in range(m):
+        for x in range(n):
+            row = step_matrix[index_x(Step(a, x))]
+            for y in range(ky):
+                row[index_y(Step(a, y))] = t.gmat[x][y]
+    lhs_space = kit["lift_subspace"](t.pulled_space, n, m)
+    rhs_space = preimage_subspace(step_matrix,
+                                  kit["lift_subspace"](t.w_space, ky, m))
+    if lhs_space != rhs_space:
+        yield dict(matrix=t.gmat, lhs=lhs_space, rhs=rhs_space)
 
-    _replay(suite, "equality-preservation", memo, ("equality", n, m),
-            equality_failures)
 
-    # Machine-level modality agrees with the collected-table route.
-    lwa = random_lwa(rng, max_states=3, max_actions=2)
+def _lwa_modality(t, kit: dict, memo: dict):
+    """The machine-level modality agrees with the collected table."""
+    lwa, space = t.lwa, t.space
     ln, lm = len(lwa.states), len(lwa.alphabet)
-    space = echelonize([random_vector(rng, ln)
-                        for _ in range(rng.randint(0, ln))], ln)
-    for _ in range(3):
-        p = random_vector(rng, ln)
-        if suite.full("modality-recipe-agreement"):
-            continue
+    for p in t.vectors:
         bag: dict[Step, Fraction] = {}
         for x in range(ln):
             if not p[x]:
@@ -984,26 +951,37 @@ def _check_lwa_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
                 for x2 in range(ln):
                     c = lwa.mat[a][x][x2]
                     if c:
-                        key = Step.act(a, x2)
+                        key = Step(a, x2)
                         bag[key] = bag.get(key, _ZERO) + p[x] * c
-        table = det(bag, ln, lm)
+        table = kit["det"](bag, ln, lm)
         for a in range(lm):
             direct = lwa_modality(lwa, a, p, space)
             via_table = space.contains(table.slices[a])
             if direct != via_table:
-                suite.record("modality-recipe-agreement", action=a, vector=p,
-                             lhs=direct, rhs=via_table)
+                yield dict(action=a, vector=p, lhs=direct, rhs=via_table)
         s = lwa.observe(p)
         if not lwa_modality(lwa, s, p) or table.weight != s:
-            suite.record("modality-recipe-agreement", kind="weight", vector=p,
-                         lhs=s, rhs=table.weight)
+            yield dict(kind="weight", vector=p, lhs=s, rhs=table.weight)
 
 
-_LWA_LAWS = (
-    "kleisli-unit", "kleisli-mult", "gamma-theta-mu",
-    "pred-sigma-naturality", "pred-lift-naturality", "rel-lift-naturality",
-    "modality-recipe-agreement", "equality-preservation",
-)
+def _lwa_equality(t, kit: dict, memo: dict):
+    """Lifting the zero difference space (equality) yields equality."""
+    zero = echelonize([], t.n)
+    lifted = kit["lift_subspace"](zero, t.n, t.m)
+    if not lifted.is_zero():
+        yield dict(lhs=lifted, rhs=zero)
+
+
+_LWA = (_lwa_draw, (
+    ("kleisli-unit", _lwa_unit, ("n", "m")),
+    ("kleisli-mult", _lwa_mult, None),
+    ("gamma-theta-mu", _lwa_gamma, None),
+    ("pred-sigma-naturality", _lwa_sigma_naturality, None),
+    ("pred-lift-naturality", _lwa_pred_naturality, None),
+    ("rel-lift-naturality", _lwa_rel_naturality, None),
+    ("modality-recipe-agreement", _lwa_modality, None),
+    ("equality-preservation", _lwa_equality, ("n", "m")),
+), _lwa_kit, _LWA_CORRUPTIONS)
 
 
 # ---------------------------------------------------------------- CTS laws
@@ -1053,193 +1031,203 @@ _CTS_CORRUPTIONS = {
 }
 
 
-def _check_cts_laws(suite: _Suite, rng: Lcg, kit: dict, memo: dict) -> None:
-    dist, sigma_pred = kit["dist"], kit["sigma_pred"]
-    lift_rel, box = kit["lift_rel"], kit["box"]
-
-    nk = rng.randint(1, 3)
-    n = rng.randint(1, 3)
-    K, X = range(nk), range(n)
+def _cts_carrier(memo: dict, dist, nk: int, n: int):
+    """The subsets of n states; per condition k, their masks over the
+    positions k*n + x; and per condition, each spread by the kit's `dist`."""
     key = ("carrier", nk, n)
     if key not in memo:
-        subsets = _powerset(X)
-        # the relation lifting takes subsets as masks over condition/state
-        # positions k*|X| + x: condition k's masks are shifted by k*|X|,
-        # and each subset is spread over each condition once
+        subsets = _powerset(range(n))
         memo[key] = (subsets,
                      [[sum(1 << x for x in u) << k * n for u in subsets]
-                      for k in K],
-                     [[dist(k, u) for u in subsets] for k in K])
-    subsets, masks, spread = memo[key]
+                      for k in range(nk)],
+                     [[dist(k, u) for u in subsets] for k in range(nk)])
+    return memo[key]
 
-    # Counit: spreading then dropping the condition is the identity.
-    def counit_failures():
-        for k in K:
-            for u, spread_u in zip(subsets, spread[k]):
-                projected = frozenset(x for _, x in spread_u)
-                if projected != u:
-                    yield {"condition": k, "targets": u, "lhs": projected, "rhs": u}
 
-    _replay(suite, "cokleisli-counit", memo, ("counit", nk, n), counit_failures)
-
-    # Comultiplication: duplicating the condition before or after
-    # spreading agrees.
-    def comult_failures():
-        for k in K:
-            for u, spread_u in zip(subsets, spread[k]):
-                lhs = frozenset((kk, (kk, x)) for kk, x in spread_u)
-                rhs = frozenset((k, pair) for pair in spread_u)
-                if lhs != rhs:
-                    yield {"condition": k, "targets": u, "lhs": lhs, "rhs": rhs}
-
-    _replay(suite, "cokleisli-comult", memo, ("comult", nk, n), comult_failures)
-
-    # Naturality of the subset-level box lifting along functions.
-    ny = rng.randint(1, 3)
-    f = tuple(rng.randint(0, ny - 1) for _ in range(n))
-    region = _random_subset(rng, range(ny))
-    if not suite.full("pred-sigma-naturality"):
-        pulled = frozenset(x for x in X if f[x] in region)
-        lhs = sigma_pred(tuple(X), pulled)
-        upper = sigma_pred(tuple(range(ny)), region)
-        rhs = frozenset(u for u in subsets
-                        if frozenset(f[x] for x in u) in upper)
-        if lhs != rhs:
-            suite.record("pred-sigma-naturality", fn=f, region=region,
-                         lhs=lhs, rhs=rhs)
-
-    # Naturality of the composed predicate lifting along condition-aware maps.
-    g = {(k, x): rng.randint(0, ny - 1) for k in K for x in X}
-    big_region = frozenset((k, y) for k in K for y in range(ny) if rng.bit())
-    if not suite.full("pred-lift-naturality"):
-        pulled_kx = frozenset((k, x) for k in K for x in X
-                              if (k, g[(k, x)]) in big_region)
-        for k in K:
-            for u, spread_u in zip(subsets, spread[k]):
-                lhs = spread_u <= pulled_kx
-                image = frozenset(g[(k, x)] for x in u)
-                rhs = dist(k, image) <= big_region
-                if lhs != rhs:
-                    suite.record("pred-lift-naturality", condition=k, targets=u,
-                                 lhs=lhs, rhs=rhs)
-
-    # Naturality of the relation lifting along condition-aware maps.
-    rel = BitRel.from_pairs(nk * ny, (
+def _cts_draw(rng: Lcg) -> SimpleNamespace:
+    """Every draw of one cts trial, in order."""
+    t = SimpleNamespace(nk=rng.randint(1, 3), n=rng.randint(1, 3))
+    K, X = range(t.nk), range(t.n)
+    t.ny = ny = rng.randint(1, 3)
+    t.f = tuple(rng.randint(0, ny - 1) for _ in X)
+    t.region = _random_subset(rng, range(ny))
+    t.g = {(k, x): rng.randint(0, ny - 1) for k in K for x in X}
+    t.big_region = frozenset((k, y) for k in K for y in range(ny) if rng.bit())
+    t.rel = BitRel.from_pairs(t.nk * ny, (
         (k * ny + y, k * ny + y2) for k in K for y in range(ny) for y2 in range(ny)
         if rng.bit()))
-    if not suite.full("rel-lift-naturality"):
-        rel_pulled = BitRel.from_pairs(nk * n, (
-            (k * n + x, k * n + x2) for k in K for x in X for x2 in X
-            if rel.has(k * ny + g[(k, x)], k * ny + g[(k, x2)])))
-        for k in K:
-            images = [sum(1 << y for y in {g[(k, x)] for x in u}) << k * ny
-                      for u in subsets]
-            for i, j, lhs, rhs in _differing(
-                    lift_rel(rel_pulled, masks[k], masks[k]),
-                    lift_rel(rel, images, images)):
-                suite.record("rel-lift-naturality", condition=k,
-                             pair=(subsets[i], subsets[j]), lhs=lhs, rhs=rhs)
+    t.pred = frozenset((k, x) for k in K for x in X if rng.bit())
+    t.pairs = frozenset(((k, x), (k, x2)) for k in K for x in X for x2 in X
+                        if rng.bit())
+    t.cts = random_cts(rng, max_conditions=3, max_states=4)
+    positions = len(t.cts.conditions) * len(t.cts.states)
+    t.region_mask = rng.randint(0, (1 << positions) - 1)
+    t.regions = [(_random_subset(rng, X), _random_subset(rng, X))
+                 for _ in range(3)]
+    return t
 
-    # Derived predicate lifting agrees with the spread-then-test recipe.
-    pred = frozenset((k, x) for k in K for x in X if rng.bit())
-    if not suite.full("pred-recipe-agreement"):
-        for k in K:
-            for u, spread_u in zip(subsets, spread[k]):
-                derived = all((k, x) in pred for x in u)
-                recipe = spread_u <= pred
-                if derived != recipe:
-                    suite.record("pred-recipe-agreement", condition=k, targets=u,
-                                 lhs=derived, rhs=recipe)
 
-    # Derived relation lifting agrees with the full pullback recipe.
-    pairs = frozenset(((k, x), (k, x2)) for k in K for x in X for x2 in X
-                      if rng.bit())
-    if not suite.full("rel-recipe-agreement"):
-        rel3 = BitRel.from_pairs(nk * n, (
-            (k * n + x, k * n + x2) for (k, x), (_, x2) in pairs))
-        # the recipe reads the pairs through their successor and
-        # predecessor sets, never through the lifting: su and sv are
-        # related iff su lies in the predecessors of sv and sv in the
-        # successors of su
-        post = {(k, x): set() for k in K for x in X}
-        pre = {(k, x): set() for k in K for x in X}
-        for p, q in pairs:
-            post[p].add(q)
-            pre[q].add(p)
-        for k in K:
-            succ = [set().union(*map(post.__getitem__, su)) for su in spread[k]]
-            pred = [set().union(*map(pre.__getitem__, sv)) for sv in spread[k]]
-            recipe = [sum(1 << j for j, sv in enumerate(spread[k])
-                          if sv <= succ[i] and su <= pred[j])
-                      for i, su in enumerate(spread[k])]
-            for i, j, lhs, rhs in _differing(lift_rel(rel3, masks[k], masks[k]),
-                                             recipe):
-                suite.record("rel-recipe-agreement", condition=k,
-                             pair=(subsets[i], subsets[j]), lhs=lhs, rhs=rhs)
+def _cts_counit(t, kit: dict, memo: dict):
+    """Counit: spreading then dropping the condition is the identity."""
+    subsets, _, spread = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    for k in range(t.nk):
+        for u, spread_u in zip(subsets, spread[k]):
+            projected = frozenset(x for _, x in spread_u)
+            if projected != u:
+                yield dict(condition=k, targets=u, lhs=projected, rhs=u)
 
-    # Machine-level box agrees with pulling back along the dynamics.
-    cts = random_cts(rng, max_conditions=3, max_states=4)
-    ck, cn = len(cts.conditions), len(cts.states)
-    region_mask = rng.randint(0, (1 << (ck * cn)) - 1)
-    if not suite.full("modality-recipe-agreement"):
-        got = cts_box(cts, region_mask)
-        for k in range(ck):
-            slice_k = frozenset(x for x in range(cn)
-                                if region_mask >> (k * cn + x) & 1)
-            for x in range(cn):
-                succ = frozenset(bits(cts.delta[k][x]))
-                want = box(succ, slice_k)
-                if bool(got >> (k * cn + x) & 1) != want:
-                    suite.record("modality-recipe-agreement", condition=k, state=x,
-                                 lhs=bool(got >> (k * cn + x) & 1), rhs=want)
 
-    # Box preserves meets.
-    for _ in range(3):
-        r1 = _random_subset(rng, X)
-        r2 = _random_subset(rng, X)
-        if suite.full("box-meet-preservation"):
-            continue
+def _cts_comult(t, kit: dict, memo: dict):
+    """Comultiplication: duplicate the condition before or after."""
+    subsets, _, spread = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    for k in range(t.nk):
+        for u, spread_u in zip(subsets, spread[k]):
+            lhs = frozenset((kk, (kk, x)) for kk, x in spread_u)
+            rhs = frozenset((k, pair) for pair in spread_u)
+            if lhs != rhs:
+                yield dict(condition=k, targets=u, lhs=lhs, rhs=rhs)
+
+
+def _cts_sigma_naturality(t, kit: dict, memo: dict):
+    """Naturality of the subset-level box lifting along functions."""
+    subsets, _, _ = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    sigma_pred, f = kit["sigma_pred"], t.f
+    pulled = frozenset(x for x in range(t.n) if f[x] in t.region)
+    lhs = sigma_pred(tuple(range(t.n)), pulled)
+    upper = sigma_pred(tuple(range(t.ny)), t.region)
+    rhs = frozenset(u for u in subsets if frozenset(f[x] for x in u) in upper)
+    if lhs != rhs:
+        yield dict(fn=f, region=t.region, lhs=lhs, rhs=rhs)
+
+
+def _cts_pred_naturality(t, kit: dict, memo: dict):
+    """Naturality of the composed predicate lifting along g."""
+    subsets, _, spread = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    pulled_kx = frozenset((k, x) for k in range(t.nk) for x in range(t.n)
+                          if (k, t.g[(k, x)]) in t.big_region)
+    for k in range(t.nk):
+        for u, spread_u in zip(subsets, spread[k]):
+            lhs = spread_u <= pulled_kx
+            image = frozenset(t.g[(k, x)] for x in u)
+            rhs = kit["dist"](k, image) <= t.big_region
+            if lhs != rhs:
+                yield dict(condition=k, targets=u, lhs=lhs, rhs=rhs)
+
+
+def _cts_rel_naturality(t, kit: dict, memo: dict):
+    """Naturality of the relation lifting along g."""
+    subsets, masks, _ = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    K, X, n, ny, g = range(t.nk), range(t.n), t.n, t.ny, t.g
+    rel_pulled = BitRel.from_pairs(t.nk * n, (
+        (k * n + x, k * n + x2) for k in K for x in X for x2 in X
+        if t.rel.has(k * ny + g[(k, x)], k * ny + g[(k, x2)])))
+    for k in K:
+        images = [sum(1 << y for y in {g[(k, x)] for x in u}) << k * ny
+                  for u in subsets]
+        for i, j, lhs, rhs in _differing(
+                kit["lift_rel"](rel_pulled, masks[k], masks[k]),
+                kit["lift_rel"](t.rel, images, images)):
+            yield dict(condition=k, pair=(subsets[i], subsets[j]),
+                       lhs=lhs, rhs=rhs)
+
+
+def _cts_pred_recipe(t, kit: dict, memo: dict):
+    """The derived predicate lifting agrees with spread-then-test."""
+    subsets, _, spread = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    for k in range(t.nk):
+        for u, spread_u in zip(subsets, spread[k]):
+            derived = all((k, x) in t.pred for x in u)
+            recipe = spread_u <= t.pred
+            if derived != recipe:
+                yield dict(condition=k, targets=u, lhs=derived, rhs=recipe)
+
+
+def _cts_rel_recipe(t, kit: dict, memo: dict):
+    """The derived relation lifting agrees with the pullback recipe."""
+    subsets, masks, spread = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    K, X, n = range(t.nk), range(t.n), t.n
+    rel = BitRel.from_pairs(t.nk * n, (
+        (k * n + x, k * n + x2) for (k, x), (_, x2) in t.pairs))
+    # the recipe reads the pairs through their successor and predecessor
+    # sets, never through the lifting: su and sv are related iff su lies
+    # in the predecessors of sv and sv in the successors of su
+    post = {(k, x): set() for k in K for x in X}
+    pre = {(k, x): set() for k in K for x in X}
+    for p, q in t.pairs:
+        post[p].add(q)
+        pre[q].add(p)
+    for k in K:
+        succ = [set().union(*map(post.__getitem__, su)) for su in spread[k]]
+        pred = [set().union(*map(pre.__getitem__, sv)) for sv in spread[k]]
+        recipe = [sum(1 << j for j, sv in enumerate(spread[k])
+                      if sv <= succ[i] and su <= pred[j])
+                  for i, su in enumerate(spread[k])]
+        for i, j, lhs, rhs in _differing(kit["lift_rel"](rel, masks[k], masks[k]),
+                                         recipe):
+            yield dict(condition=k, pair=(subsets[i], subsets[j]),
+                       lhs=lhs, rhs=rhs)
+
+
+def _cts_modality(t, kit: dict, memo: dict):
+    """The machine-level box agrees with the lifting's pullback."""
+    cts, cn = t.cts, len(t.cts.states)
+    got = cts_box(cts, t.region_mask)
+    for k in range(len(cts.conditions)):
+        slice_k = frozenset(x for x in range(cn)
+                            if t.region_mask >> (k * cn + x) & 1)
+        for x in range(cn):
+            succ = frozenset(bits(cts.delta[k][x]))
+            want = kit["box"](succ, slice_k)
+            if bool(got >> (k * cn + x) & 1) != want:
+                yield dict(condition=k, state=x,
+                           lhs=bool(got >> (k * cn + x) & 1), rhs=want)
+
+
+def _cts_box_meet(t, kit: dict, memo: dict):
+    """The box preserves meets."""
+    subsets, _, _ = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    box = kit["box"]
+    for r1, r2 in t.regions:
         r12 = r1 & r2
         for u in subsets:
             meet = box(u, r12)
             both = box(u, r1) and box(u, r2)
             if meet != both:
-                suite.record("box-meet-preservation", succ=u,
-                             regions=(r1, r2), lhs=meet, rhs=both)
-
-    # Lifting per-condition equality yields per-condition equality.
-    def equality_failures():
-        diag = BitRel.identity(nk * n)
-        identity = [1 << i for i in range(len(subsets))]
-        for k in K:
-            for i, j, related, rhs in _differing(
-                    lift_rel(diag, masks[k], masks[k]), identity):
-                yield {"condition": k, "pair": (subsets[i], subsets[j]),
-                       "lhs": related, "rhs": rhs}
-
-    _replay(suite, "equality-preservation", memo, ("equality", nk, n),
-            equality_failures)
+                yield dict(succ=u, regions=(r1, r2), lhs=meet, rhs=both)
 
 
-_CTS_LAWS = (
-    "cokleisli-counit", "cokleisli-comult",
-    "pred-sigma-naturality", "pred-lift-naturality", "rel-lift-naturality",
-    "pred-recipe-agreement", "rel-recipe-agreement",
-    "modality-recipe-agreement",
-    "box-meet-preservation", "equality-preservation",
-)
+def _cts_equality(t, kit: dict, memo: dict):
+    """Lifting per-condition equality yields per-condition equality."""
+    subsets, masks, _ = _cts_carrier(memo, kit["dist"], t.nk, t.n)
+    diag = BitRel.identity(t.nk * t.n)
+    identity = [1 << i for i in range(len(subsets))]
+    for k in range(t.nk):
+        for i, j, related, rhs in _differing(
+                kit["lift_rel"](diag, masks[k], masks[k]), identity):
+            yield dict(condition=k, pair=(subsets[i], subsets[j]),
+                       lhs=related, rhs=rhs)
 
 
-_FAMILIES = {
-    "nda": (_NDA_LAWS, _nda_kit, _NDA_CORRUPTIONS, _check_nda_laws),
-    "lwa": (_LWA_LAWS, _lwa_kit, _LWA_CORRUPTIONS, _check_lwa_laws),
-    "cts": (_CTS_LAWS, _cts_kit, _CTS_CORRUPTIONS, _check_cts_laws),
-}
+_CTS = (_cts_draw, (
+    ("cokleisli-counit", _cts_counit, ("nk", "n")),
+    ("cokleisli-comult", _cts_comult, ("nk", "n")),
+    ("pred-sigma-naturality", _cts_sigma_naturality, None),
+    ("pred-lift-naturality", _cts_pred_naturality, None),
+    ("rel-lift-naturality", _cts_rel_naturality, None),
+    ("pred-recipe-agreement", _cts_pred_recipe, None),
+    ("rel-recipe-agreement", _cts_rel_recipe, None),
+    ("modality-recipe-agreement", _cts_modality, None),
+    ("box-meet-preservation", _cts_box_meet, None),
+    ("equality-preservation", _cts_equality, ("nk", "n")),
+), _cts_kit, _CTS_CORRUPTIONS)
+
+
+_FAMILIES = {"nda": _NDA, "lwa": _LWA, "cts": _CTS}
 
 # Which law each named corruption must trip, per family.
 CORRUPTIONS = {
     family: {name: law for name, (law, _, _) in table.items()}
-    for family, (_, _, table, _) in _FAMILIES.items()
+    for family, (_, _, _, table) in _FAMILIES.items()
 }
 
 
@@ -1247,26 +1235,20 @@ def check_lifting_laws(family: str, trials: int = 100, seed: int = 0,
                        corruption: str | None = None) -> LawReport:
     """Run the law suite for one family on `trials` random instances.
 
-    Each trial draws fresh carriers and maps from an independent stream
-    derived from `seed`, then checks every law pointwise on that
-    instance.  A named `corruption` swaps in a deliberately broken map;
-    `CORRUPTIONS[family]` says which law each one must trip.  What a
-    trial builds from its carrier sizes alone is built once per call.
-    The instances that draw nothing (the unit squares, the cts counit
-    and comultiplication, and equality preservation) are evaluated once
-    per call and size, their failures recorded in every trial.  A
-    report keeps the first four failures of each law, so a law that
-    holds four is not evaluated again; its trials still make every
-    draw, so the report is the same, byte for byte, as one that
-    evaluates every law in every trial.  The trials run in contiguous
-    parts on the available CPUs (`rng.run_trials`), each part with its
-    own memo, and the parts' failures are merged in trial order, so the
-    report is the same for any number of CPUs.
+    Each trial draws its instance once, from an independent stream
+    derived from `seed`, and each law not yet full runs on it.  A named
+    `corruption` swaps in a deliberately broken map;
+    `CORRUPTIONS[family]` says which law each one must trip.  A report
+    keeps the first four failures of each law; as no law draws, a law
+    that holds four is skipped without changing a byte.  The trials run
+    in contiguous parts on the available CPUs (`rng.run_trials`), each
+    with its own memo, merged in trial order, so the report is the same
+    for any number of CPUs.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     try:
-        laws, honest_kit, corruptions, run = _FAMILIES[family]
+        draw, laws, honest_kit, corruptions = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
     # The honest maps are looked up now, not at import, so that a
@@ -1282,18 +1264,36 @@ def check_lifting_laws(family: str, trials: int = 100, seed: int = 0,
     master = Lcg(seed)
 
     def run_part(part: range) -> dict:
-        suite = _Suite(laws, trials)
+        failures = {name: [] for name, _, _ in laws}
         # Built with this call's kit, so it must not outlive the call.
         memo: dict = {}
         for i in part:
-            run(suite, master.spawn(i), kit, memo)
-        return suite.failures
+            instance = draw(master.spawn(i))
+            for name, law, sizes in laws:
+                kept = failures[name]
+                if len(kept) == _MAX_FAILURES:
+                    continue
+                if sizes is None:
+                    found = law(instance, kit, memo)
+                else:
+                    key = (law, *(getattr(instance, s) for s in sizes))
+                    if key not in memo:
+                        memo[key] = list(itertools.islice(
+                            law(instance, kit, memo), _MAX_FAILURES))
+                    found = memo[key]
+                for ce in found:
+                    kept.append({k: v if isinstance(v, str) else _show(v)
+                                 for k, v in ce.items()})
+                    if len(kept) == _MAX_FAILURES:
+                        break
+        return failures
 
     # A law's first failures in trial order are among the first of the
     # part they fall in, so merging the parts in order keeps the report.
-    suite = _Suite(laws, trials)
+    merged = {name: [] for name, _, _ in laws}
     for failures in run_trials(trials, run_part):
-        for law, found in failures.items():
-            kept = suite.failures[law]
-            kept.extend(found[:_MAX_FAILURES - len(kept)])
-    return suite.report(family, seed, corruption)
+        for name, found in failures.items():
+            merged[name].extend(found)
+    return LawReport(family, seed, corruption, tuple(
+        LawResult(name, trials, tuple(found[:_MAX_FAILURES]))
+        for name, found in merged.items()))

@@ -324,6 +324,24 @@ def test_check_corruption_without_laws_exits_two(capsys, argv):
     assert out == "" and err == "error: --corruption needs --laws\n"
 
 
+def test_check_refuses_a_corruption_of_another_family_before_any_suite(
+        monkeypatch, capsys):
+    # det-step names an nda and an lwa corruption but no cts one; the
+    # three families run in that order, so no suite may run first
+    from behaveq import cli
+    honest, calls = cli.check_lifting_laws, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_lifting_laws", counting)
+    assert main(["check", "--laws", "--corruption", "det-step"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown corruption 'det-step' for cts\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv,line", [
     (["check", GOLDEN, "--laws"], "error: FILE is read only by --adequacy"),
     (["check", GOLDEN, "--adequacy", "--random", "cts"],
@@ -1165,15 +1183,15 @@ def test_random_adequacy_failures_keep_trial_order_for_any_worker_count(
 def break_nda_trials_in_children(monkeypatch, broken):
     """Make every nda law trial after the first part call `broken`."""
     from behaveq import liftings
-    laws, kit, corruptions, run = liftings._FAMILIES["nda"]
+    draw, laws, kit, corruptions = liftings._FAMILIES["nda"]
     parent = os.getpid()
 
-    def trial(suite, rng, kit, memo):
+    def trial(rng):
         if os.getpid() != parent:
             broken()
-        run(suite, rng, kit, memo)
+        return draw(rng)
 
-    monkeypatch.setitem(liftings._FAMILIES, "nda", (laws, kit, corruptions, trial))
+    monkeypatch.setitem(liftings._FAMILIES, "nda", (trial, laws, kit, corruptions))
 
 
 def raise_error():

@@ -318,7 +318,7 @@ def test_lwa_chain_is_the_kleene_iteration_of_the_lifting():
             step[x][index(STOP)] = lwa.out[x]
             for a in range(m):
                 for y in range(n):
-                    step[x][index(Step.act(a, y))] = lwa.mat[a][x][y]
+                    step[x][index(Step(a, y))] = lwa.mat[a][x][y]
 
         def lifted_step(space):
             return preimage_subspace(step, _lwa_lift_rel_subspace(space, n, m))

@@ -33,10 +33,10 @@ from conftest import mask_of
 # -------------------------------------------------------- one-step maps
 
 def test_nda_dist_law_cases():
-    assert nda_dist_law(Step.act(0, frozenset())) == frozenset()
+    assert nda_dist_law(Step(0, frozenset())) == frozenset()
     assert nda_dist_law(STOP) == frozenset({STOP})
-    got = nda_dist_law(Step.act(0, frozenset({1, 2})))
-    assert got == frozenset({Step.act(0, 1), Step.act(0, 2)})
+    got = nda_dist_law(Step(0, frozenset({1, 2})))
+    assert got == frozenset({Step(0, 1), Step(0, 2)})
 
 
 def test_nda_det_step_cases():
@@ -44,7 +44,7 @@ def test_nda_det_step_cases():
     assert empty.succ == (frozenset(), frozenset()) and not empty.accept
     stop_only = nda_det_step({STOP}, 2)
     assert stop_only.accept and stop_only.succ == (frozenset(), frozenset())
-    mixed = nda_det_step({Step.act(0, 1), Step.act(1, 1), STOP}, 2)
+    mixed = nda_det_step({Step(0, 1), Step(1, 1), STOP}, 2)
     assert mixed.succ == (frozenset({1}), frozenset({1})) and mixed.accept
 
 
@@ -53,7 +53,7 @@ def test_lwa_det_step_cases():
     assert zero.weight == 0 and zero.slices == ((Fraction(0), Fraction(0)),)
     stop3 = lwa_det_step({STOP: Fraction(3)}, 2, 1)
     assert stop3.weight == 3 and stop3.slices == ((Fraction(0), Fraction(0)),)
-    half = lwa_det_step({Step.act(0, 1): Fraction(1, 2)}, 2, 2)
+    half = lwa_det_step({Step(0, 1): Fraction(1, 2)}, 2, 2)
     assert half.weight == 0
     assert half.slices[0] == (Fraction(0), Fraction(1, 2))
     assert half.slices[1] == (Fraction(0), Fraction(0))
@@ -207,7 +207,7 @@ def test_nda_row_liftings_are_the_pairwise_definitions():
     for m in (1, 2):
         for _ in range(40):
             nx = rng.randint(1, 3)
-            steps = [STOP] + [Step.act(a, x) for a in range(m) for x in range(nx)]
+            steps = [STOP] + [Step(a, x) for a in range(m) for x in range(nx)]
             tables = [nda_det_step(u, m) for u in liftings._powerset(steps)]
             targets = liftings._powerset(range(nx))
             rel = frozenset((u, v) for u in targets for v in targets if rng.bit())
@@ -392,6 +392,26 @@ def test_law_reports_match_golden_digests_for_any_worker_count(monkeypatch,
             assert _report_digest(report) == digest, (family, corruption)
 
 
+@pytest.mark.parametrize("family", sorted(CORRUPTIONS))
+def test_each_law_alone_reports_as_in_the_full_suite(monkeypatch, family):
+    # a trial draws once and no law draws, so a law run alone sees the
+    # same instances as in the full table: skipping the others, or a
+    # full law, cannot change a byte of its result
+    monkeypatch.setattr(rng, "workers", lambda trials: 1)
+    draw, laws, kit, corruptions = liftings._FAMILIES[family]
+    full = {corruption: check_lifting_laws(family, trials=10, seed=3,
+                                           corruption=corruption)
+            for corruption in [None, *corruptions]}
+    for name, law, sizes in laws:
+        monkeypatch.setitem(liftings._FAMILIES, family,
+                            (draw, ((name, law, sizes),), kit, corruptions))
+        for corruption, report in full.items():
+            alone = check_lifting_laws(family, trials=10, seed=3,
+                                       corruption=corruption)
+            assert alone.results == (report.result(name),), (corruption, name)
+    assert [r.law for r in full[None].results] == [name for name, _, _ in laws]
+
+
 def test_full_law_is_not_evaluated_again(monkeypatch):
     # the meet corruption fills intersection-preservation in the first
     # trial; evaluated in every trial, that law alone would lift three
@@ -439,7 +459,7 @@ def test_law_memo_lasts_one_call(monkeypatch):
     # the one trial at seed 2 draws one target, so the kit's `det` sees
     # few of the 32 step sets over two targets and two actions; the meet
     # and equality laws read all 32, collected by the honest map
-    steps = [STOP] + [Step.act(a, x) for a in range(2) for x in range(2)]
+    steps = [STOP] + [Step(a, x) for a in range(2) for x in range(2)]
     fixed = {frozenset(s for i, s in enumerate(steps) if b >> i & 1)
              for b in range(1 << len(steps))}
     calls.clear()
