@@ -51,7 +51,6 @@ from .equivalence import (
     lwa_trace,
     moore_equiv,
     moore_pair_oracle,
-    nda_pair_oracle,
 )
 from .liftings import CORRUPTIONS, check_lifting_laws
 from .logic import (
@@ -68,7 +67,7 @@ from .quotient import (
     redundant_members,
     verify_witness_homomorphism,
 )
-from .rng import Lcg, random_cts, random_lwa, random_nda, run_trials, subseed
+from .rng import Lcg, random_cts, random_lwa, random_nda, run_trials
 from .systems import (
     Cts,
     Lwa,
@@ -339,9 +338,8 @@ def cmd_equiv(args) -> int:
         if args.pair:
             initials = [_parse_state_set(system, s) for s in args.pair]
         equiv = moore_equiv(system, initials, cap=args.cap)
-        nda = isinstance(system, Nda)
         payload = {
-            "kind": "nda" if nda else "moore",
+            "kind": "nda" if isinstance(system, Nda) else "moore",
             "iterations": equiv.iterations,
             "classes": [list(c) for c in equiv.classes()],
         }
@@ -354,8 +352,7 @@ def cmd_equiv(args) -> int:
                                subset_label(system.states, v)]
             payload["equivalent"] = verdict
             if not verdict:
-                oracle = nda_pair_oracle if nda else moore_pair_oracle
-                witness = oracle(system, u, v).witness
+                witness = moore_pair_oracle(system, u, v).witness
                 payload["witness"] = render_word(system.alphabet, witness)
     elif isinstance(system, Lwa) and args.pair:
         p, q = (_parse_vector(system, s) for s in args.pair)
@@ -511,13 +508,14 @@ def _run_adequacy_checks(args, results: list) -> None:
             "detail": detail,
         })
         return
+    master = Lcg(args.seed)
     for family in _families(args):
         draw = _ADEQUACY_SYSTEMS[family]
 
         def run_part(part: range) -> list:
             failures = []
             for i in part:
-                report = check_adequacy_expressivity(draw(Lcg(subseed(args.seed, i))))
+                report = check_adequacy_expressivity(draw(master.spawn(i)))
                 if not report.passed:
                     failures.append({"trial": i, "report": report.to_json()})
             return failures

@@ -164,18 +164,10 @@ class BitRel:
             for j in bits(row):
                 yield i, j
 
-    def count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
     def __and__(self, other: "BitRel") -> "BitRel":
         if self.size != other.size:
             raise DimensionMismatch("relation sizes differ")
         return BitRel(self.size, tuple(a & b for a, b in zip(self.rows, other.rows)))
-
-    def __or__(self, other: "BitRel") -> "BitRel":
-        if self.size != other.size:
-            raise DimensionMismatch("relation sizes differ")
-        return BitRel(self.size, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
     def __le__(self, other: "BitRel") -> bool:
         return self.size == other.size and all(

@@ -129,7 +129,9 @@ class UnionFind:
 def _word_search(system, u, v, known: UnionFind | None = None,
                  maxlen: int | None = None) -> OracleVerdict:
     """Breadth-first product search for the first word, in
-    length-then-action order, at which u and v are observed apart.
+    length-then-action order, at which u and v are observed apart.  On
+    subset systems it works straight off the successor masks,
+    independently of the determinized machine and the refinement engine.
 
     A configuration pair reached again by a later word is skipped: every
     extension of the later word is preceded by the same extension of
@@ -171,31 +173,13 @@ def _word_search(system, u, v, known: UnionFind | None = None,
     return OracleVerdict(True, None)
 
 
-def observe_after(system, config, word: Sequence[int]):
-    """What is observed of `config` after reading `word`, read off
-    `system.post` and `system.observe` as `_word_search` reads them, so
-    any object with those two methods will do."""
-    post = system.post
-    for a in word:
-        config = post(config, a)
-    return system.observe(config)
+# The subset oracle's one public name: a Moore system and an automaton
+# (the two-element case) are searched alike.
+moore_pair_oracle = _word_search
 
-
-def nda_pair_oracle(nda: Nda, mask_u: int, mask_v: int,
-                    known: UnionFind | None = None) -> OracleVerdict:
-    """Shortest distinguishing word by product search over subset masks.
-
-    Works straight off the successor masks, independently of the
-    determinized machine and the refinement engine; `known` is as in
-    `_word_search`.
-    """
-    return _word_search(nda, mask_u, mask_v, known)
-
-
-def moore_pair_oracle(lts: OutputLts, mask_u: int, mask_v: int,
-                      known: UnionFind | None = None) -> OracleVerdict:
-    """Product search comparing joined outputs along every word."""
-    return _word_search(lts, mask_u, mask_v, known)
+# Kept only because perfbench/spans.py rebinds these names.
+nda_pair_oracle = moore_pair_oracle
+lwa_trace = eval_word
 
 
 def moore_equiv(system: Nda | OutputLts, initials: Iterable[int] | None = None,
@@ -218,11 +202,6 @@ def moore_equiv(system: Nda | OutputLts, initials: Iterable[int] | None = None,
 
 
 # ------------------------------------------------------------- weighted
-
-def lwa_trace(lwa: Lwa, p: Sequence, word: Sequence[int]) -> Fraction:
-    """Weight of `word` from configuration p: (p . M_w1 ... M_wn) . out."""
-    return eval_word(lwa, tuple(p), word)
-
 
 def lwa_observability_chain(lwa: Lwa) -> list[Subspace]:
     """Descending chain of unobservable subspaces, from ker(out) down.

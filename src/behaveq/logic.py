@@ -37,11 +37,9 @@ from .equivalence import (
     lwa_unobservable_subspace,
     moore_equiv,
     moore_pair_oracle,
-    nda_pair_oracle,
-    observe_after,
 )
 from .liftings import cts_box
-from .systems import Cts, Lwa, Nda, OutputLts, word_dynamics
+from .systems import Cts, Lwa, Nda, OutputLts, eval_word, word_dynamics
 
 Word = tuple[int, ...]
 
@@ -410,8 +408,8 @@ def _word_blocks(search, system, configs: Sequence) -> list[int]:
     node's word.  A missing child makes it a new block, with no search.
     At a leaf one search decides: an equivalent verdict gives the leaf's
     block, and a separating word w turns the leaf into a node for w
-    over the old leaf and a new one.  Observations are read through
-    `observe_after`, the seam that the searches read the system through.
+    over the old leaf and a new one.  Observations are read by
+    `eval_word`, through the `post`/`observe` seam the searches read.
 
     Every search that ends equivalent merges the pairs it saw in
     `proven`, and later searches do not explore a pair merged there.  A
@@ -426,7 +424,7 @@ def _word_blocks(search, system, configs: Sequence) -> list[int]:
     def block_of(c) -> int:
         word, children = root
         while True:
-            key = observe_after(system, c, word)
+            key = eval_word(system, c, word)
             node = children.get(key)
             if node is None:
                 break
@@ -437,9 +435,9 @@ def _word_blocks(search, system, configs: Sequence) -> list[int]:
             if verdict.equivalent:
                 return node
             word = verdict.witness
-            children[key] = word, {observe_after(system, reps[node], word): node}
+            children[key] = word, {eval_word(system, reps[node], word): node}
             children = children[key][1]
-            key = observe_after(system, c, word)
+            key = eval_word(system, c, word)
             break
         children[key] = len(reps)
         reps.append(c)
@@ -494,8 +492,8 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             note = ("trace tables agree to the stabilisation bound but the "
                     "subspace separates the pair")
         else:
-            family, search = (("nda", nda_pair_oracle) if isinstance(system, Nda)
-                              else ("moore", moore_pair_oracle))
+            family = "nda" if isinstance(system, Nda) else "moore"
+            search = moore_pair_oracle
             equiv = moore_equiv(system, initials)
             configs = equiv.machine.subset_states
             labels = [equiv.machine.label(i) for i in range(len(configs))]

@@ -74,10 +74,6 @@ class Lcg:
         return Lcg((self.state + (index + 1) * _SPLIT) & _MASK64)
 
 
-def subseed(seed: int, index: int) -> int:
-    return (seed + (index + 1) * _SPLIT) & _MASK64
-
-
 def random_nda(rng: Lcg, max_states: int = 4, max_actions: int = 2) -> Nda:
     """`random_lts` plus acceptance bits, drawn state by state."""
     states, alphabet, delta = random_lts(rng, max_states, max_actions)

@@ -342,11 +342,13 @@ forward_determinize = moore_determinize
 
 
 def word_dynamics(system):
-    """The post/observe pair of an automaton, weighted automaton or Moore
-    system; other systems read no words."""
-    if not isinstance(system, (Nda, Lwa, OutputLts)):
-        raise ValueError(f"{type(system).__name__} reads no words")
-    return system.post, system.observe
+    """The post/observe pair of an automaton, weighted automaton, Moore
+    system or any other object with those two methods; a system without
+    them (a Cts) reads no words."""
+    try:
+        return system.post, system.observe
+    except AttributeError:
+        raise ValueError(f"{type(system).__name__} reads no words") from None
 
 
 def eval_word(system, start, word: Sequence[int]):

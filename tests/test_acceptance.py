@@ -21,9 +21,9 @@ from behaveq import (
     check_lifting_laws,
     cts_conditional_bisim,
     cts_slice_bisim_oracle,
-    lwa_trace,
+    eval_word,
     moore_equiv,
-    nda_pair_oracle,
+    moore_pair_oracle,
     respecting_subsets,
     verify_witness_homomorphism,
 )
@@ -36,7 +36,6 @@ from behaveq.rng import (
     random_lwa,
     random_nda,
     random_vector,
-    subseed,
 )
 
 from conftest import mask_of
@@ -93,7 +92,7 @@ def test_criterion_2_nda_oracle_agreement():
     started = time.time()
     disagreements = 0
     for i in range(200):
-        rng = Lcg(subseed(200, i))
+        rng = Lcg(200).spawn(i)
         nda = random_nda(rng, max_states=5, max_actions=2)
         n = len(nda.states)
         initials = sorted({0, (1 << n) - 1,
@@ -103,7 +102,7 @@ def test_criterion_2_nda_oracle_agreement():
         equiv = moore_equiv(nda, initials)
         for u in initials:
             for v in initials:
-                if equiv.related(u, v) != nda_pair_oracle(nda, u, v).equivalent:
+                if equiv.related(u, v) != moore_pair_oracle(nda, u, v).equivalent:
                     disagreements += 1
     elapsed = time.time() - started
     report("2", disagreements == 0 and elapsed < 60.0,
@@ -115,7 +114,7 @@ def test_criterion_3_lwa_oracle_agreement():
     disagreements = 0
     chain_violations = 0
     for i in range(200):
-        rng = Lcg(subseed(300, i))
+        rng = Lcg(300).spawn(i)
         lwa = random_lwa(rng, max_states=4, max_actions=2)
         n, m = len(lwa.states), len(lwa.alphabet)
         chain = lwa_observability_chain(lwa)
@@ -132,7 +131,7 @@ def test_criterion_3_lwa_oracle_agreement():
             for q in probes:
                 diff = tuple(a - b for a, b in zip(p, q))
                 by_space = space.contains(diff)
-                by_words = all(lwa_trace(lwa, p, w) == lwa_trace(lwa, q, w)
+                by_words = all(eval_word(lwa, p, w) == eval_word(lwa, q, w)
                                for w in words)
                 if by_space != by_words:
                     disagreements += 1
@@ -145,7 +144,7 @@ def test_criterion_3_lwa_oracle_agreement():
 def test_criterion_4_cts_oracle_agreement():
     disagreements = 0
     for i in range(100):
-        rng = Lcg(subseed(400, i))
+        rng = Lcg(400).spawn(i)
         cts = random_cts(rng, max_conditions=3, max_states=6)
         result = cts_conditional_bisim(cts)
         n = len(cts.states)
@@ -183,18 +182,18 @@ def test_criterion_6_adequacy_and_expressivity(golden_nda):
     if not (rep.adequate and rep.expressive):
         bad.append(("golden", rep.counterexamples[:1]))
     for i in range(100):
-        nda = random_nda(Lcg(subseed(601, i)), max_states=4)
+        nda = random_nda(Lcg(601).spawn(i), max_states=4)
         rep = check_adequacy_expressivity(nda)
         if not (rep.adequate and rep.expressive):
             bad.append(("nda", i))
     for i in range(100):
-        lwa = random_lwa(Lcg(subseed(602, i)), max_states=4)
+        lwa = random_lwa(Lcg(602).spawn(i), max_states=4)
         rep = check_adequacy_expressivity(lwa)
         if not (rep.adequate and rep.expressive):
             bad.append(("lwa", i))
     unsaturated = 0
     for i in range(50):
-        cts = random_cts(Lcg(subseed(603, i)), max_conditions=3, max_states=4)
+        cts = random_cts(Lcg(603).spawn(i), max_conditions=3, max_states=4)
         rep = check_adequacy_expressivity(cts)
         if not (rep.adequate and rep.expressive):
             bad.append(("cts", i))

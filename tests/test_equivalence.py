@@ -15,16 +15,15 @@ from behaveq import (
     build_output_lts,
     cts_conditional_bisim,
     cts_slice_bisim_oracle,
+    eval_word,
     lwa_classes,
     lwa_observation_basis,
     lwa_pair,
     lwa_pair_oracle,
-    lwa_trace,
     lwa_unobservable_subspace,
     lattice_lts,
     moore_equiv,
     moore_pair_oracle,
-    nda_pair_oracle,
     ready_output,
     refusal_output,
     theory_word,
@@ -86,7 +85,7 @@ def test_disjoint_copies_singletons_equivalent(golden_nda):
     eq = moore_equiv(double)
     for x in range(n):
         assert eq.related(1 << x, 1 << (x + n))
-        assert nda_pair_oracle(double, 1 << x, 1 << (x + n)).equivalent
+        assert moore_pair_oracle(double, 1 << x, 1 << (x + n)).equivalent
 
 
 def test_homomorphism_invariance_under_folding(golden_nda):
@@ -109,11 +108,11 @@ def test_nda_pair_oracle_cases(golden_nda):
     x = mask_of(golden_nda.states, "x")
     y = mask_of(golden_nda.states, "y")
     xy = mask_of(golden_nda.states, "x", "y")
-    assert nda_pair_oracle(golden_nda, x, x).equivalent
-    verdict = nda_pair_oracle(golden_nda, x, y)
+    assert moore_pair_oracle(golden_nda, x, x).equivalent
+    verdict = moore_pair_oracle(golden_nda, x, y)
     assert not verdict.equivalent
     assert verdict.witness == (golden_nda.alphabet.index("b"),)
-    assert nda_pair_oracle(golden_nda, xy, y).equivalent
+    assert moore_pair_oracle(golden_nda, xy, y).equivalent
 
 
 def test_nda_gfp_agrees_with_oracle_on_random_instances():
@@ -127,7 +126,7 @@ def test_nda_gfp_agrees_with_oracle_on_random_instances():
         eq = moore_equiv(nda, initials)
         for u in initials:
             for v in initials:
-                assert eq.related(u, v) == nda_pair_oracle(nda, u, v).equivalent
+                assert eq.related(u, v) == moore_pair_oracle(nda, u, v).equivalent
 
 
 def test_computed_equivalence_is_postfixpoint(golden_nda):
@@ -172,12 +171,12 @@ def test_lwa_trace_cases():
     lwa = Lwa(Carrier(("x", "y")), Carrier(("a",)),
               (Fraction(0), Fraction(3)),
               (((Fraction(0), Fraction(2)), (Fraction(0), Fraction(0))),))
-    assert lwa_trace(lwa, (1, 0), ()) == 0
-    assert lwa_trace(lwa, (0, 1), ()) == 3
-    assert lwa_trace(lwa, (1, 0), (0,)) == 6
-    assert lwa_trace(lwa, (0, 0), (0, 0)) == 0
+    assert eval_word(lwa, (1, 0), ()) == 0
+    assert eval_word(lwa, (0, 1), ()) == 3
+    assert eval_word(lwa, (1, 0), (0,)) == 6
+    assert eval_word(lwa, (0, 0), (0, 0)) == 0
     with pytest.raises(ValueError):
-        lwa_trace(lwa, (1, 0), (4,))
+        eval_word(lwa, (1, 0), (4,))
 
 
 def test_lwa_equiv_reflexive_and_matches_subspace():
@@ -206,7 +205,7 @@ def test_lwa_equiv_agrees_with_word_oracle():
         for p in probes:
             for q in probes:
                 by_subspace = lwa_pair(lwa, p, q).equivalent
-                by_words = all(lwa_trace(lwa, p, w) == lwa_trace(lwa, q, w)
+                by_words = all(eval_word(lwa, p, w) == eval_word(lwa, q, w)
                                for w in words)
                 assert by_subspace == by_words
 
@@ -605,7 +604,7 @@ def first_lwa_difference(lwa, p, q):
     first word in length-then-action order whose weights differ."""
     for length in range(len(lwa.states) + 1):
         for w in itertools.product(range(len(lwa.alphabet)), repeat=length):
-            if lwa_trace(lwa, p, w) != lwa_trace(lwa, q, w):
+            if eval_word(lwa, p, w) != eval_word(lwa, q, w):
                 return w
     return None
 
@@ -655,7 +654,7 @@ def test_nda_pair_oracle_is_first_theory_table_difference():
         nda = random_nda(rng, max_states=4, max_actions=3)
         masks = range(1 << len(nda.states))
         assert_oracle_is_first_table_difference(
-            nda, nda_pair_oracle, moore_equiv(nda), masks)
+            nda, moore_pair_oracle, moore_equiv(nda), masks)
 
 
 def test_moore_pair_oracle_is_first_theory_table_difference():
@@ -728,4 +727,4 @@ def test_automaton_agrees_with_its_moore_form():
         for u in range(1 << n):
             for v in range(1 << n):
                 assert automaton.related(u, v) == moore.related(u, v)
-                assert nda_pair_oracle(nda, u, v) == moore_pair_oracle(lts, u, v)
+                assert moore_pair_oracle(nda, u, v) == moore_pair_oracle(lts, u, v)

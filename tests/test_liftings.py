@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from behaveq import (
     cts_box,
     cts_dist_law,
     cts_rel_lift,
-    forward_determinize,
+    echelonize,
     lwa_det_step,
+    lwa_dist_law,
     lwa_modality,
+    moore_determinize,
     nda_det_step,
     nda_dist_law,
     nda_modality,
@@ -69,7 +72,7 @@ def test_cts_dist_law_cases():
 # ------------------------------------------------------------ modalities
 
 def test_nda_modality_accept_is_z_membership(golden_nda):
-    machine = forward_determinize(golden_nda, range(8))
+    machine = moore_determinize(golden_nda, range(8))
     z = golden_nda.states.index("z")
     got = nda_modality(machine, "accept")
     for i, mask in enumerate(machine.subset_states):
@@ -77,14 +80,14 @@ def test_nda_modality_accept_is_z_membership(golden_nda):
 
 
 def test_nda_modality_vacuous_region(golden_nda):
-    machine = forward_determinize(golden_nda, range(8))
+    machine = moore_determinize(golden_nda, range(8))
     everything = (1 << len(machine.subset_states)) - 1
     a = golden_nda.alphabet.index("a")
     assert nda_modality(machine, a, everything) == everything
 
 
 def test_nda_modality_after_a_terminates(golden_nda):
-    machine = forward_determinize(golden_nda, range(8))
+    machine = moore_determinize(golden_nda, range(8))
     a = golden_nda.alphabet.index("a")
     accepting = nda_modality(machine, "accept")
     box_a = nda_modality(machine, a, accepting)
@@ -410,6 +413,77 @@ def test_each_law_alone_reports_as_in_the_full_suite(monkeypatch, family):
                                        corruption=corruption)
             assert alone.results == (report.result(name),), (corruption, name)
     assert [r.law for r in full[None].results] == [name for name, _, _ in laws]
+
+
+def _lift_to_equality(rel, left, right):
+    # ignores the relation: not natural along a map that merges arguments
+    return tuple(sum(1 << j for j, v in enumerate(right) if v == u) for u in left)
+
+
+def _nda_dist_keeps_least(step):
+    # one target per step: the unit square holds, the multiplication not
+    if step.is_stop or not step.target:
+        return nda_dist_law(step)
+    return frozenset({Step(step.action, min(step.target))})
+
+
+def _nda_pred_at_singletons(table, kind, region):
+    if kind == "stop":
+        return table.accept
+    return len(table.succ[kind]) == 1 and table.succ[kind] in region
+
+
+def _nda_modality_complement(machine, kind, region=0):
+    full = (1 << len(machine.subset_states)) - 1
+    return full & ~nda_modality(machine, kind, region)
+
+
+def _lwa_dist_squares(step):
+    # weights 1 stay 1, so the unit square holds; sums are not linear
+    return {k: v * v for k, v in lwa_dist_law(step).items()}
+
+
+def _lwa_det_odd_drops_stop(bag, num_states, num_actions):
+    table = lwa_det_step(bag, num_states, num_actions)
+    return table if num_states % 2 == 0 else replace(table, weight=Fraction(0))
+
+
+def _lwa_lift_equality(space, num_states, num_actions):
+    return liftings._lwa_lift_rel_subspace(echelonize([], num_states),
+                                           num_states, num_actions)
+
+
+# A broken map for each law that no named corruption trips: a kit entry,
+# or the liftings function that the law reads directly.
+_UNTRIPPED_LAWS = [
+    ("nda", "kleisli-mult", "dist", _nda_dist_keeps_least),
+    ("nda", "pred-lift-naturality", "_nda_lift_pred", _nda_pred_at_singletons),
+    ("nda", "rel-lift-naturality", "lift_rel", _lift_to_equality),
+    ("nda", "modality-recipe-agreement", "nda_modality", _nda_modality_complement),
+    ("lwa", "kleisli-mult", "dist", _lwa_dist_squares),
+    ("lwa", "pred-lift-naturality", "lwa_det_step", _lwa_det_odd_drops_stop),
+    ("lwa", "rel-lift-naturality", "lift_subspace", _lwa_lift_equality),
+    ("cts", "cokleisli-comult", "dist",
+     lambda k, targets: frozenset((0, x) for x in targets)),
+    ("cts", "rel-lift-naturality", "lift_rel", _lift_to_equality),
+]
+
+
+@pytest.mark.parametrize("family, law, target, broken", _UNTRIPPED_LAWS,
+                         ids=[f"{f}-{law}" for f, law, _, _ in _UNTRIPPED_LAWS])
+def test_every_law_reports_a_broken_map(monkeypatch, family, law, target, broken):
+    # the law alone, as in test_each_law_alone_reports_as_in_the_full_suite:
+    # it passes on the honest maps and fails once one is broken
+    draw, laws, kit, corruptions = liftings._FAMILIES[family]
+    table = tuple(entry for entry in laws if entry[0] == law)
+    monkeypatch.setitem(liftings._FAMILIES, family, (draw, table, kit, corruptions))
+    assert check_lifting_laws(family, trials=10, seed=3).all_passed
+    if target in kit():
+        monkeypatch.setitem(liftings._FAMILIES, family, (
+            draw, table, lambda: {**kit(), target: broken}, corruptions))
+    else:
+        monkeypatch.setattr(liftings, target, broken)
+    assert not check_lifting_laws(family, trials=10, seed=3).result(law).passed
 
 
 def test_full_law_is_not_evaluated_again(monkeypatch):

@@ -17,7 +17,6 @@ from behaveq import (
     eval_word,
     moore_equiv,
     moore_pair_oracle,
-    nda_pair_oracle,
     parse_cts_formula,
     parse_word,
     render_word,
@@ -34,7 +33,6 @@ from behaveq.rng import (
     random_lwa,
     random_nda,
     random_vector,
-    subseed,
 )
 
 from conftest import CountedSteps, mask_of
@@ -205,21 +203,21 @@ def test_adequacy_golden_example(golden_nda):
 
 def test_adequacy_random_ndas():
     for i in range(25):
-        nda = random_nda(Lcg(subseed(31, i)), max_states=4)
+        nda = random_nda(Lcg(31).spawn(i), max_states=4)
         report = check_adequacy_expressivity(nda)
         assert report.adequate and report.expressive, report.counterexamples
 
 
 def test_adequacy_random_lwas():
     for i in range(25):
-        lwa = random_lwa(Lcg(subseed(32, i)), max_states=4)
+        lwa = random_lwa(Lcg(32).spawn(i), max_states=4)
         report = check_adequacy_expressivity(lwa)
         assert report.adequate and report.expressive, report.counterexamples
 
 
 def test_adequacy_random_cts_with_depth_saturation():
     for i in range(15):
-        cts = random_cts(Lcg(subseed(33, i)), max_conditions=3, max_states=4)
+        cts = random_cts(Lcg(33).spawn(i), max_conditions=3, max_states=4)
         report = check_adequacy_expressivity(cts)
         assert report.adequate and report.expressive, report.counterexamples
         assert report.depth_saturated is True
@@ -287,7 +285,7 @@ def _forced_nda():
         word = parse_word(other.alphabet, text)
         return (eval_word(other, _SUBSETS[p], word)
                 != eval_word(other, _SUBSETS[q], word))
-    return (checked, "nda_pair_oracle", other, expected,
+    return (checked, "moore_pair_oracle", other, expected,
             "no distinguishing word exists but the behavioural relation "
             "separates the pair", separates)
 
@@ -354,8 +352,8 @@ def _forced_cts():
 def test_adequacy_counterexamples_on_forced_disagreement(case, monkeypatch):
     checked, name, other, expected, note, separates = case()
     # the word families' logical side reads the system through two names,
-    # the pair search and `observe_after`; both answer for `other`
-    for patched in (name, "observe_after"):
+    # the pair search and `eval_word`; both answer for `other`
+    for patched in (name, "eval_word"):
         honest = getattr(logic, patched)
         monkeypatch.setattr(logic, patched,
                             lambda system, *rest, honest=honest: honest(other, *rest))
@@ -474,7 +472,7 @@ def test_word_logical_relation_is_the_pairwise_oracle_relation():
     cases = []
     for _ in range(30):
         nda = random_nda(rng, max_states=6)
-        cases.append((nda, moore_equiv(nda), nda_pair_oracle))
+        cases.append((nda, moore_equiv(nda), moore_pair_oracle))
         states, alphabet, delta = random_lts(rng, max_states=6)
         for semantics in ("trace", "failure", "ready"):
             lts = build_output_lts(states, alphabet, delta, semantics)
@@ -553,10 +551,9 @@ def test_word_blocks_match_the_representative_reference(golden_nda,
             cases.append((system, [rng.randint(1, (1 << n) - 1) for _ in range(3)]))
     sizes = []
     for system, initials in cases:
-        search = nda_pair_oracle if isinstance(system, Nda) else moore_pair_oracle
         configs = moore_equiv(system, initials).machine.subset_states
-        blocks = logic._word_blocks(search, system, configs)
-        assert blocks == reference_word_blocks(search, system, configs)
+        blocks = logic._word_blocks(moore_pair_oracle, system, configs)
+        assert blocks == reference_word_blocks(moore_pair_oracle, system, configs)
         sizes.append(max(blocks) + 1)
     assert sum(size > 20 for size in sizes) > 5, sizes
 
@@ -564,7 +561,7 @@ def test_word_blocks_match_the_representative_reference(golden_nda,
 def test_cts_single_condition_matches_hennessy_milner_oracle():
     # with one condition the logical classes are the bisimilarity blocks
     for i in range(10):
-        cts = random_cts(Lcg(subseed(34, i)), max_conditions=1, max_states=5)
+        cts = random_cts(Lcg(34).spawn(i), max_conditions=1, max_states=5)
         d = len(cts.states) + 1
         relations, _ = cts_logical_analysis(cts, d)
         logical = relations[d]
@@ -608,7 +605,7 @@ def test_adequacy_search_count_on_trace_vs_failure(trace_failure_lts, monkeypatc
     # 2355 searches and 28656 steps.  The bounds are the measured counts,
     # so that a return to either fails.
     steps, searches = CountedSteps(trace_failure_lts), 0
-    honest, honest_observe = logic.moore_pair_oracle, logic.observe_after
+    honest, honest_observe = logic.moore_pair_oracle, logic.eval_word
 
     def counted(system, *rest):
         nonlocal searches
@@ -620,7 +617,7 @@ def test_adequacy_search_count_on_trace_vs_failure(trace_failure_lts, monkeypatc
         assert system is trace_failure_lts
         return honest_observe(steps, *rest)
     monkeypatch.setattr(logic, "moore_pair_oracle", counted)
-    monkeypatch.setattr(logic, "observe_after", counted_observe)
+    monkeypatch.setattr(logic, "eval_word", counted_observe)
     report = check_adequacy_expressivity(trace_failure_lts)
     assert report.passed and len(report.logical_classes) == 9
     assert len(sum(report.logical_classes, ())) == 512

@@ -20,13 +20,13 @@ from behaveq import (
     cts_rel_lift,
     gfp,
     moore_equiv,
-    nda_pair_oracle,
+    moore_pair_oracle,
     refine,
 )
 from behaveq.core import bits
 from behaveq.equivalence import machine_equiv
 from behaveq.rng import Lcg, random_cts, random_lts, random_nda
-from behaveq.systems import forward_determinize, moore_determinize
+from behaveq.systems import moore_determinize
 
 
 def reference_refine(size, signature):
@@ -148,7 +148,7 @@ def test_nda_refinement_matches_gfp():
         nda = random_nda(rng, max_states=6)
         n = len(nda.states)
         assert_matches_gfp(moore_equiv(nda),
-                           forward_determinize(nda, range(1 << n)))
+                           moore_determinize(nda, range(1 << n)))
 
 
 def test_moore_refinement_matches_gfp_under_each_semantics():
@@ -227,7 +227,7 @@ def test_full_powerset_at_ten_states_agrees_with_pair_oracle():
             # one partner from the same class, one from anywhere
             for j in (rng.choice(members[i]), rng.randint(0, 1023)):
                 u, v = eq.machine.subset_states[i], eq.machine.subset_states[j]
-                assert eq.related(u, v) == nda_pair_oracle(nda, u, v).equivalent
+                assert eq.related(u, v) == moore_pair_oracle(nda, u, v).equivalent
 
 
 # ---------------------------------------------------------- dirty refine

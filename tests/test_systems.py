@@ -10,7 +10,6 @@ from behaveq import (
     Nda,
     OutputLts,
     Semilattice,
-    forward_determinize,
     lattice_lts,
     moore_determinize,
 )
@@ -32,7 +31,7 @@ def naive_accepts(nda: Nda, x: int, word) -> bool:
 def test_forward_determinize_golden_example(golden_nda):
     xy = mask_of(golden_nda.states, "x", "y")
     z = mask_of(golden_nda.states, "z")
-    machine = forward_determinize(golden_nda, [xy])
+    machine = moore_determinize(golden_nda, [xy])
     a = golden_nda.alphabet.index("a")
     b = golden_nda.alphabet.index("b")
     assert machine.subset_states[machine.trans[machine.pos(xy)][a]] == z
@@ -44,7 +43,7 @@ def test_forward_determinize_golden_example(golden_nda):
 
 
 def test_forward_determinize_empty_subset_absorbs(golden_nda):
-    machine = forward_determinize(golden_nda, [0])
+    machine = moore_determinize(golden_nda, [0])
     assert machine.subset_states == (0,)
     assert machine.trans == ((0, 0),)
     assert machine.out == (False,)
@@ -52,7 +51,7 @@ def test_forward_determinize_empty_subset_absorbs(golden_nda):
 
 def test_forward_determinize_singleton_accepting():
     nda = Nda(Carrier(("x",)), Carrier(("a",)), ((0,),), 0b1)
-    machine = forward_determinize(nda, [0b1])
+    machine = moore_determinize(nda, [0b1])
     assert machine.out[machine.pos(0b1)] is True
     assert machine.subset_states[machine.trans[machine.pos(0b1)][0]] == 0
 
@@ -61,7 +60,7 @@ def test_forward_determinize_closed_under_trans():
     rng = Lcg(21)
     for _ in range(20):
         nda = random_nda(rng, max_states=5)
-        machine = forward_determinize(nda, [1, 1 << (len(nda.states) - 1)])
+        machine = moore_determinize(nda, [1, 1 << (len(nda.states) - 1)])
         count = len(machine.subset_states)
         assert all(0 <= t < count for row in machine.trans for t in row)
 
@@ -72,7 +71,7 @@ def test_determinized_acceptance_matches_naive_language_search():
         nda = random_nda(rng, max_states=4)
         n, m = len(nda.states), len(nda.alphabet)
         start = rng.randint(0, (1 << n) - 1)
-        machine = forward_determinize(nda, [start])
+        machine = moore_determinize(nda, [start])
         words = [()] + [(a,) for a in range(m)] + [
             (a, b) for a in range(m) for b in range(m)] + [
             (a, b, c) for a in range(m) for b in range(m) for c in range(m)]
@@ -88,7 +87,7 @@ def test_determinized_acceptance_matches_naive_language_search():
 
 def test_forward_determinize_rejects_bad_mask(golden_nda):
     with pytest.raises(ValueError):
-        forward_determinize(golden_nda, [1 << 3])
+        moore_determinize(golden_nda, [1 << 3])
 
 
 # ------------------------------------------------------------------- lwa
