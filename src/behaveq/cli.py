@@ -737,8 +737,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", help="word, plain or bracketed")
     p.add_argument("--formula", help="modal formula for cts inputs")
     p.add_argument("--depth", type=int,
-                   help="for cts inputs: list all semantically distinct "
-                        "formulas up to this box depth")
+                   help="for cts inputs: list generating formulas, one "
+                        "box per position and level, that decide logical "
+                        "equivalence up to this box depth")
     p.add_argument("--maxlen", type=int, default=2,
                    help="table depth when no --word is given")
     common(p)

@@ -8,8 +8,8 @@ invariant subspace) against a logical relation computed along an
 independent route: for automata and Moore systems, a classification
 tree of the separating words that the family's pair search returns,
 with at most one search per position; the values on a backward Krylov
-basis of the output for weighted automata; formula enumeration for
-conditional systems.
+basis of the output for weighted automata; for conditional systems,
+the box/Boolean logic's equivalence, from one box per position and level.
 """
 
 from __future__ import annotations
@@ -242,16 +242,22 @@ def theory_word(system, start, maxlen: int) -> dict[Word, object]:
 # ------------------------------------------------------------ CTS formulas
 
 def cts_logical_analysis(cts: Cts, depth: int):
-    """Semantically deduplicated formula enumeration to a box depth.
+    """Logical equivalence of the box/Boolean logic to a box depth.
 
-    Returns (relations, generators): relations[d], for d = 0..depth, is
-    the logical equivalence of box depth d on the condition/state
-    positions k*|X| + x, which relates two positions of one condition
-    that every generator found by level d treats alike; the generator
-    predicates come with their formulas.  Each level closes the current
-    predicates under Boolean combinations (unions of profile atoms),
-    applies box to every combination and appends the new predicates, so
-    each level's generators extend the previous level's.
+    Returns (relations, generators).  relations[d] relates two
+    condition/state positions k*|X| + x of one condition that every
+    generator found by level d treats alike; generators are predicates
+    with their formulas, each level's extending the previous level's.
+    The relations end at the first level after which nothing is added;
+    the last holds at every deeper depth.
+
+    A level's atoms are the classes of positions that its generators
+    treat alike.  For a union S of atoms, p satisfies box(S) iff S
+    contains U_p, the union of the atoms that p's successors meet; so
+    the boxes of the sets U_p separate what the boxes of all unions do
+    (Hennessy and Milner), and a level appends one box per position.
+    Atom a is met from p iff p is outside the box of a's complement, so
+    only `cts_box` reads the system.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -264,50 +270,37 @@ def cts_logical_analysis(cts: Cts, depth: int):
     full = (1 << total) - 1
     gens: list[tuple[int, CtsFormula]] = [(full, TT)]
     known = {full}
-
-    def relation() -> BitRel:
-        return BitRel.from_blocks(
-            [(i // n, tuple(g >> i & 1 for g, _ in gens)) for i in range(total)])
-
-    relations = [relation()]
-
-    def atoms() -> list[tuple[int, CtsFormula]]:
-        profiles: dict[tuple, list[int]] = {}
-        for i in range(total):
-            prof = tuple(bool(g >> i & 1) for g, _ in gens)
-            profiles.setdefault(prof, []).append(i)
-        out = []
-        for prof, positions in sorted(profiles.items()):
-            mask = sum(1 << i for i in positions)
+    relations = []
+    while True:
+        profiles = [tuple(g >> i & 1 for g, _ in gens) for i in range(total)]
+        relations.append(BitRel.from_blocks(
+            [(i // n, prof) for i, prof in enumerate(profiles)]))
+        if len(relations) > depth:
+            break
+        masks: dict[tuple, int] = {}
+        for i, prof in enumerate(profiles):
+            masks[prof] = masks.get(prof, 0) | 1 << i
+        atoms = []
+        for prof, mask in sorted(masks.items()):
             # defining conjunction; satisfied tt conjuncts add nothing
-            parts = []
-            for keep, (g_mask, g_formula) in zip(prof, gens):
-                if keep and g_mask == full:
-                    continue
-                parts.append(g_formula if keep else neg(g_formula))
-            out.append((mask, conj_all(parts)))
-        return out
-
-    for _ in range(depth):
-        level_atoms = atoms()
-        fresh = []
-        for combo in range(1, 1 << len(level_atoms)):
-            mask = 0
-            formulas = []
-            for i in range(len(level_atoms)):
-                if combo >> i & 1:
-                    mask |= level_atoms[i][0]
-                    formulas.append(level_atoms[i][1])
-            boxed = cts_box(cts, mask)
+            parts = [g_formula if keep else neg(g_formula)
+                     for keep, (g_mask, g_formula) in zip(prof, gens)
+                     if not (keep and g_mask == full)]
+            atoms.append((mask, cts_box(cts, full & ~mask), conj_all(parts)))
+        unions: dict[int, list[CtsFormula]] = {}
+        for p in range(total):
+            met = [(mask, formula) for mask, missed, formula in atoms
+                   if not missed >> p & 1]
+            unions.setdefault(sum(mask for mask, _ in met),
+                              [formula for _, formula in met])
+        size = len(gens)
+        for union, formulas in unions.items():
+            boxed = cts_box(cts, union)
             if boxed not in known:
                 known.add(boxed)
-                fresh.append((boxed, box(disj_all(formulas))))
-        boxed_empty = cts_box(cts, 0)
-        if boxed_empty not in known:
-            known.add(boxed_empty)
-            fresh.append((boxed_empty, box(neg(TT))))
-        gens.extend(fresh)
-        relations.append(relation())
+                gens.append((boxed, box(disj_all(formulas))))
+        if len(gens) == size:
+            break
     return tuple(relations), gens
 
 
@@ -337,7 +330,6 @@ class EquivReport:
     counterexamples: tuple[dict, ...]
     iterations: int
     depth_saturated: bool | None = None
-    assumptions: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -354,7 +346,7 @@ class EquivReport:
             "counterexamples": list(self.counterexamples),
             "iterations": self.iterations,
             "depth_saturated": self.depth_saturated,
-            "assumptions": list(self.assumptions),
+            "assumptions": [],  # the CLI names its own
         }
 
 
@@ -461,8 +453,8 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
     search for a separating word.  Weighted: invariant-subspace verdict
     vs the values on the backward Krylov basis of the output, with each
     counterexample's word from `lwa_pair`.  Conditional: bisimulation
-    fixpoint vs formula enumeration to the fixpoint depth, with a
-    saturation check one level deeper.
+    fixpoint vs `cts_logical_analysis`, one box per position and level,
+    at the fixpoint depth, with a saturation check one level deeper.
     """
     if isinstance(system, (Nda, OutputLts, Lwa)):
         if isinstance(system, Lwa):
@@ -513,9 +505,11 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
         depth = result.iterations
         # one enumeration serves both depths: depth d's generators are a
         # prefix of depth d + 1's, so a pair separated at depth d has the
-        # same first separating generator in both
+        # same first separating generator in both; the last relation
+        # holds at every deeper depth
         relations, gens = cts_logical_analysis(system, depth + 1)
-        logical, deeper = relations[depth], relations[depth + 1]
+        logical, deeper = (relations[min(d, len(relations) - 1)]
+                           for d in (depth, depth + 1))
         n = len(system.states)
         labels = [f"{system.conditions.label(p // n)}:{system.states.label(p % n)}"
                   for p in range(len(system.conditions) * n)]

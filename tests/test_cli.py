@@ -307,6 +307,16 @@ def test_check_adequacy_file():
     assert payload["all_passed"] is True
 
 
+def test_check_adequacy_on_the_16_state_cts_chain(capsys):
+    # the largest conditional system the formula cap admits; boxing
+    # every union of atoms kept this check busy for about ten seconds
+    code, out, _ = run_main(["check", str(DATA / "cts-chain16.json"),
+                             "--adequacy", "--json"], capsys)
+    detail = json.loads(out)["checks"][0]["detail"]
+    assert code == 0 and detail["depth_saturated"] is True
+    assert len(detail["logical_classes"]) == 16 and detail["counterexamples"] == []
+
+
 def test_check_requires_mode():
     res = run_cli(["check", GOLDEN])
     assert res.returncode == 2
@@ -562,6 +572,48 @@ def test_eval_moore_word_and_cts_depth(tmp_path):
     payload = json.loads(res.stdout)
     rendered = {e["formula"] for e in payload["formulas"]}
     assert "tt" in rendered and any("□" in f for f in rendered)
+
+
+CTS_TWO_CONDITIONS = {
+    "kind": "cts",
+    "conditions": ["k", "l"],
+    "states": ["a", "b", "c"],
+    "transitions": [{"cond": "k", "from": "a", "to": "b"},
+                    {"cond": "k", "from": "b", "to": "c"},
+                    {"cond": "k", "from": "c", "to": "c"},
+                    {"cond": "l", "from": "a", "to": "a"},
+                    {"cond": "l", "from": "a", "to": "c"},
+                    {"cond": "l", "from": "b", "to": "a"}],
+}
+
+
+@pytest.mark.parametrize("doc", [CTS_DOC, CTS_TWO_CONDITIONS])
+def test_eval_cts_depth_formulas_hold_where_printed(tmp_path, capsys, doc):
+    path = tmp_path / "cts.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_main(["eval", str(path), "--depth", "3", "--json"], capsys)
+    assert code == 0
+    system = load_system(doc)
+    labels = [f"{k}:{x}" for k in doc["conditions"] for x in doc["states"]]
+    formulas = json.loads(out)["formulas"]
+    assert len(formulas) >= 2
+    for entry in formulas:
+        sat = logic.eval_cts(system, logic.parse_cts_formula(entry["formula"]))
+        assert entry["satisfied"] == [label for i, label in enumerate(labels)
+                                      if sat >> i & 1], entry
+
+
+@pytest.mark.parametrize("doc", [CTS_DOC, CTS_TWO_CONDITIONS])
+def test_eval_cts_depth_past_saturation_prints_the_saturated_list(
+        tmp_path, capsys, doc):
+    path = tmp_path / "cts.json"
+    path.write_text(json.dumps(doc))
+    outputs = [run_main(["eval", str(path), "--depth", str(d)], capsys)
+               for d in range(8)]
+    saturated = next(d for d in range(7) if outputs[d] == outputs[d + 1])
+    assert saturated > 0 and outputs[saturated][0] == 0
+    assert run_main(["eval", str(path), "--depth", "1000000000"],
+                    capsys) == outputs[saturated]
 
 
 def test_eval_negative_depth_exits_two(tmp_path, capsys):

@@ -104,7 +104,7 @@ def test_homomorphism_invariance_under_folding(golden_nda):
             assert eq2.related(u, v) == eq1.related(fold(u), fold(v))
 
 
-def test_nda_pair_oracle_cases(golden_nda):
+def test_moore_pair_oracle_cases(golden_nda):
     x = mask_of(golden_nda.states, "x")
     y = mask_of(golden_nda.states, "y")
     xy = mask_of(golden_nda.states, "x", "y")
@@ -167,7 +167,7 @@ def test_unobservable_subspace_shrinks_to_zero():
     assert not lwa_pair(lwa, (1, 0), (0, 0)).equivalent
 
 
-def test_lwa_trace_cases():
+def test_eval_word_lwa_cases():
     lwa = Lwa(Carrier(("x", "y")), Carrier(("a",)),
               (Fraction(0), Fraction(3)),
               (((Fraction(0), Fraction(2)), (Fraction(0), Fraction(0))),))
@@ -648,7 +648,7 @@ def assert_oracle_is_first_table_difference(system, oracle, engine, masks):
             assert first_table_difference(system, u, v, depth) == verdict.witness
 
 
-def test_nda_pair_oracle_is_first_theory_table_difference():
+def test_moore_pair_oracle_on_automata_is_first_theory_table_difference():
     rng = Lcg(3004)
     for _ in range(25):
         nda = random_nda(rng, max_states=4, max_actions=3)

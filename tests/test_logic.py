@@ -12,6 +12,8 @@ from behaveq import (
     Nda,
     build_output_lts,
     check_adequacy_expressivity,
+    cts_box,
+    cts_conditional_bisim,
     cts_slice_bisim_oracle,
     eval_cts,
     eval_word,
@@ -25,7 +27,7 @@ from behaveq import (
 from behaveq import logic
 from behaveq.core import format_rational
 from behaveq.equivalence import UnionFind
-from behaveq.logic import TT, box, cts_logical_analysis, neg
+from behaveq.logic import TT, box, conj_all, cts_logical_analysis, disj_all, neg
 from behaveq.rng import (
     Lcg,
     random_cts,
@@ -564,7 +566,7 @@ def test_cts_single_condition_matches_hennessy_milner_oracle():
         cts = random_cts(Lcg(34).spawn(i), max_conditions=1, max_states=5)
         d = len(cts.states) + 1
         relations, _ = cts_logical_analysis(cts, d)
-        logical = relations[d]
+        logical = relations[min(d, len(relations) - 1)]
         partition = cts_slice_bisim_oracle(cts, 0)
         n = len(cts.states)
         for x in range(n):
@@ -572,6 +574,141 @@ def test_cts_single_condition_matches_hennessy_milner_oracle():
                 same_block = any(x in block and y in block
                                  for block in partition)
                 assert logical.has(x, y) == same_block
+
+
+# `cts_logical_analysis` boxes one union of atoms per position and
+# level.  The reference is the enumeration it replaced, which boxes
+# every union of atoms, 2^atoms - 1 of them per level.
+
+def reference_cts_generators(cts, depth):
+    """(relations, levels): relations[d] as `cts_logical_analysis`
+    gives it, for every d up to `depth`, and levels[d] the generators
+    found by level d."""
+    n = len(cts.states)
+    total = len(cts.conditions) * n
+    full = (1 << total) - 1
+    gens = [(full, TT)]
+    known = {full}
+
+    def relation():
+        return BitRel.from_blocks(
+            [(i // n, tuple(g >> i & 1 for g, _ in gens)) for i in range(total)])
+
+    def atoms():
+        profiles = {}
+        for i in range(total):
+            prof = tuple(bool(g >> i & 1) for g, _ in gens)
+            profiles.setdefault(prof, []).append(i)
+        out = []
+        for prof, positions in sorted(profiles.items()):
+            mask = sum(1 << i for i in positions)
+            parts = []
+            for keep, (g_mask, g_formula) in zip(prof, gens):
+                if keep and g_mask == full:
+                    continue
+                parts.append(g_formula if keep else neg(g_formula))
+            out.append((mask, conj_all(parts)))
+        return out
+
+    relations, levels = [relation()], [list(gens)]
+    for _ in range(depth):
+        level_atoms = atoms()
+        fresh = []
+        for combo in range(1, 1 << len(level_atoms)):
+            mask = 0
+            formulas = []
+            for i in range(len(level_atoms)):
+                if combo >> i & 1:
+                    mask |= level_atoms[i][0]
+                    formulas.append(level_atoms[i][1])
+            boxed = cts_box(cts, mask)
+            if boxed not in known:
+                known.add(boxed)
+                fresh.append((boxed, box(disj_all(formulas))))
+        boxed_empty = cts_box(cts, 0)
+        if boxed_empty not in known:
+            known.add(boxed_empty)
+            fresh.append((boxed_empty, box(neg(TT))))
+        gens.extend(fresh)
+        relations.append(relation())
+        levels.append(list(gens))
+    return relations, levels
+
+
+def _sparse_cts(rng):
+    """Up to 16 positions, as 1x16, 2x8, 4x4, 1x12 or 3x5, with each
+    edge present with probability 1/m for a random m in 2..|X|+1."""
+    k, n = rng.choice([(1, 16), (2, 8), (4, 4), (1, 12), (3, 5)])
+    one_in = rng.randint(2, n + 1)
+    return Cts(Carrier(tuple(f"k{i}" for i in range(k))),
+               Carrier(tuple(f"q{i}" for i in range(n))),
+               tuple(tuple(sum(1 << y for y in range(n) if rng.randint(1, one_in) == 1)
+                           for _ in range(n)) for _ in range(k)))
+
+
+def _atoms(gens, total):
+    masks = {}
+    for i in range(total):
+        prof = tuple(g >> i & 1 for g, _ in gens)
+        masks[prof] = masks.get(prof, 0) | 1 << i
+    return list(masks.values())
+
+
+def test_cts_generators_match_the_exhaustive_reference():
+    rng = Lcg(3625)
+    cases = [random_cts(rng.spawn(i), max_conditions=4, max_states=4)
+             for i in range(40)]
+    cases += [_sparse_cts(rng.spawn(100 + i)) for i in range(60)]
+    classes = []
+    for cts in cases:
+        total = len(cts.conditions) * len(cts.states)
+        top = cts_conditional_bisim(cts).iterations + 2
+        want, levels = reference_cts_generators(cts, top)
+        for d in range(top + 1):
+            relations, gens = cts_logical_analysis(cts, d)
+            assert [relations[min(e, len(relations) - 1)]
+                    for e in range(d + 1)] == want[:d + 1]
+            # the reference's predicates are Boolean combinations of the
+            # new generators, depth by depth
+            atoms = _atoms(gens, total)
+            for mask, _ in levels[d]:
+                assert all(mask & atom in (0, atom) for atom in atoms)
+        classes.append(len(want[-1].classes()))
+    assert sum(c >= 10 for c in classes) > 10, classes
+
+
+def _chain(n):
+    """One condition, q_i -> q_i+1, q_(n-1) deadlocked."""
+    return Cts(Carrier(("k",)), Carrier(tuple(f"q{i}" for i in range(n))),
+               (tuple(1 << (i + 1) if i + 1 < n else 0 for i in range(n)),))
+
+
+def test_cts_chain_adequacy_boxes_twice_per_position_and_level(monkeypatch):
+    # Boxing every union of atoms took 196,606 `cts_box` calls here;
+    # one box per position and level, with one box per atom to find the
+    # atoms each successor set meets, takes at most two per position.
+    cts, calls = _chain(16), 0
+    honest = logic.cts_box
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return honest(*args)
+    monkeypatch.setattr(logic, "cts_box", counted)
+    report = check_adequacy_expressivity(cts)
+    assert report.passed and report.depth_saturated is True
+    assert len(report.logical_classes) == 16
+    levels = report.iterations + 2
+    assert calls <= 2 * 16 * levels, (calls, levels)
+
+
+def test_cts_levels_stop_where_no_generator_is_added():
+    for cts in (cts_for_formulas(), _chain(5)):
+        relations, gens = cts_logical_analysis(cts, 10 ** 9)
+        last = len(relations) - 1
+        assert cts_logical_analysis(cts, last) == (relations, gens)
+        assert cts_logical_analysis(cts, last + 1) == (relations, gens)
+        assert cts_logical_analysis(cts, last - 1)[0] == relations[:-1]
 
 
 def test_cts_distinguishing_formula_is_actually_distinguishing():
