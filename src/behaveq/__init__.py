@@ -22,11 +22,9 @@ from .equivalence import (
     MachineEquiv,
     build_output_lts,
     cts_conditional_bisim,
-    cts_slice_bisim_oracle,
     lwa_classes,
     lwa_observation_basis,
     lwa_pair,
-    lwa_pair_oracle,
     lwa_trace,
     lwa_unobservable_subspace,
     moore_equiv,

@@ -33,7 +33,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .core import (
-    BitRel,
     CapExceeded,
     Carrier,
     Semilattice,
@@ -321,7 +320,17 @@ def _parse_vector(system: Lwa, text: str) -> tuple[Fraction, ...]:
 
 # ------------------------------------------------------------- subcommands
 
+# The largest --cap accepted: 2^20 subset positions
+MAX_CAP = 20
+
+
+def _refuse_cap_past_ceiling(args) -> None:
+    if args.cap > MAX_CAP:
+        raise CapExceeded(f"--cap {args.cap} exceeds the ceiling of {MAX_CAP}")
+
+
 def cmd_equiv(args) -> int:
+    _refuse_cap_past_ceiling(args)
     raw = read_json(args.file)
     system = load_system(raw)
     semantics = None
@@ -421,13 +430,11 @@ def cmd_quotient(args) -> int:
         raise SchemaError("quotient expects an nda input")
     n = len(system.states)
     if args.identity_eq:
-        eq = BitRel.identity(1 << n)
-        iterations = 0
+        blocks, iterations = range(1 << n), 0
     else:
         result = moore_equiv(system)
-        eq = result.relation
-        iterations = result.iterations
-    auto = build_respecting_automaton(system, eq)
+        blocks, iterations = result.blocks, result.iterations
+    auto = build_respecting_automaton(system, blocks)
     hom = verify_witness_homomorphism(system, auto)
     labels = auto.labels()
     automaton_json = {
@@ -634,6 +641,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_determinize(args) -> int:
+    _refuse_cap_past_ceiling(args)
     system = load_file(args.file)
     # backward determinization is the subset construction of the
     # reversed automaton, started from the same initials
@@ -700,7 +708,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit a JSON report")
         if cap:
             p.add_argument("--cap", type=int, default=12,
-                           help="at most 2^CAP subset positions (default 12)")
+                           help="at most 2^CAP subset positions (default 12, "
+                                f"at most {MAX_CAP})")
 
     p = sub.add_parser("equiv", help="equivalence classes or a pairwise verdict")
     p.add_argument("file")

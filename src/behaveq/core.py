@@ -7,10 +7,14 @@ form, and finite join-semilattices.  All values are immutable after
 construction and all operations are pure, so they are safe to share
 across threads.
 
-Two fixpoint routines sit on top: `gfp`, Kleene iteration on any
-relation lattice (the conditional-slice oracle and the tests'
-reference), and `refine`, signature refinement to the coarsest stable
-partition (the automaton, Moore and conditional engines).
+Two fixpoint routines sit on top: `refine`, signature refinement to
+the coarsest stable partition (the automaton, Moore and conditional
+engines), and `gfp`, Kleene iteration on any relation lattice.  No
+engine runs `gfp`: it is kept because the tests' Kleene references run
+on it and on `GfpResult`, and the benchmark's tracer wraps it.  An
+equivalence is a block array, one hashable key or id per position, from
+the engines to every report; `BitRel` is the gfp lattice and the input
+of the conditional relation lifting and the law suite.
 
 Rationals are `fractions.Fraction` (re-exported as `Rational`): always
 in lowest terms, positive denominator, arbitrary-precision integers,
@@ -113,7 +117,10 @@ def parse_subset_label(base: Carrier, text: str) -> int:
 
 @dataclass(frozen=True)
 class BitRel:
-    """Binary relation on 0..size-1 stored as per-row bitmasks."""
+    """Binary relation on 0..size-1 stored as per-row bitmasks: the
+    lattice that `gfp` iterates on, and the relations that the
+    conditional relation lifting and the law suite take.  Equivalences
+    are block arrays; `from_blocks` gives one as a relation."""
 
     size: int
     rows: tuple[int, ...]
@@ -173,36 +180,6 @@ class BitRel:
         return self.size == other.size and all(
             a & ~b == 0 for a, b in zip(self.rows, other.rows)
         )
-
-    def is_equivalence(self) -> bool:
-        """Reflexive, and related elements have equal rows.  Each row is
-        compared once per member, so an equivalence costs N row
-        comparisons rather than N^2 bit probes."""
-        seen = 0
-        for i, row in enumerate(self.rows):
-            if seen >> i & 1:
-                continue
-            if not row >> i & 1:
-                return False
-            if any(self.rows[j] != row for j in bits(row)):
-                return False
-            seen |= row
-        return True
-
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Equivalence classes, each sorted, ordered by least member."""
-        if not self.is_equivalence():
-            raise ValueError("relation is not an equivalence")
-        seen = 0
-        out = []
-        for i in range(self.size):
-            if seen >> i & 1:
-                continue
-            cls = tuple(bits(self.rows[i]))
-            for j in cls:
-                seen |= 1 << j
-            out.append(cls)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -336,8 +313,7 @@ def refine(size: int, signature: Callable,
 
 
 def block_classes(blocks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Members of each block, ascending, ordered by least member (the
-    order of `BitRel.classes`)."""
+    """Members of each block, ascending, ordered by least member."""
     groups: dict[int, list[int]] = {}
     for i, b in enumerate(blocks):
         groups.setdefault(b, []).append(i)

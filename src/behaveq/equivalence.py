@@ -6,12 +6,14 @@ fixpoint of their relation lifting as the coarsest stable partition,
 by the signature-refinement rounds of `core.refine`; the weighted
 engine answers from Krylov bases: a forward basis of p - q for a pair
 verdict and its witness, a backward basis of the output vector for the
-classes.  Each engine is paired with an independent reference (a
-breadth-first word search over configuration pairs, shared by the
-automaton, Moore and weighted families; the observability chain, the
-greatest fixpoint of the weighted relation lifting, for the weighted
-family; and the relation-lifting fixpoint for conditional slices) that
-the test suite replays against it.
+classes.  The subset and conditional engines return each equivalence
+as a block array, one class id per position.  The test suite replays
+each engine against an independent reference: the breadth-first word
+search over subset pairs (`moore_pair_oracle`) for the subset engine,
+and the observability chain, the greatest fixpoint of the weighted
+relation lifting, for the weighted engine.  The tests keep the other
+references themselves: Kleene iterations of the relation liftings, and
+a word search over weighted configurations bounded by |states| letters.
 Relations on weighted configuration spaces are represented as
 difference subspaces: p related to q iff p - q lies in the subspace.
 """
@@ -21,26 +23,24 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    BitRel,
     CapExceeded,
     DimensionMismatch,
     Semilattice,
     Subspace,
     bits,
     block_classes,
-    gfp,
     nullspace,
     orthogonal_tests,
     refine,
     subset_label,
 )
-from .liftings import cts_rel_lift, lwa_lift_rows
+from .liftings import lwa_lift_rows
 from .systems import (
     Cts,
     DeterminizedMachine,
@@ -57,19 +57,13 @@ from .systems import (
 class MachineEquiv:
     """Coarsest bisimulation on a determinized machine.
 
-    `blocks` assigns each machine position its class id; `relation` is
-    the same equivalence as a bit relation, built on first read (about
-    N^2/16 bytes over N positions); `related` answers queries by subset
-    mask.
+    `blocks` assigns each machine position its class id; `related`
+    answers queries by subset mask.
     """
 
     machine: DeterminizedMachine
     iterations: int
     blocks: tuple[int, ...]
-
-    @cached_property
-    def relation(self) -> BitRel:
-        return BitRel.from_blocks(self.blocks)
 
     def related(self, mask_u: int, mask_v: int) -> bool:
         pos = self.machine.pos
@@ -126,16 +120,16 @@ class UnionFind:
             self.parent[y] = x
 
 
-def _word_search(system, u, v, known: UnionFind | None = None,
-                 maxlen: int | None = None) -> OracleVerdict:
+def _word_search(system, u, v, known: UnionFind | None = None) -> OracleVerdict:
     """Breadth-first product search for the first word, in
-    length-then-action order, at which u and v are observed apart.  On
-    subset systems it works straight off the successor masks,
-    independently of the determinized machine and the refinement engine.
+    length-then-action order, at which u and v are observed apart.  It
+    runs on subset systems, whose configuration pairs are finitely many,
+    straight off the successor masks, independently of the determinized
+    machine and the refinement engine.
 
     A configuration pair reached again by a later word is skipped: every
     extension of the later word is preceded by the same extension of
-    the earlier one.  Words longer than `maxlen` are not explored.
+    the earlier one.
 
     `known`, if given, must relate only equivalent configurations.  A
     pair whose sides share a root there is not explored, which keeps the
@@ -156,8 +150,6 @@ def _word_search(system, u, v, known: UnionFind | None = None,
     # length-then-action order too
     while queue:
         x, y, word = queue.popleft()
-        if len(word) == maxlen:
-            continue
         for a in range(num_actions):
             pair = post(x, a), post(y, a)
             if pair not in seen:
@@ -359,34 +351,15 @@ def lwa_pair(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
     return OracleVerdict(True, None)
 
 
-def lwa_pair_oracle(lwa: Lwa, p: Sequence, q: Sequence) -> OracleVerdict:
-    """First word, in length-then-action order, whose weights from p
-    and q differ.
-
-    Words of |states| letters suffice: level i of the observability
-    chain holds the differences that every word of at most i letters
-    weighs 0, and the chain stops after at most |states| strict steps.
-    """
-    return _word_search(lwa, tuple(map(Fraction, p)), tuple(map(Fraction, q)),
-                        maxlen=len(lwa.states))
-
-
 # ------------------------------------------------------------ conditional
 
 @dataclass(frozen=True)
 class CtsBisimResult:
-    """`blocks[k]` is condition k's partition as a block id per state.
-    `relation` is conditional bisimilarity on the condition/state
-    positions k*|X| + x, built on first read (about N^2/16 bytes over
-    N positions); it relates only positions of one condition."""
+    """`blocks[k]` is condition k's partition as a block id per state;
+    conditional bisimilarity relates only positions of one condition."""
 
     iterations: int
     blocks: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def relation(self) -> BitRel:
-        return BitRel.from_blocks(
-            [(k, b) for k, slice_blocks in enumerate(self.blocks) for b in slice_blocks])
 
     def classes(self, k: int) -> tuple[tuple[int, ...], ...]:
         return block_classes(self.blocks[k])
@@ -408,21 +381,6 @@ def cts_conditional_bisim(cts: Cts) -> CtsBisimResult:
         blocks.append(slice_blocks)
         rounds = max(rounds, slice_rounds)
     return CtsBisimResult(rounds, tuple(blocks))
-
-
-def cts_slice_bisim_oracle(cts: Cts, k: int) -> tuple[tuple[int, ...], ...]:
-    """Strong-bisimilarity partition of the one-condition slice, as the
-    greatest fixpoint of the two-sided relation lifting on the slice's
-    states, independent of the refinement engine."""
-    if not (0 <= k < len(cts.conditions)):
-        raise ValueError(f"condition index {k} out of range")
-    n = len(cts.states)
-    succ = cts.delta[k]
-
-    def step(rel: BitRel) -> BitRel:
-        return BitRel(n, cts_rel_lift(rel, succ, succ))
-
-    return gfp(step, BitRel.full(n)).relation.classes()
 
 
 # ------------------------------------------------------------------ Moore

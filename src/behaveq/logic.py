@@ -3,13 +3,14 @@
 Words are action-index tuples read through a system's one-step
 dynamics (`post`/`observe` in `systems`); conditional systems get a
 box/Boolean modal grammar.
-An adequacy check compares the behavioural relation (fixpoint engine or
-invariant subspace) against a logical relation computed along an
-independent route: for automata and Moore systems, a classification
-tree of the separating words that the family's pair search returns,
-with at most one search per position; the values on a backward Krylov
-basis of the output for weighted automata; for conditional systems,
-the box/Boolean logic's equivalence, from one box per position and level.
+An adequacy check compares two block arrays, one key per position: the
+behavioural equivalence (fixpoint engine or invariant subspace) and the
+logical one, computed along an independent route: for automata and
+Moore systems, a classification tree of the separating words that the
+family's pair search returns, with at most one search per position; the
+values on a backward Krylov basis of the output for weighted automata;
+for conditional systems, the box/Boolean logic's equivalence, from one
+box per position and level.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     Carrier,
     DimensionMismatch,
     bits,
+    block_classes,
     format_rational,
     orthogonal_tests,
 )
@@ -244,12 +246,13 @@ def theory_word(system, start, maxlen: int) -> dict[Word, object]:
 def cts_logical_analysis(cts: Cts, depth: int):
     """Logical equivalence of the box/Boolean logic to a box depth.
 
-    Returns (relations, generators).  relations[d] relates two
-    condition/state positions k*|X| + x of one condition that every
-    generator found by level d treats alike; generators are predicates
-    with their formulas, each level's extending the previous level's.
-    The relations end at the first level after which nothing is added;
-    the last holds at every deeper depth.
+    Returns (partitions, generators).  partitions[d] gives each
+    condition/state position k*|X| + x a block id, numbered by first
+    appearance; two positions share one iff they are of one condition
+    and every generator found by level d treats them alike.  Generators
+    are predicates with their formulas, each level's extending the
+    previous level's.  The partitions end at the first level after
+    which nothing is added; the last holds at every deeper depth.
 
     A level's atoms are the classes of positions that its generators
     treat alike.  For a union S of atoms, p satisfies box(S) iff S
@@ -270,12 +273,13 @@ def cts_logical_analysis(cts: Cts, depth: int):
     full = (1 << total) - 1
     gens: list[tuple[int, CtsFormula]] = [(full, TT)]
     known = {full}
-    relations = []
+    partitions = []
     while True:
         profiles = [tuple(g >> i & 1 for g, _ in gens) for i in range(total)]
-        relations.append(BitRel.from_blocks(
-            [(i // n, prof) for i, prof in enumerate(profiles)]))
-        if len(relations) > depth:
+        ids: dict[tuple, int] = {}
+        partitions.append(tuple([ids.setdefault((i // n, prof), len(ids))
+                                 for i, prof in enumerate(profiles)]))
+        if len(partitions) > depth:
             break
         masks: dict[tuple, int] = {}
         for i, prof in enumerate(profiles):
@@ -301,7 +305,7 @@ def cts_logical_analysis(cts: Cts, depth: int):
                 gens.append((boxed, box(disj_all(formulas))))
         if len(gens) == size:
             break
-    return tuple(relations), gens
+    return tuple(partitions), gens
 
 
 def cts_distinguishing_formula(gens, i: int, j: int) -> str | None:
@@ -350,12 +354,16 @@ class EquivReport:
         }
 
 
-def _report(family, labels, behavioural: BitRel, logical: BitRel, formula,
-            note: str, iterations: int, **extra) -> EquivReport:
-    """Compare two relations over labelled positions, pair by pair in
-    (i, j) order: a behavioural pair the logic separates is an adequacy
-    counterexample with `formula(i, j)`, a logical pair the behaviour
-    separates an expressivity counterexample with `note`."""
+def _report(family, labels, behavioural_keys: Sequence, logical_keys: Sequence,
+            formula, note: str, iterations: int, **extra) -> EquivReport:
+    """Compare two equivalences over labelled positions, each given by
+    one hashable key per position, pair by pair in (i, j) order: a
+    behavioural pair the logic separates is an adequacy counterexample
+    with `formula(i, j)`, a logical pair the behaviour separates an
+    expressivity counterexample with `note`.  Each position's class is
+    a mask, so a row's disagreements are the bits of one xor."""
+    behavioural, logical = (BitRel.from_blocks(keys)
+                            for keys in (behavioural_keys, logical_keys))
     counterexamples = []
     for i, (beh_row, log_row) in enumerate(zip(behavioural.rows, logical.rows)):
         for j in bits(beh_row ^ log_row):
@@ -366,14 +374,14 @@ def _report(family, labels, behavioural: BitRel, logical: BitRel, formula,
             else:
                 counterexamples.append({"pair": pair, "kind": "expressivity",
                                         "note": note})
-    labelled = lambda rel: tuple(
-        tuple(labels[i] for i in cls) for cls in rel.classes())
+    labelled = lambda keys: tuple(
+        tuple(labels[i] for i in cls) for cls in block_classes(keys))
     return EquivReport(
         family=family,
         adequate=behavioural <= logical,
         expressive=logical <= behavioural,
-        behavioural_classes=labelled(behavioural),
-        logical_classes=labelled(logical),
+        behavioural_classes=labelled(behavioural_keys),
+        logical_classes=labelled(logical_keys),
         counterexamples=tuple(counterexamples),
         iterations=iterations,
         **extra,
@@ -473,13 +481,11 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             # p - q lies in the unobservable subspace iff p and q agree
             # on each of its orthogonal tests
             tests = orthogonal_tests(lwa_unobservable_subspace(system))
-            behavioural = BitRel.from_blocks([
-                tuple(sum(map(mul, p, z)) for z in tests) for p in configs])
+            behavioural = [tuple(sum(map(mul, p, z)) for z in tests) for p in configs]
             # p - q weighs 0 on every word iff p and q take equal values
             # on the backward basis, whose vectors span every M_w . out
             basis = [vec for _, vec in lwa_observation_basis(system)]
-            logical = BitRel.from_blocks([
-                tuple(sum(map(mul, p, v)) for v in basis) for p in configs])
+            logical = [tuple(sum(map(mul, p, v)) for v in basis) for p in configs]
             family, search, iterations = "lwa", lwa_pair, n
             note = ("trace tables agree to the stabilisation bound but the "
                     "subspace separates the pair")
@@ -489,11 +495,10 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             equiv = moore_equiv(system, initials)
             configs = equiv.machine.subset_states
             labels = [equiv.machine.label(i) for i in range(len(configs))]
-            behavioural, iterations = equiv.relation, equiv.iterations
+            behavioural, iterations = equiv.blocks, equiv.iterations
             note = ("no distinguishing word exists but the behavioural "
                     "relation separates the pair")
-            blocks = _word_blocks(search, system, configs)
-            logical = BitRel.from_blocks(blocks)
+            logical = _word_blocks(search, system, configs)
         return _report(
             family, labels, behavioural, logical,
             lambda i, j: render_word(system.alphabet,
@@ -505,16 +510,18 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
         depth = result.iterations
         # one enumeration serves both depths: depth d's generators are a
         # prefix of depth d + 1's, so a pair separated at depth d has the
-        # same first separating generator in both; the last relation
+        # same first separating generator in both; the last partition
         # holds at every deeper depth
-        relations, gens = cts_logical_analysis(system, depth + 1)
-        logical, deeper = (relations[min(d, len(relations) - 1)]
+        partitions, gens = cts_logical_analysis(system, depth + 1)
+        logical, deeper = (partitions[min(d, len(partitions) - 1)]
                            for d in (depth, depth + 1))
         n = len(system.states)
         labels = [f"{system.conditions.label(p // n)}:{system.states.label(p % n)}"
                   for p in range(len(system.conditions) * n)]
+        behavioural = [(k, b) for k, slice_blocks in enumerate(result.blocks)
+                       for b in slice_blocks]
         return _report(
-            "cts", labels, result.relation, logical,
+            "cts", labels, behavioural, logical,
             lambda i, j: cts_distinguishing_formula(gens, i, j),
             "no formula separates the pair but the bisimulation fixpoint does",
             result.iterations, depth_saturated=(deeper == logical))

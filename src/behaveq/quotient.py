@@ -11,8 +11,9 @@ x in W is a homomorphism from the automaton into the restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import BitRel, CapExceeded, subset_label
+from .core import CapExceeded, block_classes, subset_label
 from .systems import Nda, moore_determinize
 
 RESPECTING_CAP = 6
@@ -22,22 +23,21 @@ class ClosureViolation(ValueError):
     """The respecting family is not closed under the backward dynamics."""
 
 
-def respecting_subsets(nda: Nda, eq: BitRel) -> tuple[int, ...]:
-    """Subsets W that cannot separate eq-related subset-states.
+def respecting_subsets(nda: Nda, blocks: Sequence) -> tuple[int, ...]:
+    """Subsets W that cannot separate equivalent subset-states.
 
-    W qualifies iff for every related pair (U, V): U meets W exactly
-    when V meets W.  Checked by brute force over all masks, hence the
-    small cap.
+    `blocks` is an equivalence on the full powerset as a block array,
+    one hashable key per subset mask.  W qualifies iff for every pair
+    (U, V) of one block: U meets W exactly when V meets W.  Checked by
+    brute force over all masks, hence the small cap.
     """
     n = len(nda.states)
     if n > RESPECTING_CAP:
         raise CapExceeded(f"respecting-subset search over {n} states exceeds cap "
                           f"{RESPECTING_CAP}")
-    if eq.size != 1 << n:
+    if len(blocks) != 1 << n:
         raise ValueError("equivalence must live on the full powerset carrier")
-    if not eq.is_equivalence():
-        raise ValueError("relation is not an equivalence")
-    classes = eq.classes()
+    classes = block_classes(blocks)
     out = []
     for w in range(1 << n):
         ok = True
@@ -77,7 +77,7 @@ class RespectingAutomaton:
         return tuple(subset_label(self.base.states, w) for w in self.carrier)
 
 
-def build_respecting_automaton(nda: Nda, eq: BitRel) -> RespectingAutomaton:
+def build_respecting_automaton(nda: Nda, blocks: Sequence) -> RespectingAutomaton:
     """Restrict the backward dynamics to the respecting family.
 
     The family is ascending, so the subset construction of the reversed
@@ -85,7 +85,7 @@ def build_respecting_automaton(nda: Nda, eq: BitRel) -> RespectingAutomaton:
     and a target past them is an escaping transition, an error naming
     the edge rather than a silent truncation.
     """
-    carrier = respecting_subsets(nda, eq)
+    carrier = respecting_subsets(nda, blocks)
     names = nda.states
     if nda.accepting not in carrier:
         raise ClosureViolation(

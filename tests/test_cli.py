@@ -149,10 +149,10 @@ def test_equiv_never_builds_the_machine_relation(monkeypatch, capsys):
                  ["equiv", MOORE, "--semantics", "failure"],
                  ["equiv", MOORE, "--pair", "{p0}", "{q0}", "--semantics", "ready"]):
         assert run_main(argv, capsys)[0] in (0, 1), argv
-    assert sizes == []
-    # the quotient reads the relation, and builds it once
+    # so does the quotient
     assert run_main(["quotient", GOLDEN], capsys)[0] == 0
-    assert sizes == [8]
+    assert run_main(["quotient", GOLDEN, "--identity-eq"], capsys)[0] == 0
+    assert sizes == []
 
 
 def test_equiv_never_builds_the_cts_relation(monkeypatch, capsys, tmp_path):
@@ -224,6 +224,14 @@ def test_determinize_initials_pass_the_cap(tmp_path, capsys):
         2, "", ["error: subset machine reaches 18 positions, past the cap of 2^4"])
     code, out, _ = run_main([*argv, "--cap", "5"], capsys)
     assert code == 0 and len(json.loads(out)["states"]) == 32
+
+
+@pytest.mark.parametrize("command", ["equiv", "determinize"])
+@pytest.mark.parametrize("cap", ["21", "1000000"])
+def test_cap_above_the_ceiling_is_refused(capsys, command, cap):
+    # refused before the file is read, so nothing of 2^cap is built
+    assert run_main([command, GOLDEN, "--cap", cap], capsys) == (
+        2, "", [f"error: --cap {cap} exceeds the ceiling of 20"])
 
 
 def test_equiv_cts_chain_at_two_thousand_states(tmp_path, capsys):

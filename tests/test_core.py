@@ -39,27 +39,6 @@ def test_bitrel_invariants():
     assert (BitRel.full(3) & BitRel.identity(3)) == BitRel.identity(3)
 
 
-def test_is_equivalence_matches_definition():
-    rng = Lcg(17)
-    seen = {True: 0, False: 0}
-    for _ in range(300):
-        size = rng.randint(0, 4)
-        # a random partition, then a few random bits flipped
-        blocks = [rng.randint(0, 2) for _ in range(size)]
-        rows = list(BitRel.from_blocks(blocks).rows)
-        for _ in range(rng.randint(0, 2) if size else 0):
-            rows[rng.randint(0, size - 1)] ^= 1 << rng.randint(0, size - 1)
-        rel = BitRel(size, tuple(rows))
-        pairs = set(rel.pairs())
-        want = (all((i, i) in pairs for i in range(size))
-                and all((j, i) in pairs for i, j in pairs)
-                and all((i, k) in pairs
-                        for i, j in pairs for j2, k in pairs if j == j2))
-        assert rel.is_equivalence() == want
-        seen[want] += 1
-    assert min(seen.values()) > 50
-
-
 def test_refine_rounds_and_block_order():
     assert refine(0, lambda i, blocks: 0, []) == ((), 1)
     # a constant signature splits nothing: the confirming round is round 1

@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,12 +15,10 @@ from behaveq import (
     Semilattice,
     build_output_lts,
     cts_conditional_bisim,
-    cts_slice_bisim_oracle,
     eval_word,
     lwa_classes,
     lwa_observation_basis,
     lwa_pair,
-    lwa_pair_oracle,
     lwa_unobservable_subspace,
     lattice_lts,
     moore_equiv,
@@ -43,7 +42,8 @@ from behaveq.rng import (
     random_vector,
 )
 
-from conftest import CountedSteps, mask_of
+from conftest import (CountedSteps, cts_relation, gfp_cts_bisim, mask_of,
+                      relation_classes)
 
 
 # ------------------------------------------------------------------- nda
@@ -55,7 +55,7 @@ def test_golden_language_classes(golden_nda):
     xyz = mask_of(golden_nda.states, "x", "y", "z")
     yz = mask_of(golden_nda.states, "y", "z")
     nontrivial = {(u, v)
-                  for i, j in eq.relation.pairs()
+                  for i, j in BitRel.from_blocks(eq.blocks).pairs()
                   for u in [eq.machine.subset_states[i]]
                   for v in [eq.machine.subset_states[j]]
                   if u != v}
@@ -67,7 +67,7 @@ def test_golden_language_classes(golden_nda):
 def test_no_accepting_states_everything_equivalent():
     nda = Nda(Carrier(("u", "v")), Carrier(("a",)), ((0b10,), (0,)), 0)
     eq = moore_equiv(nda)
-    assert eq.relation == BitRel.full(4)
+    assert eq.blocks == (0,) * 4
 
 
 def disjoint_double(nda: Nda) -> Nda:
@@ -132,7 +132,7 @@ def test_nda_gfp_agrees_with_oracle_on_random_instances():
 def test_computed_equivalence_is_postfixpoint(golden_nda):
     eq = moore_equiv(golden_nda)
     machine = eq.machine
-    rel = eq.relation
+    rel = BitRel.from_blocks(eq.blocks)
     for i, j in rel.pairs():
         assert machine.out[i] == machine.out[j]
         for a in range(len(machine.alphabet)):
@@ -268,6 +268,33 @@ def random_block(rng: Lcg, n: int) -> Lwa:
                                 for _ in range(2)))
 
 
+def lwa_pair_oracle(lwa, p, q):
+    """The weighted reference: the first word, in length-then-action
+    order, whose weights from p and q differ, by a breadth-first search
+    over configuration pairs that skips a pair reached before.
+
+    Words of |states| letters suffice: level i of the observability
+    chain holds the differences that every word of at most i letters
+    weighs 0, and the chain stops after at most |states| strict steps.
+    """
+    p, q = tuple(map(Fraction, p)), tuple(map(Fraction, q))
+    if lwa.observe(p) != lwa.observe(q):
+        return OracleVerdict(False, ())
+    queue, seen = deque([(p, q, ())]), {(p, q)}
+    while queue:
+        x, y, word = queue.popleft()
+        if len(word) == len(lwa.states):
+            continue
+        for a in range(len(lwa.alphabet)):
+            pair = lwa.post(x, a), lwa.post(y, a)
+            if pair not in seen:
+                seen.add(pair)
+                if lwa.observe(pair[0]) != lwa.observe(pair[1]):
+                    return OracleVerdict(False, word + (a,))
+                queue.append((*pair, word + (a,)))
+    return OracleVerdict(True, None)
+
+
 def test_lwa_pair_matches_word_search_oracle_and_subspace():
     rng = Lcg(2003)
     refuted = equivalent = 0
@@ -379,11 +406,7 @@ def test_cts_single_condition_slice_is_strong_bisimilarity():
     for _ in range(25):
         cts = random_cts(rng, max_conditions=1, max_states=5)
         res = cts_conditional_bisim(cts)
-        partition = cts_slice_bisim_oracle(cts, 0)
-        want = BitRel.from_pairs(
-            len(cts.states),
-            [(x, y) for block in partition for x in block for y in block])
-        assert res.relation == want
+        assert cts_relation(res) == gfp_cts_bisim(cts).relation
 
 
 def test_cts_condition_sensitive_example():
@@ -393,10 +416,11 @@ def test_cts_condition_sensitive_example():
     res = cts_conditional_bisim(cts)
     # positions k:u, k:v, k2:u, k2:v
     ku, kv, k2u, k2v = range(4)
-    assert res.relation.has(k2u, k2v)
-    assert not res.relation.has(ku, kv)
+    rel = cts_relation(res)
+    assert rel.has(k2u, k2v)
+    assert not rel.has(ku, kv)
     # identity pairs always present, no pair across conditions
-    assert res.relation == BitRel.from_pairs(
+    assert rel == BitRel.from_pairs(
         4, [(ku, ku), (kv, kv), (k2u, k2u), (k2u, k2v), (k2v, k2u), (k2v, k2v)])
 
 
@@ -405,22 +429,17 @@ def test_cts_slices_match_oracle_on_random_instances():
     for _ in range(30):
         cts = random_cts(rng, max_conditions=3, max_states=6)
         res = cts_conditional_bisim(cts)
-        n = len(cts.states)
-        want = BitRel.from_pairs(len(cts.conditions) * n, [
-            (k * n + x, k * n + y) for k in range(len(cts.conditions))
-            for block in cts_slice_bisim_oracle(cts, k)
-            for x in block for y in block])
-        assert res.relation == want
+        assert cts_relation(res) == gfp_cts_bisim(cts).relation
 
 
 def test_cts_slice_oracle_shapes():
+    # the engine and the reference on two one-condition slices
     discrete = Cts(Carrier(("k",)), Carrier(("u", "v", "w")),
                    ((0, 0, 0),))
-    assert cts_slice_bisim_oracle(discrete, 0) == ((0, 1, 2),)
     chain = Cts(Carrier(("k",)), Carrier(("u", "v")), ((0b10, 0b00),))
-    assert cts_slice_bisim_oracle(chain, 0) == ((0,), (1,))
-    with pytest.raises(ValueError):
-        cts_slice_bisim_oracle(chain, 1)
+    for cts, want in ((discrete, ((0, 1, 2),)), (chain, ((0,), (1,)))):
+        assert cts_conditional_bisim(cts).classes(0) == want
+        assert relation_classes(gfp_cts_bisim(cts).relation) == want
 
 
 def test_cts_bisim_is_postfixpoint():
@@ -428,7 +447,7 @@ def test_cts_bisim_is_postfixpoint():
     from behaveq import cts_rel_lift
     for _ in range(10):
         cts = random_cts(rng, max_conditions=2, max_states=4)
-        rel = cts_conditional_bisim(cts).relation
+        rel = cts_relation(cts_conditional_bisim(cts))
         n = len(cts.states)
         for i, j in rel.pairs():
             k = i // n

@@ -14,7 +14,6 @@ from behaveq import (
     check_adequacy_expressivity,
     cts_box,
     cts_conditional_bisim,
-    cts_slice_bisim_oracle,
     eval_cts,
     eval_word,
     moore_equiv,
@@ -37,7 +36,7 @@ from behaveq.rng import (
     random_vector,
 )
 
-from conftest import CountedSteps, mask_of
+from conftest import CountedSteps, gfp_cts_bisim, mask_of, relation_classes
 
 
 # ------------------------------------------------------------ word logic
@@ -245,12 +244,11 @@ def test_report_counterexamples_match_the_pairwise_reference():
     for _ in range(300):
         n = rng.randint(1, 12)
         labels = [f"p{i}" for i in range(n)]
-        behavioural, logical = (
-            BitRel.from_blocks([rng.randint(0, rng.randint(0, n - 1))
-                                for _ in range(n)]) for _ in range(2))
+        keys = [[rng.randint(0, rng.randint(0, n - 1)) for _ in range(n)]
+                for _ in range(2)]
+        behavioural, logical = map(BitRel.from_blocks, keys)
         formula = lambda i, j: f"f{i},{j}"
-        report = logic._report("test", labels, behavioural, logical, formula,
-                               "note", 0)
+        report = logic._report("test", labels, *keys, formula, "note", 0)
         want = _reference_counterexamples(labels, behavioural, logical,
                                           formula, "note")
         assert list(report.counterexamples) == want
@@ -258,6 +256,8 @@ def test_report_counterexamples_match_the_pairwise_reference():
             logical.has(i, j) for i, j in behavioural.pairs())
         assert report.expressive == all(
             behavioural.has(i, j) for i, j in logical.pairs())
+        assert report.behavioural_classes == _labelled(behavioural, labels)
+        assert report.logical_classes == _labelled(logical, labels)
         disagreements += bool(want)
     assert disagreements > 100
 
@@ -377,7 +377,7 @@ def test_adequacy_counterexamples_on_forced_disagreement(case, monkeypatch):
 # about every ordered pair for automata and Moore systems.
 
 def _labelled(rel, labels):
-    return tuple(tuple(labels[i] for i in cls) for cls in rel.classes())
+    return tuple(tuple(labels[i] for i in cls) for cls in relation_classes(rel))
 
 
 def _table_relation(tables):
@@ -565,15 +565,13 @@ def test_cts_single_condition_matches_hennessy_milner_oracle():
     for i in range(10):
         cts = random_cts(Lcg(34).spawn(i), max_conditions=1, max_states=5)
         d = len(cts.states) + 1
-        relations, _ = cts_logical_analysis(cts, d)
-        logical = relations[min(d, len(relations) - 1)]
-        partition = cts_slice_bisim_oracle(cts, 0)
+        partitions, _ = cts_logical_analysis(cts, d)
+        logical = partitions[min(d, len(partitions) - 1)]
+        bisimilar = gfp_cts_bisim(cts).relation
         n = len(cts.states)
         for x in range(n):
             for y in range(n):
-                same_block = any(x in block and y in block
-                                 for block in partition)
-                assert logical.has(x, y) == same_block
+                assert (logical[x] == logical[y]) == bisimilar.has(x, y)
 
 
 # `cts_logical_analysis` boxes one union of atoms per position and
@@ -581,9 +579,9 @@ def test_cts_single_condition_matches_hennessy_milner_oracle():
 # every union of atoms, 2^atoms - 1 of them per level.
 
 def reference_cts_generators(cts, depth):
-    """(relations, levels): relations[d] as `cts_logical_analysis`
-    gives it, for every d up to `depth`, and levels[d] the generators
-    found by level d."""
+    """(relations, levels): relations[d] the relation of the partition
+    that `cts_logical_analysis` gives at depth d, for every d up to
+    `depth`, and levels[d] the generators found by level d."""
     n = len(cts.states)
     total = len(cts.conditions) * n
     full = (1 << total) - 1
@@ -665,15 +663,20 @@ def test_cts_generators_match_the_exhaustive_reference():
         top = cts_conditional_bisim(cts).iterations + 2
         want, levels = reference_cts_generators(cts, top)
         for d in range(top + 1):
-            relations, gens = cts_logical_analysis(cts, d)
-            assert [relations[min(e, len(relations) - 1)]
+            partitions, gens = cts_logical_analysis(cts, d)
+            assert [BitRel.from_blocks(partitions[min(e, len(partitions) - 1)])
                     for e in range(d + 1)] == want[:d + 1]
+            # numbered by first appearance, so equal partitions are equal
+            # tuples, as the saturation check compares them
+            for blocks in partitions:
+                first = {}
+                assert blocks == tuple(first.setdefault(b, len(first)) for b in blocks)
             # the reference's predicates are Boolean combinations of the
             # new generators, depth by depth
             atoms = _atoms(gens, total)
             for mask, _ in levels[d]:
                 assert all(mask & atom in (0, atom) for atom in atoms)
-        classes.append(len(want[-1].classes()))
+        classes.append(len(relation_classes(want[-1])))
     assert sum(c >= 10 for c in classes) > 10, classes
 
 
@@ -704,11 +707,11 @@ def test_cts_chain_adequacy_boxes_twice_per_position_and_level(monkeypatch):
 
 def test_cts_levels_stop_where_no_generator_is_added():
     for cts in (cts_for_formulas(), _chain(5)):
-        relations, gens = cts_logical_analysis(cts, 10 ** 9)
-        last = len(relations) - 1
-        assert cts_logical_analysis(cts, last) == (relations, gens)
-        assert cts_logical_analysis(cts, last + 1) == (relations, gens)
-        assert cts_logical_analysis(cts, last - 1)[0] == relations[:-1]
+        partitions, gens = cts_logical_analysis(cts, 10 ** 9)
+        last = len(partitions) - 1
+        assert cts_logical_analysis(cts, last) == (partitions, gens)
+        assert cts_logical_analysis(cts, last + 1) == (partitions, gens)
+        assert cts_logical_analysis(cts, last - 1)[0] == partitions[:-1]
 
 
 def test_cts_distinguishing_formula_is_actually_distinguishing():

@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from behaveq import (
-    BitRel,
     Carrier,
     ClosureViolation,
     Nda,
@@ -80,14 +79,14 @@ def test_backward_reachable_union_closure_is_the_respecting_family(golden_nda):
     cases = [golden_nda] + [random_nda(rng, max_states=5) for _ in range(100)]
     for nda in cases:
         reached = moore_determinize(nda.reverse(), [nda.accepting]).subset_states
-        brute = respecting_subsets(nda, moore_equiv(nda).relation)
+        brute = respecting_subsets(nda, moore_equiv(nda).blocks)
         assert _union_closure(reached) == set(brute)
 
 
 # ------------------------------------------------------------ respecting
 
 def test_respecting_subsets_golden(golden_nda):
-    eq = moore_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).blocks
     got = respecting_subsets(golden_nda, eq)
     want = {mask_of(golden_nda.states), mask_of(golden_nda.states, "x", "y"),
             mask_of(golden_nda.states, "y"), mask_of(golden_nda.states, "z"),
@@ -97,21 +96,21 @@ def test_respecting_subsets_golden(golden_nda):
 
 
 def test_respecting_subsets_identity_eq_is_everything(golden_nda):
-    eq = BitRel.identity(8)
-    assert respecting_subsets(golden_nda, eq) == tuple(range(8))
+    assert respecting_subsets(golden_nda, range(8)) == tuple(range(8))
 
 
 def test_respecting_subsets_full_relation_collapses():
-    # the literal full relation relates the empty subset to everything,
+    # the one-block equivalence puts the empty subset with everything,
     # so only the empty set survives; isolating the empty subset gives
     # the whole-carrier member back
     two = Nda(Carrier(("x", "y")), Carrier(("a",)), ((0,), (0,)), 0)
-    literal_full = BitRel.full(4)
-    assert respecting_subsets(two, literal_full) == (0,)
-    isolated = BitRel.from_pairs(
-        4, [(u, v) for u in range(4) for v in range(4)
-            if (u == 0) == (v == 0)])
-    assert respecting_subsets(two, isolated) == (0, 0b11)
+    assert respecting_subsets(two, [0] * 4) == (0,)
+    assert respecting_subsets(two, [u == 0 for u in range(4)]) == (0, 0b11)
+
+
+def test_respecting_subsets_requires_the_full_powerset(golden_nda):
+    with pytest.raises(ValueError, match="full powerset"):
+        respecting_subsets(golden_nda, range(7))
 
 
 def test_respecting_family_union_closed_not_intersection_closed():
@@ -128,7 +127,7 @@ def test_respecting_family_union_closed_not_intersection_closed():
         (0, 0),
         (0, 0),
     ), 1 << t)
-    eq = moore_equiv(nda).relation
+    eq = moore_equiv(nda).blocks
     family = set(respecting_subsets(nda, eq))
     w1 = mask_of(st, "s1", "s3")
     w2 = mask_of(st, "s2", "s3")
@@ -141,16 +140,10 @@ def test_respecting_family_union_closed_on_random_instances():
     rng = Lcg(77)
     for _ in range(25):
         nda = random_nda(rng, max_states=4)
-        eq = moore_equiv(nda).relation
+        eq = moore_equiv(nda).blocks
         family = set(respecting_subsets(nda, eq))
         assert 0 in family
         assert all((u | v) in family for u in family for v in family)
-
-
-def test_respecting_subsets_requires_equivalence(golden_nda):
-    not_eq = BitRel.from_pairs(8, [(0, 1)])
-    with pytest.raises(ValueError):
-        respecting_subsets(golden_nda, not_eq)
 
 
 def test_closure_violation_is_reported_not_truncated(golden_nda):
@@ -161,7 +154,7 @@ def test_closure_violation_is_reported_not_truncated(golden_nda):
     z = mask_of(golden_nda.states, "z")
 
     # merging {x} with {z} expels the designated accepting member {z}
-    eq1 = BitRel.from_pairs(8, [(u, u) for u in range(8)] + [(x, z), (z, x)])
+    eq1 = [x if u == z else u for u in range(8)]
     assert set(respecting_subsets(golden_nda, eq1)) == {
         w for w in range(8) if bool(w & x) == bool(w & z)}
     with pytest.raises(ClosureViolation, match="accepting member"):
@@ -169,7 +162,7 @@ def test_closure_violation_is_reported_not_truncated(golden_nda):
 
     # merging {x} with {y} keeps {z} but the backward b-step of {z}
     # lands on {y}, outside the family
-    eq2 = BitRel.from_pairs(8, [(u, u) for u in range(8)] + [(x, y), (y, x)])
+    eq2 = [x if u == y else u for u in range(8)]
     assert set(respecting_subsets(golden_nda, eq2)) == {0, z, x | y, x | y | z}
     with pytest.raises(ClosureViolation, match="leaves the respecting family"):
         build_respecting_automaton(golden_nda, eq2)
@@ -178,7 +171,7 @@ def test_closure_violation_is_reported_not_truncated(golden_nda):
 # -------------------------------------------------------- the automaton
 
 def test_build_respecting_automaton_golden_edges(golden_nda):
-    eq = moore_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).blocks
     auto = build_respecting_automaton(golden_nda, eq)
     states = golden_nda.states
     a = golden_nda.alphabet.index("a")
@@ -206,7 +199,7 @@ def test_build_respecting_automaton_golden_edges(golden_nda):
 
 
 def test_identity_eq_gives_full_backward_dfa(golden_nda):
-    auto = build_respecting_automaton(golden_nda, BitRel.identity(8))
+    auto = build_respecting_automaton(golden_nda, range(8))
     assert auto.carrier == tuple(range(8))
     for i, mask in enumerate(auto.carrier):
         for a in range(2):
@@ -216,14 +209,14 @@ def test_identity_eq_gives_full_backward_dfa(golden_nda):
 def test_respecting_table_is_the_subset_construction_of_the_reversal(golden_nda):
     rng = Lcg(61)
     for nda in [golden_nda, *(random_nda(rng, max_states=5) for _ in range(50))]:
-        auto = build_respecting_automaton(nda, moore_equiv(nda).relation)
+        auto = build_respecting_automaton(nda, moore_equiv(nda).blocks)
         machine = moore_determinize(nda.reverse(), auto.carrier)
         assert machine.subset_states == auto.carrier, nda
         assert auto.trans == machine.trans, nda
 
 
 def test_witness_images_golden(golden_nda):
-    eq = moore_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).blocks
     auto = build_respecting_automaton(golden_nda, eq)
     states = golden_nda.states
     want = {mask_of(states, "x", "y"), mask_of(states, "y"),
@@ -237,7 +230,7 @@ def test_witness_respects_equivalence_on_random_instances():
     for _ in range(20):
         nda = random_nda(rng, max_states=4)
         eq = moore_equiv(nda)
-        auto = build_respecting_automaton(nda, eq.relation)
+        auto = build_respecting_automaton(nda, eq.blocks)
         size = 1 << len(nda.states)
         for u in range(size):
             for v in range(size):
@@ -246,15 +239,15 @@ def test_witness_respects_equivalence_on_random_instances():
 
 
 def test_verify_homomorphism_true_on_golden_and_identity(golden_nda):
-    eq = moore_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).blocks
     auto = build_respecting_automaton(golden_nda, eq)
     assert verify_witness_homomorphism(golden_nda, auto)
-    full = build_respecting_automaton(golden_nda, BitRel.identity(8))
+    full = build_respecting_automaton(golden_nda, range(8))
     assert verify_witness_homomorphism(golden_nda, full)
 
 
 def test_verify_homomorphism_catches_redirected_edge(golden_nda):
-    eq = moore_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).blocks
     auto = build_respecting_automaton(golden_nda, eq)
     z_pos = auto.carrier.index(mask_of(golden_nda.states, "z"))
     mutated_row = list(auto.trans[z_pos])
@@ -271,13 +264,13 @@ def test_verify_homomorphism_on_random_instances():
     rng = Lcg(99)
     for _ in range(20):
         nda = random_nda(rng, max_states=4)
-        eq = moore_equiv(nda).relation
+        eq = moore_equiv(nda).blocks
         auto = build_respecting_automaton(nda, eq)
         assert verify_witness_homomorphism(nda, auto)
 
 
 def test_redundant_members_golden(golden_nda):
-    eq = moore_equiv(golden_nda).relation
+    eq = moore_equiv(golden_nda).blocks
     auto = build_respecting_automaton(golden_nda, eq)
     got = {subset_label(golden_nda.states, w) for w in redundant_members(auto)}
     assert got == {"{}", "{y,z}", "{x,y,z}"}
@@ -287,7 +280,7 @@ def test_mutated_accepting_still_verifies(golden_nda):
     # dropping the accepting marker changes the equivalence and the
     # respecting family, but the pipeline stays internally consistent
     mutated = dataclasses.replace(golden_nda, accepting=0)
-    eq = moore_equiv(mutated).relation
+    eq = moore_equiv(mutated).blocks
     auto = build_respecting_automaton(mutated, eq)
     assert set(auto.carrier) == {0}
     assert verify_witness_homomorphism(mutated, auto)

@@ -5,9 +5,10 @@ replaced.
 every round; the dirty-set `refine` must return the same blocks, in the
 same numbering, after the same rounds.  The gfp references are the
 Kleene iterations from the full relation that `machine_equiv` and
-`cts_conditional_bisim` used to run through `gfp`.  Refinement must
-return the same relation and the same `iterations` (rounds including
-the confirming one) on every input.
+`cts_conditional_bisim` used to run through `gfp` (`gfp_cts_bisim` is
+in conftest, the one conditional reference of the suite).  Refinement
+must return the same relation and the same `iterations` (rounds
+including the confirming one) on every input.
 """
 
 from behaveq import (
@@ -17,16 +18,17 @@ from behaveq import (
     Nda,
     build_output_lts,
     cts_conditional_bisim,
-    cts_rel_lift,
     gfp,
     moore_equiv,
     moore_pair_oracle,
     refine,
 )
-from behaveq.core import bits
+from behaveq.core import bits, block_classes
 from behaveq.equivalence import machine_equiv
 from behaveq.rng import Lcg, random_cts, random_lts, random_nda
 from behaveq.systems import moore_determinize
+
+from conftest import cts_relation, gfp_cts_bisim, relation_classes
 
 
 def reference_refine(size, signature):
@@ -116,29 +118,10 @@ def gfp_machine_equiv(machine):
     return gfp(step, BitRel.full(size))
 
 
-def gfp_cts_bisim(cts):
-    """gfp on condition/state positions k*n + x, from the relation of all
-    same-condition pairs: a pair stays when the successor sets under its
-    condition simulate each other two-sidedly."""
-    nk, n = len(cts.conditions), len(cts.states)
-
-    def step(rel: BitRel) -> BitRel:
-        keep = []
-        for k in range(nk):
-            for x in range(n):
-                for y in range(n):
-                    if cts_rel_lift(rel, [cts.delta[k][x] << k * n],
-                                    [cts.delta[k][y] << k * n]) == (1,):
-                        keep.append((k * n + x, k * n + y))
-        return BitRel.from_pairs(nk * n, keep)
-
-    return gfp(step, BitRel.from_blocks([p // n for p in range(nk * n)]))
-
-
 def assert_matches_gfp(equiv, machine):
     want = gfp_machine_equiv(machine)
     assert equiv.machine == machine
-    assert equiv.relation == want.relation
+    assert BitRel.from_blocks(equiv.blocks) == want.relation
     assert equiv.iterations == want.iterations
 
 
@@ -168,19 +151,19 @@ def test_cts_refinement_matches_gfp():
         for _ in range(20):
             cts = random_cts(rng, max_conditions=3, max_states=6)
             got, want = cts_conditional_bisim(cts), gfp_cts_bisim(cts)
-            assert got.relation == want.relation
+            assert cts_relation(got) == want.relation
             assert got.iterations == want.iterations
             n = len(cts.states)
             for k in range(len(cts.conditions)):
                 assert got.classes(k) == tuple(
                     tuple(p - k * n for p in cls)
-                    for cls in got.relation.classes() if cls[0] // n == k)
+                    for cls in relation_classes(want.relation) if cls[0] // n == k)
 
 
 def test_cts_without_conditions_takes_one_round():
     cts = Cts(Carrier(()), Carrier(("u", "v")), ())
     got, want = cts_conditional_bisim(cts), gfp_cts_bisim(cts)
-    assert got.relation == want.relation == BitRel.empty(0)
+    assert cts_relation(got) == want.relation == BitRel.empty(0)
     assert got.iterations == want.iterations == 1
 
 
@@ -190,15 +173,15 @@ def test_machine_classes_read_from_blocks_match_relation_classes():
         nda = random_nda(rng, max_states=8)
         eq = moore_equiv(nda)
         labelled = tuple(tuple(eq.machine.label(i) for i in cls)
-                         for cls in eq.relation.classes())
+                         for cls in relation_classes(BitRel.from_blocks(eq.blocks)))
         assert eq.classes() == labelled
     rng = Lcg(6006)
     for _ in range(10):
         states, alphabet, delta = random_lts(rng, max_states=8)
         for semantics in ("trace", "failure", "ready"):
             eq = moore_equiv(build_output_lts(states, alphabet, delta, semantics))
-            labelled = tuple(tuple(eq.machine.label(i) for i in cls)
-                             for cls in eq.relation.classes())
+            labelled = tuple(tuple(eq.machine.label(i) for i in cls) for cls
+                             in relation_classes(BitRel.from_blocks(eq.blocks)))
             assert eq.classes() == labelled
 
 
@@ -219,7 +202,7 @@ def test_full_powerset_at_ten_states_agrees_with_pair_oracle():
     for nda in (dense, sparse):
         eq = moore_equiv(nda)
         assert len(eq.machine.subset_states) == 1024
-        classes = eq.relation.classes()
+        classes = block_classes(eq.blocks)
         assert 1 < len(classes) < 1024
         members = {i: cls for cls in classes for i in cls}
         for _ in range(100):

@@ -28,7 +28,7 @@ def naive_accepts(nda: Nda, x: int, word) -> bool:
     return any(naive_accepts(nda, y, rest) for y in bits(nda.delta[x][a]))
 
 
-def test_forward_determinize_golden_example(golden_nda):
+def test_moore_determinize_golden_example(golden_nda):
     xy = mask_of(golden_nda.states, "x", "y")
     z = mask_of(golden_nda.states, "z")
     machine = moore_determinize(golden_nda, [xy])
@@ -42,21 +42,21 @@ def test_forward_determinize_golden_example(golden_nda):
     assert machine.out[machine.pos(xy)] is False
 
 
-def test_forward_determinize_empty_subset_absorbs(golden_nda):
+def test_moore_determinize_empty_subset_absorbs(golden_nda):
     machine = moore_determinize(golden_nda, [0])
     assert machine.subset_states == (0,)
     assert machine.trans == ((0, 0),)
     assert machine.out == (False,)
 
 
-def test_forward_determinize_singleton_accepting():
+def test_moore_determinize_singleton_accepting():
     nda = Nda(Carrier(("x",)), Carrier(("a",)), ((0,),), 0b1)
     machine = moore_determinize(nda, [0b1])
     assert machine.out[machine.pos(0b1)] is True
     assert machine.subset_states[machine.trans[machine.pos(0b1)][0]] == 0
 
 
-def test_forward_determinize_closed_under_trans():
+def test_moore_determinize_closed_under_trans():
     rng = Lcg(21)
     for _ in range(20):
         nda = random_nda(rng, max_states=5)
@@ -85,7 +85,7 @@ def test_determinized_acceptance_matches_naive_language_search():
             assert got == want
 
 
-def test_forward_determinize_rejects_bad_mask(golden_nda):
+def test_moore_determinize_rejects_bad_mask(golden_nda):
     with pytest.raises(ValueError):
         moore_determinize(golden_nda, [1 << 3])
 
