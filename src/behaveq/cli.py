@@ -325,6 +325,8 @@ MAX_CAP = 20
 
 
 def _refuse_cap_past_ceiling(args) -> None:
+    if args.cap < 0:
+        raise CapExceeded(f"--cap {args.cap} is below the floor of 0")
     if args.cap > MAX_CAP:
         raise CapExceeded(f"--cap {args.cap} exceeds the ceiling of {MAX_CAP}")
 
@@ -661,7 +663,7 @@ def cmd_determinize(args) -> int:
             raise CapExceeded(f"default initials need {n} <= cap {args.cap}")
         initials = range(1 << n)
     machine = moore_determinize(dynamics, initials, args.cap)
-    labels = [machine.label(i) for i in range(len(machine.subset_states))]
+    labels = machine.labels
     payload = {
         "direction": args.direction,
         "states": labels,

@@ -50,6 +50,12 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# Members per chunk of a subset table: a table has one entry per subset
+# of its chunk, so a subset of n members is read in ceil(n / 8) lookups.
+CHUNK = 8
+CHUNK_MASK = (1 << CHUNK) - 1
+
+
 def as_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -91,6 +97,19 @@ class Carrier:
     def label(self, i: int) -> str:
         return self.names[i]
 
+    @cached_property
+    def _subset_names(self) -> tuple[tuple[str, ...], ...]:
+        # per chunk of members, the comma-joined names of each subset of
+        # the chunk, indexed by its bits: the subsets with member j are
+        # those without it, with its name appended
+        tables = []
+        for base in range(0, len(self.names), CHUNK):
+            table = [""]
+            for name in self.names[base:base + CHUNK]:
+                table += [f"{rest},{name}" if rest else name for rest in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
     def __len__(self) -> int:
         return len(self.names)
 
@@ -99,8 +118,18 @@ class Carrier:
 
 
 def subset_label(base: Carrier, mask: int) -> str:
-    """Canonical label of a subset of `base`, members in carrier order."""
-    return "{" + ",".join(base.names[i] for i in bits(mask)) + "}"
+    """Canonical label of a subset of `base`, members in carrier order,
+    read one chunk of the mask at a time from the carrier's tables; a
+    mask with a member outside the carrier is refused."""
+    if mask >> len(base.names):     # nonzero for a negative mask too
+        raise ValueError(f"subset mask {mask} out of range for "
+                         f"{len(base.names)} members")
+    parts = []
+    for table in base._subset_names:
+        if mask & CHUNK_MASK:
+            parts.append(table[mask & CHUNK_MASK])
+        mask >>= CHUNK
+    return "{" + ",".join(parts) + "}"
 
 
 def parse_subset_label(base: Carrier, text: str) -> int:

@@ -50,6 +50,7 @@ from .systems import (
     eval_word,
     lattice_lts,
     moore_determinize,
+    word_dynamics,
 )
 
 
@@ -70,8 +71,9 @@ class MachineEquiv:
         return self.blocks[pos(mask_u)] == self.blocks[pos(mask_v)]
 
     def classes(self) -> tuple[tuple[str, ...], ...]:
+        labels = self.machine.labels
         return tuple(
-            tuple(self.machine.label(i) for i in cls)
+            tuple([labels[i] for i in cls])
             for cls in block_classes(self.blocks)
         )
 
@@ -125,7 +127,9 @@ def _word_search(system, u, v, known: UnionFind | None = None) -> OracleVerdict:
     length-then-action order, at which u and v are observed apart.  It
     runs on subset systems, whose configuration pairs are finitely many,
     straight off the successor masks, independently of the determinized
-    machine and the refinement engine.
+    machine and the refinement engine.  Configurations that are not
+    subset masks, such as a weighted automaton's vectors, whose orbit
+    can be infinite, are refused with a `ValueError`.
 
     A configuration pair reached again by a later word is skipped: every
     extension of the later word is preceded by the same extension of
@@ -137,7 +141,10 @@ def _word_search(system, u, v, known: UnionFind | None = None) -> OracleVerdict:
     equivalent pair.  An equivalent verdict merges in `known` every pair
     the search saw, since each was reached from u and v by one word.
     """
-    post, observe = system.post, system.observe
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise ValueError(f"the word search reads subset masks, not "
+                         f"{type(system).__name__} configurations")
+    post, observe = word_dynamics(system)
     if observe(u) != observe(v):
         return OracleVerdict(False, ())
     find = known.find if known is not None else None

@@ -494,7 +494,7 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             search = moore_pair_oracle
             equiv = moore_equiv(system, initials)
             configs = equiv.machine.subset_states
-            labels = [equiv.machine.label(i) for i in range(len(configs))]
+            labels = equiv.machine.labels
             behavioural, iterations = equiv.blocks, equiv.iterations
             note = ("no distinguishing word exists but the behavioural "
                     "relation separates the pair")

@@ -14,7 +14,8 @@ The three word-reading families share one-step dynamics:
 observed by acceptance (Nda) or by the union of the members' output
 sets (OutputLts), and weight vectors by their output weight (Lwa).
 Determinization, word search, theory tables and word evaluation are all
-built on this pair.
+built on this pair; the full-powerset machine reads it for every subset
+at once, through `post_all` and `observe_all`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .core import (
+    CHUNK,
+    CHUNK_MASK,
     CapExceeded,
     Carrier,
     DimensionMismatch,
@@ -35,25 +38,20 @@ from .core import (
 )
 
 
-# States per union table: a table has one entry per subset of its chunk.
-_CHUNK = 8
-_CHUNK_MASK = (1 << _CHUNK) - 1
+def _every_union(masks: Sequence[int]) -> list[int]:
+    """The union of `masks[x]` over each subset of the indices x, in mask
+    order: the subsets with index j are those without it, joined with
+    `masks[j]`."""
+    table = [0]
+    for mask in masks:
+        table += [rest | mask for rest in table]
+    return table
 
 
 def _union_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """For each chunk of `_CHUNK` consecutive states, the union of
-    `masks[x]` over every subset of the chunk, indexed by the subset's
-    bits.  Each entry is the entry without its lowest bit joined with
-    that bit's mask."""
-    tables = []
-    for base in range(0, len(masks), _CHUNK):
-        chunk = masks[base:base + _CHUNK]
-        table = [0] * (1 << len(chunk))
-        for sub in range(1, len(table)):
-            low = sub & -sub
-            table[sub] = table[sub ^ low] | chunk[low.bit_length() - 1]
-        tables.append(tuple(table))
-    return tuple(tables)
+    """`_every_union` of each chunk of `CHUNK` consecutive states."""
+    return tuple(tuple(_every_union(masks[base:base + CHUNK]))
+                 for base in range(0, len(masks), CHUNK))
 
 
 def _check_table(delta, rows: int, cols: int, n: int, where) -> None:
@@ -75,7 +73,9 @@ class _SubsetSystem:
 
     Unions over a subset are read from per-chunk union tables, built on
     first use, one lookup per chunk of the mask; a mask with a member
-    outside the carrier, or an action outside the alphabet, is refused."""
+    outside the carrier, or an action outside the alphabet, is refused.
+    `post_all` and `observe_all` give the step of every subset at once,
+    in mask order, for the full-powerset machine."""
 
     def __post_init__(self):
         _check_table(self.delta, len(self.states), len(self.alphabet),
@@ -91,8 +91,8 @@ class _SubsetSystem:
         out, rest = 0, mask
         try:
             for table in tables:
-                out |= table[rest & _CHUNK_MASK]
-                rest >>= _CHUNK
+                out |= table[rest & CHUNK_MASK]
+                rest >>= CHUNK
         except IndexError:      # a member past the last, partial chunk
             rest = -1
         if rest:
@@ -106,6 +106,12 @@ class _SubsetSystem:
         except KeyError:
             raise ValueError(f"unknown action index {a}") from None
         return self._joined(tables, mask)
+
+    def post_all(self, a: int) -> list[int]:
+        """`post(mask, a)` for every mask of the carrier, in mask order."""
+        if not 0 <= a < len(self.alphabet):
+            raise ValueError(f"unknown action index {a}")
+        return _every_union([row[a] for row in self.delta])
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,11 @@ class Nda(_SubsetSystem):
             raise ValueError(f"subset mask {mask} out of range for "
                              f"{len(self.states)} states")
         return bool(mask & self.accepting)
+
+    def observe_all(self) -> list[bool]:
+        """`observe(mask)` for every mask of the carrier, in mask order."""
+        accepting = self.accepting
+        return [mask & accepting != 0 for mask in range(1 << len(self.states))]
 
 
 @dataclass(frozen=True)
@@ -242,6 +253,10 @@ class OutputLts(_SubsetSystem):
         """Union of the members' outputs; the empty subset observes 0."""
         return self._joined(self._output_tables, mask)
 
+    def observe_all(self) -> list[int]:
+        """`observe(mask)` for every mask of the carrier, in mask order."""
+        return _every_union(self.output)
+
 
 def lattice_lts(states: Carrier, alphabet: Carrier, delta, lattice: Semilattice,
                 outputs: Sequence[int]) -> OutputLts:
@@ -283,8 +298,14 @@ class DeterminizedMachine:
         except KeyError:
             raise ValueError(f"subset mask {mask} is not a reachable state") from None
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The subset label of each position, in position order."""
+        states = self.base.states
+        return tuple([subset_label(states, mask) for mask in self.subset_states])
+
     def label(self, i: int) -> str:
-        return subset_label(self.base.states, self.subset_states[i])
+        return self.labels[i]
 
 
 def _check_masks(n: int, initials: Iterable[int]) -> list[int]:
@@ -301,15 +322,30 @@ def moore_determinize(system, initials: Iterable[int],
     """Reachable subset machine of an Nda or OutputLts from `initials`,
     with the members' outputs joined (acceptance, for an automaton).
 
+    When every subset is initial, the machine is the full powerset:
+    position i is mask i, and its rows come from `post_all` and
+    `observe_all`, with no search.  Otherwise positions are found by
+    breadth-first search from the sorted initials.
+
     Refuses with `CapExceeded` as soon as the breadth-first queue holds
-    more than 2^cap positions; the full powerset of n <= cap states
-    fits."""
-    post, observe = system.post, system.observe
+    more than 2^cap positions, so a full powerset past the cap at once;
+    the full powerset of n <= cap states fits."""
     num_actions = len(system.alphabet)
     n = len(system.states)
     order = _check_masks(n, initials)
     # no machine passes 2^n positions, so a larger cap bounds nothing
     limit = 1 << max(0, min(cap, n))
+    # past the cap, the full powerset is refused by the search's first check
+    if len(order) == 1 << n and len(order) <= limit:
+        cols = [system.post_all(a) for a in range(num_actions)]
+        return DeterminizedMachine(
+            base=system,
+            alphabet=system.alphabet,
+            subset_states=tuple(order),
+            trans=tuple(zip(*cols)) if cols else ((),) * len(order),
+            out=tuple(system.observe_all()),
+        )
+    post, observe = system.post, system.observe
     pos = {m: i for i, m in enumerate(order)}
     trans: list[list[int]] = []
     queue = list(order)

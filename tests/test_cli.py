@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -232,6 +233,44 @@ def test_cap_above_the_ceiling_is_refused(capsys, command, cap):
     # refused before the file is read, so nothing of 2^cap is built
     assert run_main([command, GOLDEN, "--cap", cap], capsys) == (
         2, "", [f"error: --cap {cap} exceeds the ceiling of 20"])
+
+
+@pytest.mark.parametrize("command", ["equiv", "determinize"])
+@pytest.mark.parametrize("cap", ["-1", "-1000000"])
+def test_negative_cap_is_refused(tmp_path, capsys, command, cap):
+    # refused before the input is read: the file does not exist
+    missing = str(tmp_path / "missing.json")
+    assert run_main([command, missing, "--cap", cap], capsys) == (
+        2, "", [f"error: --cap {cap} is below the floor of 0"])
+
+
+def test_subset_commands_at_the_powerset_cap(tmp_path, capsys):
+    # the README's cap, every subset of 12 states, once per command and
+    # family; the budget is generous (well under a second on 2 cores)
+    docs = {"nda": random_subset_doc(2712, 12, "nda"),
+            "moore": random_subset_doc(2712, 12, "moore", "failure", 8)}
+    every = {"{" + ",".join(f"s{i}" for i in range(12) if mask >> i & 1) + "}"
+             for mask in range(1 << 12)}
+    start = time.perf_counter()
+    for kind, doc in docs.items():
+        path = tmp_path / f"{kind}12.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(["equiv", str(path), "--json"], capsys)
+        assert (code, err) == (0, [])
+        labels = [label for cls in json.loads(out)["classes"] for label in cls]
+        assert len(labels) == 1 << 12 and set(labels) == every
+        code, out, err = run_main(["determinize", str(path), "--json"], capsys)
+        payload = json.loads(out)
+        assert (code, err) == (0, []) and set(payload["states"]) == every
+        assert len(payload["transitions"]) == 2 << 12
+    assert time.perf_counter() - start < 10
+    # one state past the cap, with no --pair or --initials to shrink it
+    path = tmp_path / "nda13.json"
+    path.write_text(json.dumps(random_subset_doc(2713, 13, "nda")))
+    assert run_main(["equiv", str(path), "--json"], capsys) == (
+        2, "", ["error: full powerset over 13 states exceeds cap 12"])
+    assert run_main(["determinize", str(path), "--json"], capsys) == (
+        2, "", ["error: default initials need 13 <= cap 12"])
 
 
 def test_equiv_cts_chain_at_two_thousand_states(tmp_path, capsys):

@@ -11,9 +11,10 @@ from behaveq import (
     echelonize,
     gfp,
     refine,
+    subset_label,
     subspace_contains,
 )
-from behaveq.core import Subspace, nullspace, preimage_subspace
+from behaveq.core import Subspace, bits, nullspace, preimage_subspace
 from behaveq.rng import WEIGHT_GRID, Lcg
 
 from conftest import mask_of
@@ -27,6 +28,24 @@ def test_carrier_lookup_roundtrip():
         c.index("w")
     with pytest.raises(ValueError):
         Carrier(("x", "x"))
+
+
+@pytest.mark.parametrize("n", range(18))
+def test_subset_label_joins_the_members_in_carrier_order(n):
+    # names of uneven length, and up to three chunks of the label tables
+    base = Carrier(tuple("x" * (i % 3) + f"s{i}" for i in range(n)))
+    for mask in range(1 << n):
+        assert subset_label(base, mask) == (
+            "{" + ",".join(base.names[i] for i in bits(mask)) + "}")
+
+
+@pytest.mark.parametrize("n", [0, 3, 8, 9, 17])
+def test_subset_label_refuses_a_mask_past_the_carrier(n):
+    base = Carrier(tuple(f"s{i}" for i in range(n)))
+    for mask in (-1, -(1 << n), 1 << n, (1 << n) | 1, 1 << (n + 40)):
+        with pytest.raises(ValueError,
+                           match=f"^subset mask {mask} out of range for {n} members$"):
+            subset_label(base, mask)
 
 
 def test_bitrel_invariants():

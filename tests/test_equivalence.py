@@ -115,6 +115,18 @@ def test_moore_pair_oracle_cases(golden_nda):
     assert moore_pair_oracle(golden_nda, xy, y).equivalent
 
 
+def test_moore_pair_oracle_refuses_configurations_that_are_not_masks():
+    # equivalent weight vectors with an infinite orbit under (2 0; 0 2):
+    # a search over them would never run out of new pairs
+    lwa = Lwa(Carrier(("x", "y")), Carrier(("a",)), (1, 1), (((2, 0), (0, 2)),))
+    with pytest.raises(ValueError, match="^the word search reads subset masks, "
+                                         "not Lwa configurations$"):
+        moore_pair_oracle(lwa, (1, 0), (0, 1))
+    cts = random_cts(Lcg(3010))
+    with pytest.raises(ValueError, match="^Cts reads no words$"):
+        moore_pair_oracle(cts, 1, 2)
+
+
 def test_nda_gfp_agrees_with_oracle_on_random_instances():
     rng = Lcg(1001)
     for _ in range(40):
@@ -562,6 +574,7 @@ class _SetOutputs:
 
     def __init__(self, lts, semantics):
         self.states, self.alphabet, self.post = lts.states, lts.alphabet, lts.post
+        self.post_all = lts.post_all
         actions = range(len(lts.alphabet))
         self.outputs = []
         for row in lts.delta:
@@ -576,6 +589,9 @@ class _SetOutputs:
 
     def observe(self, mask):
         return frozenset().union(*(self.outputs[x] for x in bits(mask)))
+
+    def observe_all(self):
+        return [self.observe(mask) for mask in range(1 << len(self.states))]
 
 
 @pytest.mark.parametrize("semantics", ["ready", "failure"])

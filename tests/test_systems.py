@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from behaveq import (
+    CapExceeded,
     Carrier,
     Cts,
     DimensionMismatch,
@@ -226,6 +227,49 @@ def test_subset_post_and_observe_are_the_unions_over_members(n):
                 assert system.post(mask, a) == reference_post(system, mask, a)
 
 
+def reference_determinize(system, initials):
+    """The subset machine by plain breadth-first search from the sorted
+    initials: (masks in discovery order, rows of positions, outputs)."""
+    order = sorted(set(initials))
+    pos = {mask: i for i, mask in enumerate(order)}
+    trans = []
+    for mask in order:      # grows while it is read
+        row = []
+        for a in range(len(system.alphabet)):
+            target = system.post(mask, a)
+            if target not in pos:
+                pos[target] = len(order)
+                order.append(target)
+            row.append(pos[target])
+        trans.append(tuple(row))
+    return tuple(order), tuple(trans), tuple(system.observe(m) for m in order)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_full_powerset_machine_matches_the_breadth_first_reference(n):
+    # every subset initial, in any order and with repeats: the machine is
+    # built without a search and must equal the search's, output types too
+    systems = subset_systems(Lcg(2100 + n), n)
+    if n == 2:
+        systems.append(Nda(Carrier(("x", "y")), Carrier(()), ((), ()), 1))
+    for initials in (range(1 << n), [*reversed(range(1 << n)), 0]):
+        for system in systems:
+            machine = moore_determinize(system, initials)
+            want = reference_determinize(system, initials)
+            assert (machine.subset_states, machine.trans, machine.out) == want
+            assert list(map(type, machine.out)) == list(map(type, want[2]))
+
+
+@pytest.mark.parametrize("n, cap", [(13, 12), (5, 4), (1, 0), (1, -1), (3, -5)])
+def test_full_powerset_past_the_cap_keeps_the_search_message(n, cap):
+    nda = subset_systems(Lcg(2200 + n), n)[0]
+    with pytest.raises(CapExceeded, match=f"^subset machine reaches {1 << n} "
+                                          f"positions, past the cap of 2\\^{cap}$"):
+        moore_determinize(nda, range(1 << n), cap)
+    for fits in (n, n + 1, 20):
+        assert len(moore_determinize(nda, range(1 << n), fits).trans) == 1 << n
+
+
 @pytest.mark.parametrize("n", [8, 9, 16, 17])
 def test_subset_post_and_observe_refuse_a_mask_past_the_carrier(n):
     nda, _, lts, *_ = subset_systems(Lcg(1900 + n), n)
@@ -244,6 +288,8 @@ def test_subset_post_refuses_an_action_outside_the_alphabet(n):
         for a in (len(system.alphabet), -1):
             with pytest.raises(ValueError, match=f"unknown action index {a}$"):
                 system.post(1, a)
+            with pytest.raises(ValueError, match=f"unknown action index {a}$"):
+                system.post_all(a)
 
 
 # ---------------------------------------------------------- construction
