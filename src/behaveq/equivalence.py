@@ -11,9 +11,11 @@ as a block array, one class id per position.  The test suite replays
 each engine against an independent reference: the breadth-first word
 search over subset pairs (`moore_pair_oracle`) for the subset engine,
 and the observability chain, the greatest fixpoint of the weighted
-relation lifting, for the weighted engine.  The tests keep the other
-references themselves: Kleene iterations of the relation liftings, and
-a word search over weighted configurations bounded by |states| letters.
+relation lifting, for the weighted engine.  The pair search also names
+the witness of a subset pair verdict and the word of an adequacy
+counterexample.  The tests keep the other references themselves:
+Kleene iterations of the relation liftings, and a word search over
+weighted configurations bounded by |states| letters.
 Relations on weighted configuration spaces are represented as
 difference subspaces: p related to q iff p - q lies in the subspace.
 """
@@ -93,36 +95,7 @@ class OracleVerdict:
     witness: tuple[int, ...] | None
 
 
-class UnionFind:
-    """Disjoint classes of hashable items, each item alone until merged.
-
-    `find` returns the root of an item's class, halving the path it
-    walks; `union` merges two classes.  A root may carry a label in
-    `labels`, and a merge keeps a labelled root as the root, so the
-    label names the merged class.
-    """
-
-    def __init__(self):
-        self.parent: dict = {}
-        self.labels: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        while (up := parent.get(x, x)) != x:
-            top = parent.get(up, up)
-            parent[x] = top
-            x = top
-        return x
-
-    def union(self, x, y) -> None:
-        x, y = self.find(x), self.find(y)
-        if x != y:
-            if y in self.labels:
-                x, y = y, x
-            self.parent[y] = x
-
-
-def _word_search(system, u, v, known: UnionFind | None = None) -> OracleVerdict:
+def _word_search(system, u, v) -> OracleVerdict:
     """Breadth-first product search for the first word, in
     length-then-action order, at which u and v are observed apart.  It
     runs on subset systems, whose configuration pairs are finitely many,
@@ -134,12 +107,6 @@ def _word_search(system, u, v, known: UnionFind | None = None) -> OracleVerdict:
     A configuration pair reached again by a later word is skipped: every
     extension of the later word is preceded by the same extension of
     the earlier one.
-
-    `known`, if given, must relate only equivalent configurations.  A
-    pair whose sides share a root there is not explored, which keeps the
-    first separating word: no separating word passes through an
-    equivalent pair.  An equivalent verdict merges in `known` every pair
-    the search saw, since each was reached from u and v by one word.
     """
     if not (isinstance(u, int) and isinstance(v, int)):
         raise ValueError(f"the word search reads subset masks, not "
@@ -147,9 +114,6 @@ def _word_search(system, u, v, known: UnionFind | None = None) -> OracleVerdict:
     post, observe = word_dynamics(system)
     if observe(u) != observe(v):
         return OracleVerdict(False, ())
-    find = known.find if known is not None else None
-    if find and find(u) == find(v):
-        return OracleVerdict(True, None)
     num_actions = len(system.alphabet)
     queue = deque([(u, v, ())])
     seen = {(u, v)}
@@ -161,14 +125,9 @@ def _word_search(system, u, v, known: UnionFind | None = None) -> OracleVerdict:
             pair = post(x, a), post(y, a)
             if pair not in seen:
                 seen.add(pair)
-                if find and find(pair[0]) == find(pair[1]):
-                    continue
                 if observe(pair[0]) != observe(pair[1]):
                     return OracleVerdict(False, word + (a,))
                 queue.append((*pair, word + (a,)))
-    if known is not None:
-        for pair in seen:
-            known.union(*pair)
     return OracleVerdict(True, None)
 
 

@@ -5,19 +5,20 @@ dynamics (`post`/`observe` in `systems`); conditional systems get a
 box/Boolean modal grammar.
 An adequacy check compares two block arrays, one key per position: the
 behavioural equivalence (fixpoint engine or invariant subspace) and the
-logical one, computed along an independent route: for automata and
-Moore systems, a classification tree of the separating words that the
-family's pair search returns, with at most one search per position; the
-values on a backward Krylov basis of the output for weighted automata;
-for conditional systems, the box/Boolean logic's equivalence, from one
-box per position and level.
+logical one, computed along an independent route, backward, as the
+predicates that formulas denote: for automata and Moore systems, the
+word predicates pre_w(O) of the backward subset construction that a
+subset meets; the values on a backward Krylov basis of the output for
+weighted automata; for conditional systems, the box/Boolean logic's
+equivalence, from one box per position and level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 from typing import Iterable, Sequence
 
 from .core import (
@@ -31,7 +32,6 @@ from .core import (
     orthogonal_tests,
 )
 from .equivalence import (
-    UnionFind,
     cts_conditional_bisim,
     lwa_pair,
     lwa_observation_basis,
@@ -41,7 +41,7 @@ from .equivalence import (
     moore_pair_oracle,
 )
 from .liftings import cts_box
-from .systems import Cts, Lwa, Nda, OutputLts, eval_word, word_dynamics
+from .systems import Cts, Lwa, Nda, OutputLts, moore_determinize, word_dynamics
 
 Word = tuple[int, ...]
 
@@ -388,68 +388,31 @@ def _report(family, labels, behavioural_keys: Sequence, logical_keys: Sequence,
     )
 
 
-def _word_blocks(search, system, configs: Sequence) -> list[int]:
-    """Logical block of each configuration, numbered in order of first
-    appearance: two share a block when `search` finds no word that
-    separates them.
+def _word_keys(system: Nda | OutputLts, configs: Sequence[int]) -> list[int]:
+    """Logical key of each subset: the mask of the word predicates it
+    meets.
 
-    The blocks found so far are the leaves of a classification tree
-    (Kearns and Vazirani's discrimination tree).  An inner node holds a
-    word, with one child per observation after it; the root's word is
-    the empty one.  A leaf holds a block, whose representative is the
-    configuration that opened it.  Two invariants make the tree decide
-    blocks with at most one search per configuration:
-    - leaves are pairwise separated, by the word at their lowest common
-      ancestor;
-    - a configuration equivalent to a leaf's representative walks to
-      that leaf, since it observes what the representative observes
-      after every word.
-    So a configuration walks down by what it observes after each
-    node's word.  A missing child makes it a new block, with no search.
-    At a leaf one search decides: an equivalent verdict gives the leaf's
-    block, and a separating word w turns the leaf into a node for w
-    over the old leaf and a new one.  Observations are read by
-    `eval_word`, through the `post`/`observe` seam the searches read.
-
-    Every search that ends equivalent merges the pairs it saw in
-    `proven`, and later searches do not explore a pair merged there.  A
-    configuration whose merged class already has a block takes it
-    without a search.
+    The predicates are the sets pre_w(O) of states from which word w
+    leads into O, one set O per observed bit: the accepting states of an
+    automaton, and for a Moore system the states whose output has bit
+    j.  After w a subset shows bit j exactly when it meets pre_w(O_j), so
+    two subsets are told apart by a word iff they meet different
+    predicates.  These are the positions of the backward subset
+    construction from the sets O, the determinized reversal (Brzozowski),
+    under the subset cap.  A subset meets a predicate iff one of its
+    members lies in it, so its key is the union of its members' keys.
     """
-    # an inner node is a pair (word, children by observation); a leaf is
-    # its block's number, which indexes `reps`
-    proven, reps = UnionFind(), []
-    root = ((), {})
-
-    def block_of(c) -> int:
-        word, children = root
-        while True:
-            key = eval_word(system, c, word)
-            node = children.get(key)
-            if node is None:
-                break
-            if not isinstance(node, int):
-                word, children = node
-                continue
-            verdict = search(system, reps[node], c, proven)
-            if verdict.equivalent:
-                return node
-            word = verdict.witness
-            children[key] = word, {eval_word(system, reps[node], word): node}
-            children = children[key][1]
-            key = eval_word(system, c, word)
-            break
-        children[key] = len(reps)
-        reps.append(c)
-        return len(reps) - 1
-
-    blocks = []
-    for c in configs:
-        if proven.find(c) not in proven.labels:
-            block = block_of(c)
-            proven.labels[proven.find(c)] = block
-        blocks.append(proven.labels[proven.find(c)])
-    return blocks
+    if isinstance(system, Nda):
+        targets = [system.accepting]
+    else:
+        targets = [sum(1 << x for x, out in enumerate(system.output) if out >> j & 1)
+                   for j in range(max(system.output, default=0).bit_length())]
+    member = [0] * len(system.states)
+    predicates = moore_determinize(system.reverse(), targets).subset_states
+    for i, predicate in enumerate(predicates):
+        for x in bits(predicate):
+            member[x] |= 1 << i
+    return [reduce(or_, [member[x] for x in bits(c)], 0) for c in configs]
 
 
 def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
@@ -457,10 +420,12 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
     """Compute behavioural and logical equivalence along independent
     routes and compare them.
 
-    Automata/Moore: fixpoint on the determinized machine vs the product
-    search for a separating word.  Weighted: invariant-subspace verdict
-    vs the values on the backward Krylov basis of the output, with each
-    counterexample's word from `lwa_pair`.  Conditional: bisimulation
+    Automata/Moore: fixpoint on the determinized machine vs the word
+    predicates each subset meets (`_word_keys`), with each
+    counterexample's word from the pair search.  Weighted:
+    invariant-subspace verdict vs the values on the backward Krylov
+    basis of the output, with each counterexample's word from
+    `lwa_pair`.  Conditional: bisimulation
     fixpoint vs `cts_logical_analysis`, one box per position and level,
     at the fixpoint depth, with a saturation check one level deeper.
     """
@@ -498,7 +463,7 @@ def check_adequacy_expressivity(system, initials: Iterable[int] | None = None,
             behavioural, iterations = equiv.blocks, equiv.iterations
             note = ("no distinguishing word exists but the behavioural "
                     "relation separates the pair")
-            logical = _word_blocks(search, system, configs)
+            logical = _word_keys(system, configs)
         return _report(
             family, labels, behavioural, logical,
             lambda i, j: render_word(system.alphabet,

@@ -20,7 +20,7 @@ at once, through `post_all` and `observe_all`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -113,6 +113,18 @@ class _SubsetSystem:
             raise ValueError(f"unknown action index {a}")
         return _every_union([row[a] for row in self.delta])
 
+    def reverse(self):
+        """Every edge turned round, with the same outputs (accepting
+        mask): its `post(mask, a)` is the set of states with an a-step
+        into `mask`, so determinizing it is the backward (predicate)
+        determinization."""
+        rows = [[0] * len(self.alphabet) for _ in self.delta]
+        for x, row in enumerate(self.delta):
+            for a, succ in enumerate(row):
+                for y in bits(succ):
+                    rows[y][a] |= 1 << x
+        return replace(self, delta=tuple(map(tuple, rows)))
+
 
 @dataclass(frozen=True)
 class Nda(_SubsetSystem):
@@ -133,18 +145,6 @@ class Nda(_SubsetSystem):
         super().__post_init__()
         if self.accepting >> len(self.states):
             raise ValueError("accepting mask has bits outside the state carrier")
-
-    def reverse(self) -> "Nda":
-        """Every edge turned round, with the same accepting mask: its
-        `post(mask, a)` is the set of states with an a-step into `mask`,
-        so determinizing it is the backward (predicate) determinization."""
-        rows = [[0] * len(self.alphabet) for _ in self.delta]
-        for x, row in enumerate(self.delta):
-            for a, succ in enumerate(row):
-                for y in bits(succ):
-                    rows[y][a] |= 1 << x
-        return Nda(self.states, self.alphabet, tuple(map(tuple, rows)),
-                   self.accepting)
 
     def observe(self, mask: int) -> bool:
         if mask >> len(self.states):    # nonzero for a negative mask too
@@ -207,7 +207,11 @@ class Lwa:
                    Fraction(0))
 
     def _config(self, p: Sequence) -> list[Fraction]:
-        if len(p) != len(self.states):
+        try:
+            size = len(p)
+        except TypeError:
+            raise DimensionMismatch(f"configuration {p!r} is not a vector") from None
+        if size != len(self.states):
             raise DimensionMismatch("vector length does not match state count")
         return [as_rational(c) for c in p]
 

@@ -24,22 +24,6 @@ def trace_failure_lts():
         return load_system(json.load(fh))
 
 
-class CountedSteps:
-    """A word-reading system's post and observe, counting the calls."""
-
-    def __init__(self, system):
-        self.system, self.alphabet = system, system.alphabet
-        self.posts = self.observes = 0
-
-    def post(self, config, a):
-        self.posts += 1
-        return self.system.post(config, a)
-
-    def observe(self, config):
-        self.observes += 1
-        return self.system.observe(config)
-
-
 def mask_of(carrier: Carrier, *labels: str) -> int:
     out = 0
     for label in labels:

@@ -10,6 +10,7 @@ from behaveq import (
     BitRel,
     Carrier,
     Cts,
+    DimensionMismatch,
     Lwa,
     Nda,
     Semilattice,
@@ -29,8 +30,7 @@ from behaveq import (
 )
 from behaveq.core import (bits, block_classes, echelonize, nullspace,
                           orthogonal_tests, preimage_subspace)
-from behaveq.equivalence import (OracleVerdict, UnionFind, _word_search,
-                                 lwa_observability_chain)
+from behaveq.equivalence import OracleVerdict, lwa_observability_chain
 from behaveq.liftings import STOP, Step, _fx_index, _lwa_lift_rel_subspace
 from behaveq.rng import (
     WEIGHT_GRID,
@@ -42,8 +42,7 @@ from behaveq.rng import (
     random_vector,
 )
 
-from conftest import (CountedSteps, cts_relation, gfp_cts_bisim, mask_of,
-                      relation_classes)
+from conftest import cts_relation, gfp_cts_bisim, mask_of, relation_classes
 
 
 # ------------------------------------------------------------------- nda
@@ -122,6 +121,9 @@ def test_moore_pair_oracle_refuses_configurations_that_are_not_masks():
     with pytest.raises(ValueError, match="^the word search reads subset masks, "
                                          "not Lwa configurations$"):
         moore_pair_oracle(lwa, (1, 0), (0, 1))
+    # masks pass the search's check and are refused by the automaton
+    with pytest.raises(DimensionMismatch, match="^configuration 1 is not a vector$"):
+        moore_pair_oracle(lwa, 1, 2)
     cts = random_cts(Lcg(3010))
     with pytest.raises(ValueError, match="^Cts reads no words$"):
         moore_pair_oracle(cts, 1, 2)
@@ -701,49 +703,6 @@ def test_moore_pair_oracle_is_first_theory_table_difference():
             masks = range(1 << len(states))
             assert_oracle_is_first_table_difference(
                 lts, moore_pair_oracle, moore_equiv(lts), masks)
-
-
-def _sparse_nda(rng: Lcg) -> Nda:
-    """At most one successor per state and action, and one accepting
-    state, so that many separating words are long."""
-    n = rng.randint(3, 7)
-    states, alphabet = Carrier(tuple(f"q{i}" for i in range(n))), Carrier(("a", "b"))
-    delta = tuple(tuple(1 << rng.randint(0, n - 1) if rng.randint(0, 3) else 0
-                        for _ in alphabet) for _ in states)
-    return Nda(states, alphabet, delta, 1 << rng.randint(0, n - 1))
-
-
-def test_pruned_word_search_keeps_verdict_and_witness():
-    # `known` starts with random pairs the engine relates and grows by
-    # the merges of the search's own equivalent verdicts; not exploring
-    # its pairs changes no verdict and no witness
-    rng = Lcg(3009)
-    pairs = late = pruned = 0
-    while pairs < 200:
-        nda = _sparse_nda(rng)
-        semantics = rng.choice(("trace", "failure", "ready"))
-        for system in (nda, build_output_lts(nda.states, nda.alphabet,
-                                             nda.delta, semantics)):
-            engine = moore_equiv(system)
-            masks = engine.machine.subset_states
-            known = UnionFind()
-            for _ in range(len(masks)):
-                x, y = rng.choice(masks), rng.choice(masks)
-                if engine.related(x, y):
-                    known.union(x, y)
-            for _ in range(10):
-                # a pair observed alike, so that the witness is a word
-                u = rng.choice(masks)
-                v = rng.choice([m for m in masks
-                                if system.observe(m) == system.observe(u)])
-                full, cut = CountedSteps(system), CountedSteps(system)
-                want = _word_search(full, u, v)
-                assert _word_search(cut, u, v, known) == want
-                assert all(engine.related(x, known.find(x)) for x in masks)
-                pairs += 1
-                late += not want.equivalent and len(want.witness) > 1
-                pruned += not want.equivalent and cut.observes < full.observes
-    assert late > 40 and pruned > 40
 
 
 def test_automaton_agrees_with_its_moore_form():

@@ -24,8 +24,7 @@ from behaveq import (
     theory_word,
 )
 from behaveq import logic
-from behaveq.core import format_rational
-from behaveq.equivalence import UnionFind
+from behaveq.core import CapExceeded, format_rational
 from behaveq.logic import TT, box, conj_all, cts_logical_analysis, disj_all, neg
 from behaveq.rng import (
     Lcg,
@@ -36,7 +35,7 @@ from behaveq.rng import (
     random_vector,
 )
 
-from conftest import CountedSteps, gfp_cts_bisim, mask_of, relation_classes
+from conftest import gfp_cts_bisim, mask_of, relation_classes
 
 
 # ------------------------------------------------------------ word logic
@@ -262,9 +261,9 @@ def test_report_counterexamples_match_the_pairwise_reference():
     assert disagreements > 100
 
 
-# Forced disagreements: the patched name answers for a second system, so
+# Forced disagreements: the patched names answer for a second system, so
 # the two relations differ in both directions.  Each case gives the
-# system checked, the name patched with the system it answers for, the
+# system checked, the names patched with the system they answer for, the
 # expected (pair, kind) list in report order, the expressivity note, and
 # whether a formula separates two labelled positions in the system the
 # logical side read.
@@ -287,7 +286,7 @@ def _forced_nda():
         word = parse_word(other.alphabet, text)
         return (eval_word(other, _SUBSETS[p], word)
                 != eval_word(other, _SUBSETS[q], word))
-    return (checked, "moore_pair_oracle", other, expected,
+    return (checked, ("_word_keys", "moore_pair_oracle"), other, expected,
             "no distinguishing word exists but the behavioural relation "
             "separates the pair", separates)
 
@@ -303,7 +302,7 @@ def _forced_moore():
         word = parse_word(other.alphabet, text)
         return (eval_word(other, _SUBSETS[p], word)
                 != eval_word(other, _SUBSETS[q], word))
-    return (checked, "moore_pair_oracle", other, expected,
+    return (checked, ("_word_keys", "moore_pair_oracle"), other, expected,
             "no distinguishing word exists but the behavioural relation "
             "separates the pair", separates)
 
@@ -323,7 +322,7 @@ def _forced_lwa():
         word = parse_word(checked.alphabet, text)
         return (eval_word(checked, unit(p), word)
                 != eval_word(checked, unit(q), word))
-    return (checked, "lwa_unobservable_subspace", other, expected,
+    return (checked, ("lwa_unobservable_subspace",), other, expected,
             "trace tables agree to the stabilisation bound but the "
             "subspace separates the pair", separates)
 
@@ -344,7 +343,7 @@ def _forced_cts():
     def separates(text, p, q):
         sat = eval_cts(checked, parse_cts_formula(text))
         return bool(sat >> position(p) & 1) != bool(sat >> position(q) & 1)
-    return (checked, "cts_conditional_bisim", other, expected,
+    return (checked, ("cts_conditional_bisim",), other, expected,
             "no formula separates the pair but the bisimulation fixpoint does",
             separates)
 
@@ -352,10 +351,10 @@ def _forced_cts():
 @pytest.mark.parametrize("case", [_forced_nda, _forced_moore, _forced_lwa,
                                   _forced_cts])
 def test_adequacy_counterexamples_on_forced_disagreement(case, monkeypatch):
-    checked, name, other, expected, note, separates = case()
+    checked, names, other, expected, note, separates = case()
     # the word families' logical side reads the system through two names,
-    # the pair search and `eval_word`; both answer for `other`
-    for patched in (name, "eval_word"):
+    # the word predicates and the pair search; both answer for `other`
+    for patched in names:
         honest = getattr(logic, patched)
         monkeypatch.setattr(logic, patched,
                             lambda system, *rest, honest=honest: honest(other, *rest))
@@ -370,11 +369,12 @@ def test_adequacy_counterexamples_on_forced_disagreement(case, monkeypatch):
             assert ce["note"] == note
 
 
-# The logical side of the word-reading families is the family's pair
-# search, positions grouped by one representative per class.  The
-# references are the routes it replaced: equal word tables up to
-# |states| letters for weighted automata, and the pair oracle asked
-# about every ordered pair for automata and Moore systems.
+# The logical side of the word-reading families reads the backward
+# construction: word predicates for automata and Moore systems, the
+# backward Krylov basis for weighted automata.  The references read
+# words forward: equal word tables up to |states| letters for weighted
+# automata, and the pair oracle, asked about every ordered pair or
+# against one representative per class, for automata and Moore systems.
 
 def _labelled(rel, labels):
     return tuple(tuple(labels[i] for i in cls) for cls in relation_classes(rel))
@@ -492,36 +492,17 @@ def test_word_logical_relation_is_the_pairwise_oracle_relation():
     assert merged > 20
 
 
-def reference_word_blocks(search, system, configs):
+def reference_word_blocks(system, configs):
     """Logical block of each configuration, numbered in order of first
-    appearance, by comparing it with the representatives of its
-    observation group one search at a time; positions and pairs merged
-    in `proven` by an equivalent search are not searched again."""
-    proven, groups, count = UnionFind(), [], 0
-
-    def block_of(c):
-        nonlocal count
-        for group in groups:
-            for block, rep in group:
-                verdict = search(system, rep, c, proven)
-                if verdict.equivalent:
-                    return block
-                if verdict.witness == ():   # observed apart from the group
-                    break
-            else:                   # observed alike, equivalent to none
-                group.append((count, c))
-                break
-        else:
-            groups.append([(count, c)])
-        count += 1
-        return count - 1
-
-    blocks = []
+    appearance, by asking the pair oracle about it and one
+    representative of each block found before it."""
+    reps, blocks = [], []
     for c in configs:
-        if proven.find(c) not in proven.labels:
-            block = block_of(c)
-            proven.labels[proven.find(c)] = block
-        blocks.append(proven.labels[proven.find(c)])
+        block = next((b for b, rep in enumerate(reps)
+                      if moore_pair_oracle(system, rep, c).equivalent), len(reps))
+        if block == len(reps):
+            reps.append(c)
+        blocks.append(block)
     return blocks
 
 
@@ -554,9 +535,11 @@ def test_word_blocks_match_the_representative_reference(golden_nda,
     sizes = []
     for system, initials in cases:
         configs = moore_equiv(system, initials).machine.subset_states
-        blocks = logic._word_blocks(moore_pair_oracle, system, configs)
-        assert blocks == reference_word_blocks(moore_pair_oracle, system, configs)
-        sizes.append(max(blocks) + 1)
+        keys = logic._word_keys(system, configs)
+        numbers: dict[int, int] = {}
+        blocks = [numbers.setdefault(key, len(numbers)) for key in keys]
+        assert blocks == reference_word_blocks(system, configs)
+        sizes.append(len(numbers))
     assert sum(size > 20 for size in sizes) > 5, sizes
 
 
@@ -736,29 +719,32 @@ def test_moore_adequacy_on_semantics(trace_failure_lts):
     assert report.adequate and report.expressive
 
 
+def test_word_predicates_past_the_subset_cap_are_refused():
+    # "the 13th letter is a" on 14 states: 15 subsets are reachable from
+    # {q0}, but the backward construction from the accepting state
+    # passes 2^12 predicates, and it fails loudly under the same cap
+    states = Carrier(tuple(f"q{i}" for i in range(14)))
+    delta = (*((1 << i + 1, 1 << i + 1) for i in range(12)),
+             (1 << 13, 0), (1 << 13, 1 << 13))
+    nda = Nda(states, Carrier(("a", "b")), delta, 1 << 13)
+    assert len(moore_equiv(nda, [1]).machine.subset_states) == 15
+    with pytest.raises(CapExceeded, match="^subset machine reaches 4098 "
+                                          "positions, past the cap of 2\\^12$"):
+        check_adequacy_expressivity(nda, initials=[1])
+
+
 def test_adequacy_search_count_on_trace_vs_failure(trace_failure_lts, monkeypatch):
-    # 512 subset positions in 9 classes.  Measured: 504 pair searches and
-    # 4540 steps, 3052 in the searches and 1488 in walking positions down
-    # the tree of separating words.  Asking each position against every
-    # representative of its observation group took 2329 searches and 7070
-    # steps, and exploring pairs already proved equivalent as well took
-    # 2355 searches and 28656 steps.  The bounds are the measured counts,
-    # so that a return to either fails.
-    steps, searches = CountedSteps(trace_failure_lts), 0
-    honest, honest_observe = logic.moore_pair_oracle, logic.eval_word
+    # 512 subset positions in 9 classes.  The logical side reads the word
+    # predicates, so an honest check searches no pair; a tree of
+    # separating words over the pair search took 504 searches here
+    searches, honest = 0, logic.moore_pair_oracle
 
-    def counted(system, *rest):
+    def counted(*args):
         nonlocal searches
-        assert system is trace_failure_lts
         searches += 1
-        return honest(steps, *rest)
-
-    def counted_observe(system, *rest):
-        assert system is trace_failure_lts
-        return honest_observe(steps, *rest)
+        return honest(*args)
     monkeypatch.setattr(logic, "moore_pair_oracle", counted)
-    monkeypatch.setattr(logic, "eval_word", counted_observe)
     report = check_adequacy_expressivity(trace_failure_lts)
     assert report.passed and len(report.logical_classes) == 9
     assert len(sum(report.logical_classes, ())) == 512
-    assert searches <= 504 and steps.posts <= 4540, (searches, steps.posts)
+    assert searches == 0

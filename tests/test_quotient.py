@@ -6,6 +6,7 @@ from behaveq import (
     Carrier,
     ClosureViolation,
     Nda,
+    build_output_lts,
     build_respecting_automaton,
     moore_determinize,
     moore_equiv,
@@ -54,14 +55,21 @@ def test_backward_determinize_no_transitions():
 
 
 def test_reverse_steps_into_the_mask_and_is_an_involution():
+    # an automaton and its Moore systems under every semantics reverse
+    # alike: each edge turns round and the outputs stay
     rng = Lcg(66)
     for _ in range(40):
         nda = random_nda(rng, max_states=5)
-        back = nda.reverse()
-        assert back.reverse() == nda
-        for mask in range(1 << len(nda.states)):
-            for a in range(len(nda.alphabet)):
-                assert back.post(mask, a) == _backward_step(nda, mask, a)
+        moore = [build_output_lts(nda.states, nda.alphabet, nda.delta, semantics)
+                 for semantics in ("trace", "failure", "ready")]
+        for system in [nda, *moore]:
+            back = system.reverse()
+            assert dataclasses.replace(back, delta=system.delta) == system
+            assert getattr(back, "show", None) is getattr(system, "show", None)
+            assert back.reverse() == system
+            for mask in range(1 << len(nda.states)):
+                for a in range(len(nda.alphabet)):
+                    assert back.post(mask, a) == _backward_step(nda, mask, a)
 
 
 def _union_closure(masks):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from behaveq import (
     Nda,
     OutputLts,
     Semilattice,
+    eval_word,
     lattice_lts,
     moore_determinize,
 )
@@ -146,6 +148,14 @@ def test_lwa_post_and_observe_refuse_bad_input():
         lwa.post((1, 0, 0), 0)
     with pytest.raises(DimensionMismatch, match="does not match state count"):
         lwa.observe((1,))
+    # a subset mask or a scalar is refused like a vector of the wrong
+    # length, also where `eval_word` passes it on
+    for config in (1, 0, Fraction(1, 2), None):
+        message = f"^configuration {re.escape(repr(config))} is not a vector$"
+        for read in (lambda c: lwa.post(c, 0), lwa.observe,
+                     lambda c: eval_word(lwa, c, (0,))):
+            with pytest.raises(DimensionMismatch, match=message):
+                read(config)
 
 
 # ----------------------------------------------------------------- moore
