@@ -64,6 +64,7 @@ from .quotient import (
     RespectingAutomaton,
     build_respecting_automaton,
     redundant_members,
+    respecting_family,
     respecting_subsets,
     verify_witness_homomorphism,
 )

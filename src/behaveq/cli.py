@@ -64,6 +64,7 @@ from .logic import (
 from .quotient import (
     build_respecting_automaton,
     redundant_members,
+    respecting_family,
     verify_witness_homomorphism,
 )
 from .rng import Lcg, random_cts, random_lwa, random_nda, run_trials
@@ -279,9 +280,54 @@ def load_file(path: str):
 
 # ------------------------------------------------------------------ output
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def json_text(value) -> str:
+    """The text of `json.dumps(value, indent=2, sort_keys=True)`.
+
+    An `indent` sends `json` to its pure-Python encoder; this writer
+    gives the same bytes with the C string escaper, and `json.dumps`
+    for the other scalars."""
+    out: list[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, put) -> None:
+    if isinstance(value, str):
+        put(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            put(sep)
+            put(_encode_str(key if isinstance(key, str) else json.dumps(key)))
+            put(": ")
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        put(json.dumps(value))
+
+
 def _emit(payload: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     else:
         for line in lines(payload):
             print(line)
@@ -431,12 +477,11 @@ def cmd_quotient(args) -> int:
     if not isinstance(system, Nda):
         raise SchemaError("quotient expects an nda input")
     n = len(system.states)
-    if args.identity_eq:
-        blocks, iterations = range(1 << n), 0
-    else:
-        result = moore_equiv(system)
-        blocks, iterations = result.blocks, result.iterations
-    auto = build_respecting_automaton(system, blocks)
+    # refuses past the cap before any work over the powerset; the
+    # language classes give only the report's `iterations`
+    family = respecting_family(system, args.identity_eq)
+    iterations = 0 if args.identity_eq else moore_equiv(system).iterations
+    auto = build_respecting_automaton(system, family)
     hom = verify_witness_homomorphism(system, auto)
     labels = auto.labels()
     automaton_json = {

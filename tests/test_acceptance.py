@@ -23,6 +23,7 @@ from behaveq import (
     eval_word,
     moore_equiv,
     moore_pair_oracle,
+    respecting_family,
     respecting_subsets,
     verify_witness_homomorphism,
 )
@@ -72,7 +73,7 @@ def test_criterion_1_golden_worked_example(golden_nda):
     carrier_ok = carrier == want_carrier
 
     # (c) witness images of {x,y} and {y}
-    auto = build_respecting_automaton(golden_nda, equiv.blocks)
+    auto = build_respecting_automaton(golden_nda, respecting_family(golden_nda))
     want_image = {xy, y, yz, xyz}
     image_ok = (set(auto.witness_image(xy)) == want_image
                 and set(auto.witness_image(y)) == want_image)

@@ -251,18 +251,28 @@ def test_subset_commands_at_the_powerset_cap(tmp_path, capsys):
             "moore": random_subset_doc(2712, 12, "moore", "failure", 8)}
     every = {"{" + ",".join(f"s{i}" for i in range(12) if mask >> i & 1) + "}"
              for mask in range(1 << 12)}
+    classes_of = {}
     start = time.perf_counter()
     for kind, doc in docs.items():
         path = tmp_path / f"{kind}12.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_main(["equiv", str(path), "--json"], capsys)
         assert (code, err) == (0, [])
-        labels = [label for cls in json.loads(out)["classes"] for label in cls]
+        classes_of[kind] = json.loads(out)["classes"]
+        labels = [label for cls in classes_of[kind] for label in cls]
         assert len(labels) == 1 << 12 and set(labels) == every
         code, out, err = run_main(["determinize", str(path), "--json"], capsys)
         payload = json.loads(out)
         assert (code, err) == (0, []) and set(payload["states"]) == every
         assert len(payload["transitions"]) == 2 << 12
+    # quotient: the respecting family has one member per language class,
+    # and every subset under the identity
+    for flag, members in (([], len(classes_of["nda"])), (["--identity-eq"], 1 << 12)):
+        code, out, err = run_main(
+            ["quotient", str(tmp_path / "nda12.json"), "--json", *flag], capsys)
+        payload = json.loads(out)
+        assert (code, err, payload["homomorphism"]) == (0, [], True), flag
+        assert len(payload["automaton"]["states"]) == members, flag
     assert time.perf_counter() - start < 10
     # one state past the cap, with no --pair or --initials to shrink it
     path = tmp_path / "nda13.json"
@@ -271,6 +281,9 @@ def test_subset_commands_at_the_powerset_cap(tmp_path, capsys):
         2, "", ["error: full powerset over 13 states exceeds cap 12"])
     assert run_main(["determinize", str(path), "--json"], capsys) == (
         2, "", ["error: default initials need 13 <= cap 12"])
+    for flag in ([], ["--identity-eq"]):
+        assert run_main(["quotient", str(path), "--json", *flag], capsys) == (
+            2, "", ["error: respecting family over 13 states exceeds cap 12"])
 
 
 def test_equiv_cts_chain_at_two_thousand_states(tmp_path, capsys):
@@ -327,6 +340,72 @@ def test_quotient_rejects_non_nda(tmp_path):
     path.write_text(json.dumps(CTS_DOC))
     res = run_cli(["quotient", str(path)])
     assert res.returncode == 2
+
+
+# ----------------------------------------------------------- JSON writer
+# Reports are written by `cli.json_text`, which must give the bytes of
+# json.dumps(payload, indent=2, sort_keys=True).
+
+WRITER_EDGE_VALUES = [
+    {}, [], (), [[]], [{}], {"a": {}, "b": [], "c": [[], {}]}, ((1, "x"), ()),
+    "↓ □ ◇ ∧ é", "quote \" backslash \\ tab \t nul \0 \U0001d54f", "",
+    True, False, None, 0, -7, 10 ** 29 + 7, -(10 ** 29 + 7), 1.5, -0.0,
+    {"z": None, "a": [True, False], "ω": "□", "": [()], "B": {"b": {"a": 1}}},
+]
+
+
+def test_json_writer_matches_json_dumps_on_edge_values():
+    from behaveq.cli import json_text
+    for value in WRITER_EDGE_VALUES:
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+
+def test_json_writer_matches_json_dumps_on_every_report(tmp_path, capsys,
+                                                        monkeypatch):
+    from behaveq import cli
+    payloads = []
+    emit = cli._emit
+
+    def recording(payload, as_json, lines):
+        payloads.append(payload)
+        emit(payload, as_json, lines)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    lwa, cts = tmp_path / "lwa.json", tmp_path / "cts.json"
+    lwa.write_text(json.dumps(LWA_DOC))
+    cts.write_text(json.dumps(CTS_DOC))
+    lwa, cts = str(lwa), str(cts)
+    laws = ["check", "--laws", "--trials", "4", "--seed", "3", "--random"]
+    runs = [
+        (0, ["equiv", GOLDEN]), (1, ["equiv", GOLDEN, "--pair", "{x}", "{y}"]),
+        (0, ["equiv", GOLDEN, "--pair", "{x,y}", "{y}"]),
+        (0, ["equiv", MOORE]), (0, ["equiv", MOORE, "--pair", "{p0}", "{q0}"]),
+        (1, ["equiv", MOORE, "--pair", "{p0}", "{q0}", "--semantics", "failure"]),
+        (0, ["equiv", lwa]), (1, ["equiv", lwa, "--pair", "x", "y"]),
+        (0, ["equiv", cts]), (1, ["equiv", cts, "--pair", "u", "v"]),
+        (0, ["quotient", GOLDEN]), (0, ["quotient", GOLDEN, "--identity-eq"]),
+        (1, [*laws, "nda", "--corruption", "lift"]),
+        (1, [*laws, "lwa", "--corruption", "sigma"]),
+        (1, [*laws, "cts", "--corruption", "meet"]),
+        (0, ["check", GOLDEN, "--adequacy"]), (0, ["check", lwa, "--adequacy"]),
+        (0, ["check", cts, "--adequacy"]),
+        (0, ["check", "--adequacy", "--random", "nda", "--trials", "3"]),
+        (0, ["eval", GOLDEN, "--subset", "{x,y}"]),
+        (0, ["eval", GOLDEN, "--state", "y", "--word", "ab"]),
+        (0, ["eval", MOORE, "--state", "q0", "--word", "ab"]),
+        (0, ["eval", lwa, "--vector", "[1/2,-3]", "--word", "aa"]),
+        (0, ["eval", cts, "--formula", "[]tt & !tt"]),
+        (0, ["eval", str(DATA / "cts-chain16.json"), "--depth", "3"]),
+        (0, ["determinize", GOLDEN]),
+        (0, ["determinize", GOLDEN, "--direction", "backward"]),
+        (0, ["determinize", MOORE, "--initials", "{p0}", "{q0}"]),
+    ]
+    for want_code, argv in runs:
+        payloads.clear()
+        code, out, err = run_main([*argv, "--json"], capsys)
+        assert (code, err, len(payloads)) == (want_code, [], 1), argv
+        want = json.dumps(payloads[0], indent=2, sort_keys=True)
+        assert out == cli.json_text(payloads[0]) + "\n" == want + "\n", argv
 
 
 # ----------------------------------------------------------------- check

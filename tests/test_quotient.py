@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from behaveq import (
+    CapExceeded,
     Carrier,
     ClosureViolation,
     Nda,
@@ -11,13 +12,16 @@ from behaveq import (
     moore_determinize,
     moore_equiv,
     redundant_members,
+    respecting_family,
     respecting_subsets,
     subset_label,
     verify_witness_homomorphism,
 )
+from behaveq import quotient
+from behaveq.quotient import union_closure
 from behaveq.rng import Lcg, random_nda
 
-from conftest import mask_of
+from conftest import DATA, mask_of
 
 
 # ------------------------------------------------------------- backward
@@ -72,13 +76,6 @@ def test_reverse_steps_into_the_mask_and_is_an_involution():
                     assert back.post(mask, a) == _backward_step(nda, mask, a)
 
 
-def _union_closure(masks):
-    family = {0}
-    for m in masks:
-        family |= {w | m for w in family}
-    return family
-
-
 def test_backward_reachable_union_closure_is_the_respecting_family(golden_nda):
     # U meets pre_w(F) exactly when U accepts w, so the union closure of
     # the sets reached backward from F is the family of subsets that
@@ -88,7 +85,64 @@ def test_backward_reachable_union_closure_is_the_respecting_family(golden_nda):
     for nda in cases:
         reached = moore_determinize(nda.reverse(), [nda.accepting]).subset_states
         brute = respecting_subsets(nda, moore_equiv(nda).blocks)
-        assert _union_closure(reached) == set(brute)
+        assert set(union_closure(reached)) == set(brute)
+
+
+def _pairwise_redundant(auto):
+    """Members that are the union of the members strictly inside them,
+    one pair of members at a time."""
+    out = []
+    for w in auto.carrier:
+        union = 0
+        for v in auto.carrier:
+            if v != w and v & ~w == 0:
+                union |= v
+        if union == w:
+            out.append(w)
+    return tuple(out)
+
+
+def test_generator_family_and_redundancy_match_the_brute_force(golden_nda,
+                                                               monkeypatch):
+    # what `quotient` runs, in both modes, against the all-masks search
+    # and the pairwise scan, past the reference's own bound of 6 states
+    monkeypatch.setattr(quotient, "REFERENCE_CAP", 8)
+    rng = Lcg(2929)
+    cases = [golden_nda] + [random_nda(rng, max_states=8) for _ in range(60)]
+    assert max(len(nda.states) for nda in cases) == 8
+    for nda in cases:
+        size = 1 << len(nda.states)
+        equiv = moore_equiv(nda)
+        for identity, blocks in ((False, equiv.blocks), (True, range(size))):
+            family = respecting_family(nda, identity)
+            assert family == respecting_subsets(nda, blocks), nda
+            auto = build_respecting_automaton(nda, family)
+            assert redundant_members(auto) == _pairwise_redundant(auto), nda
+        # one member per language: a subset's language is the set of
+        # generators pre_w(F) it meets
+        assert len(respecting_family(nda)) == len(set(equiv.blocks)), nda
+
+
+def test_generator_family_at_the_cap_counts_the_language_classes():
+    from behaveq.cli import load_file
+    nda = load_file(str(DATA / "nda-cap12.json"))
+    family = respecting_family(nda)
+    assert len(family) == len(set(moore_equiv(nda).blocks)) == 416
+    assert respecting_family(nda, identity=True) == tuple(range(1 << 12))
+
+
+def test_respecting_family_refuses_past_the_cap():
+    st = Carrier(tuple(f"s{i}" for i in range(13)))
+    nda = Nda(st, Carrier(("a",)), ((0,),) * 13, 1)
+    for identity in (False, True):
+        with pytest.raises(CapExceeded, match="13 states exceeds cap 12"):
+            respecting_family(nda, identity)
+
+
+def test_union_closure_is_ascending_and_holds_the_empty_union():
+    assert union_closure([]) == (0,)
+    assert union_closure([0b100, 0b001, 0b100]) == (0, 0b001, 0b100, 0b101)
+    assert union_closure([1 << x for x in range(4)]) == tuple(range(16))
 
 
 # ------------------------------------------------------------ respecting
@@ -166,21 +220,20 @@ def test_closure_violation_is_reported_not_truncated(golden_nda):
     assert set(respecting_subsets(golden_nda, eq1)) == {
         w for w in range(8) if bool(w & x) == bool(w & z)}
     with pytest.raises(ClosureViolation, match="accepting member"):
-        build_respecting_automaton(golden_nda, eq1)
+        build_respecting_automaton(golden_nda, respecting_subsets(golden_nda, eq1))
 
     # merging {x} with {y} keeps {z} but the backward b-step of {z}
     # lands on {y}, outside the family
     eq2 = [x if u == y else u for u in range(8)]
     assert set(respecting_subsets(golden_nda, eq2)) == {0, z, x | y, x | y | z}
     with pytest.raises(ClosureViolation, match="leaves the respecting family"):
-        build_respecting_automaton(golden_nda, eq2)
+        build_respecting_automaton(golden_nda, respecting_subsets(golden_nda, eq2))
 
 
 # -------------------------------------------------------- the automaton
 
 def test_build_respecting_automaton_golden_edges(golden_nda):
-    eq = moore_equiv(golden_nda).blocks
-    auto = build_respecting_automaton(golden_nda, eq)
+    auto = build_respecting_automaton(golden_nda, respecting_family(golden_nda))
     states = golden_nda.states
     a = golden_nda.alphabet.index("a")
     b = golden_nda.alphabet.index("b")
@@ -207,7 +260,7 @@ def test_build_respecting_automaton_golden_edges(golden_nda):
 
 
 def test_identity_eq_gives_full_backward_dfa(golden_nda):
-    auto = build_respecting_automaton(golden_nda, range(8))
+    auto = build_respecting_automaton(golden_nda, respecting_family(golden_nda, True))
     assert auto.carrier == tuple(range(8))
     for i, mask in enumerate(auto.carrier):
         for a in range(2):
@@ -217,15 +270,14 @@ def test_identity_eq_gives_full_backward_dfa(golden_nda):
 def test_respecting_table_is_the_subset_construction_of_the_reversal(golden_nda):
     rng = Lcg(61)
     for nda in [golden_nda, *(random_nda(rng, max_states=5) for _ in range(50))]:
-        auto = build_respecting_automaton(nda, moore_equiv(nda).blocks)
+        auto = build_respecting_automaton(nda, respecting_family(nda))
         machine = moore_determinize(nda.reverse(), auto.carrier)
         assert machine.subset_states == auto.carrier, nda
         assert auto.trans == machine.trans, nda
 
 
 def test_witness_images_golden(golden_nda):
-    eq = moore_equiv(golden_nda).blocks
-    auto = build_respecting_automaton(golden_nda, eq)
+    auto = build_respecting_automaton(golden_nda, respecting_family(golden_nda))
     states = golden_nda.states
     want = {mask_of(states, "x", "y"), mask_of(states, "y"),
             mask_of(states, "y", "z"), mask_of(states, "x", "y", "z")}
@@ -238,7 +290,7 @@ def test_witness_respects_equivalence_on_random_instances():
     for _ in range(20):
         nda = random_nda(rng, max_states=4)
         eq = moore_equiv(nda)
-        auto = build_respecting_automaton(nda, eq.blocks)
+        auto = build_respecting_automaton(nda, respecting_family(nda))
         size = 1 << len(nda.states)
         for u in range(size):
             for v in range(size):
@@ -247,16 +299,14 @@ def test_witness_respects_equivalence_on_random_instances():
 
 
 def test_verify_homomorphism_true_on_golden_and_identity(golden_nda):
-    eq = moore_equiv(golden_nda).blocks
-    auto = build_respecting_automaton(golden_nda, eq)
+    auto = build_respecting_automaton(golden_nda, respecting_family(golden_nda))
     assert verify_witness_homomorphism(golden_nda, auto)
-    full = build_respecting_automaton(golden_nda, range(8))
+    full = build_respecting_automaton(golden_nda, respecting_family(golden_nda, True))
     assert verify_witness_homomorphism(golden_nda, full)
 
 
 def test_verify_homomorphism_catches_redirected_edge(golden_nda):
-    eq = moore_equiv(golden_nda).blocks
-    auto = build_respecting_automaton(golden_nda, eq)
+    auto = build_respecting_automaton(golden_nda, respecting_family(golden_nda))
     z_pos = auto.carrier.index(mask_of(golden_nda.states, "z"))
     mutated_row = list(auto.trans[z_pos])
     mutated_row[0] = auto.carrier.index(0)  # redirect the a-edge of {z} to {}
@@ -272,14 +322,12 @@ def test_verify_homomorphism_on_random_instances():
     rng = Lcg(99)
     for _ in range(20):
         nda = random_nda(rng, max_states=4)
-        eq = moore_equiv(nda).blocks
-        auto = build_respecting_automaton(nda, eq)
+        auto = build_respecting_automaton(nda, respecting_family(nda))
         assert verify_witness_homomorphism(nda, auto)
 
 
 def test_redundant_members_golden(golden_nda):
-    eq = moore_equiv(golden_nda).blocks
-    auto = build_respecting_automaton(golden_nda, eq)
+    auto = build_respecting_automaton(golden_nda, respecting_family(golden_nda))
     got = {subset_label(golden_nda.states, w) for w in redundant_members(auto)}
     assert got == {"{}", "{y,z}", "{x,y,z}"}
 
@@ -288,7 +336,6 @@ def test_mutated_accepting_still_verifies(golden_nda):
     # dropping the accepting marker changes the equivalence and the
     # respecting family, but the pipeline stays internally consistent
     mutated = dataclasses.replace(golden_nda, accepting=0)
-    eq = moore_equiv(mutated).blocks
-    auto = build_respecting_automaton(mutated, eq)
+    auto = build_respecting_automaton(mutated, respecting_family(mutated))
     assert set(auto.carrier) == {0}
     assert verify_witness_homomorphism(mutated, auto)
