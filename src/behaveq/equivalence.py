@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -83,9 +84,16 @@ class MachineEquiv:
 def machine_equiv(machine: DeterminizedMachine) -> MachineEquiv:
     """Refine by output and the block of every action successor."""
     out, trans = machine.out, machine.trans
-    blocks, rounds = refine(
-        len(machine.subset_states),
-        lambda i, blocks: (out[i], *[blocks[t] for t in trans[i]]), trans)
+    every = len(out)
+    columns = [list(column) for column in zip(*trans)]
+
+    def signature(elements, blocks):
+        block = blocks.__getitem__
+        if len(elements) == every:      # the whole carrier, in order
+            return [out, *[map(block, column) for column in columns]]
+        return [map(out.__getitem__, elements),
+                *[map(block, map(column.__getitem__, elements)) for column in columns]]
+    blocks, rounds = refine(len(machine.subset_states), signature, trans)
     return MachineEquiv(machine, rounds, blocks)
 
 
@@ -342,8 +350,11 @@ def cts_conditional_bisim(cts: Cts) -> CtsBisimResult:
     blocks, rounds = [], 1
     for row in cts.delta:
         succ = [list(bits(mask)) for mask in row]
-        slice_blocks, slice_rounds = refine(
-            n, lambda x, blocks: frozenset([blocks[y] for y in succ[x]]), succ)
+
+        def signature(elements, blocks):
+            rows = succ if len(elements) == n else map(succ.__getitem__, elements)
+            return [map(frozenset, map(map, repeat(blocks.__getitem__), rows))]
+        slice_blocks, slice_rounds = refine(n, signature, succ)
         blocks.append(slice_blocks)
         rounds = max(rounds, slice_rounds)
     return CtsBisimResult(rounds, tuple(blocks))

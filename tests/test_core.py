@@ -59,17 +59,21 @@ def test_bitrel_invariants():
 
 
 def test_refine_rounds_and_block_order():
-    assert refine(0, lambda i, blocks: 0, []) == ((), 1)
+    assert refine(0, lambda elements, blocks: [[0] * len(elements)], []) == ((), 1)
     # a constant signature splits nothing: the confirming round is round 1
-    assert refine(3, lambda i, blocks: "same", [()] * 3) == ((0, 0, 0), 1)
+    assert refine(3, lambda elements, blocks: [["same"] * len(elements)],
+                  [()] * 3) == ((0, 0, 0), 1)
     # successor chain 0 -> 1 -> 2 -> 3 with 3 marked: one split per round
     succ, marked = (1, 2, 3, 3), (False, False, False, True)
     blocks, rounds = refine(
-        4, lambda i, blocks: (marked[i], blocks[succ[i]]), [(s,) for s in succ])
+        4, lambda elements, blocks: [[marked[i] for i in elements],
+                                     [blocks[succ[i]] for i in elements]],
+        [(s,) for s in succ])
     assert blocks == (0, 1, 2, 3)
     assert rounds == 4
     # blocks are numbered by first occurrence
-    blocks, rounds = refine(4, lambda i, blocks: i % 2 == 0, [()] * 4)
+    blocks, rounds = refine(
+        4, lambda elements, blocks: [[i % 2 == 0 for i in elements]], [()] * 4)
     assert blocks == (0, 1, 0, 1) and rounds == 2
     assert BitRel.from_blocks(blocks) == BitRel.from_pairs(
         4, [(i, j) for i in range(4) for j in range(4) if i % 2 == j % 2])

@@ -2,13 +2,15 @@
 replaced.
 
 `reference_refine` is the refinement that re-keys every element in
-every round; the dirty-set `refine` must return the same blocks, in the
-same numbering, after the same rounds.  The gfp references are the
-Kleene iterations from the full relation that `machine_equiv` and
-`cts_conditional_bisim` used to run through `gfp` (`gfp_cts_bisim` is
-in conftest, the one conditional reference of the suite).  Refinement
-must return the same relation and the same `iterations` (rounds
-including the confirming one) on every input.
+every round, one signature call per element; `refine`, with its
+full-carrier and dirty-set rounds and one batched signature call per
+round, must return the same blocks, in the same numbering, after the
+same rounds.  The gfp references are the Kleene iterations from the
+full relation that `machine_equiv` and `cts_conditional_bisim` used to
+run through `gfp` (`gfp_cts_bisim` is in conftest, the one conditional
+reference of the suite).  Refinement must return the same relation and
+the same `iterations` (rounds including the confirming one) on every
+input.
 """
 
 from behaveq import (
@@ -23,12 +25,14 @@ from behaveq import (
     moore_pair_oracle,
     refine,
 )
+from behaveq import core
+from behaveq.cli import load_file
 from behaveq.core import bits, block_classes
 from behaveq.equivalence import machine_equiv
 from behaveq.rng import Lcg, random_cts, random_lts, random_nda
 from behaveq.systems import moore_determinize
 
-from conftest import cts_relation, gfp_cts_bisim, relation_classes
+from conftest import DATA, cts_relation, gfp_cts_bisim, relation_classes
 
 
 def reference_refine(size, signature):
@@ -49,9 +53,17 @@ def reference_refine(size, signature):
         blocks, count = nxt, len(keys)
 
 
+def one_at_a_time(signature):
+    """The per-element signature of `reference_refine` from a batched
+    one: element i's entries after its block id."""
+    return lambda i, blocks: next(zip(*signature([i], blocks)))
+
+
 def machine_signature(machine):
     out, trans = machine.out, machine.trans
-    return lambda i, blocks: (out[i], tuple(blocks[t] for t in trans[i]))
+    return lambda elements, blocks: [
+        [out[i] for i in elements],
+        [tuple(blocks[t] for t in trans[i]) for i in elements]]
 
 
 def slice_successors(row):
@@ -59,7 +71,8 @@ def slice_successors(row):
 
 
 def slice_signature(succ):
-    return lambda x, blocks: frozenset(blocks[y] for y in succ[x])
+    return lambda elements, blocks: [
+        [frozenset(blocks[y] for y in succ[x]) for x in elements]]
 
 
 def kth_from_end(k):
@@ -88,12 +101,13 @@ def chain(n):
 
 
 def counting(signature):
-    """`signature` and a one-element list that counts its calls."""
+    """`signature` and a one-element list that counts the elements it
+    is asked to key."""
     calls = [0]
 
-    def counted(i, blocks):
-        calls[0] += 1
-        return signature(i, blocks)
+    def counted(elements, blocks):
+        calls[0] += len(elements)
+        return signature(elements, blocks)
     return counted, calls
 
 
@@ -217,7 +231,8 @@ def test_full_powerset_at_ten_states_agrees_with_pair_oracle():
 
 def assert_refine_matches_reference(machine):
     equiv = machine_equiv(machine)
-    want = reference_refine(len(machine.subset_states), machine_signature(machine))
+    want = reference_refine(len(machine.subset_states),
+                            one_at_a_time(machine_signature(machine)))
     assert (equiv.blocks, equiv.iterations) == want
     assert refine(len(machine.subset_states), machine_signature(machine),
                   machine.trans) == want
@@ -245,6 +260,25 @@ def test_refine_matches_reference_on_kth_from_end():
             assert_refine_matches_reference(moore_determinize(nda, initials))
 
 
+def test_refine_matches_reference_at_the_powerset_cap():
+    # 4,096 positions each: on the cap-12 automaton the share of dirty
+    # elements falls and rises again from round to round, so the rounds
+    # pass between re-keying the whole carrier and re-keying the dirty
+    # elements in both directions
+    machine = moore_determinize(load_file(str(DATA / "nda-cap12.json")), range(1 << 12))
+    assert_refine_matches_reference(machine)
+    batches = []
+
+    def signature(elements, blocks):
+        batches.append(len(elements) == len(machine.out))
+        return machine_signature(machine)(elements, blocks)
+    refine(len(machine.out), signature, machine.trans)
+    switches = set(zip(batches, batches[1:]))
+    assert (True, False) in switches and (False, True) in switches
+    for k in (11, 12):
+        assert_refine_matches_reference(moore_determinize(kth_from_end(k), [1]))
+
+
 def test_refine_matches_reference_on_cts_slices_and_chains():
     rng = Lcg(7003)
     systems = [sparse_cts(rng, rng.randint(1, 30)) for _ in range(60)]
@@ -255,27 +289,35 @@ def test_refine_matches_reference_on_cts_slices_and_chains():
         want_rounds = 1
         for k, row in enumerate(cts.delta):
             succ = slice_successors(row)
-            want, rounds = reference_refine(len(cts.states), slice_signature(succ))
+            want, rounds = reference_refine(len(cts.states),
+                                            one_at_a_time(slice_signature(succ)))
             assert got.blocks[k] == want
             assert refine(len(cts.states), slice_signature(succ), succ) == (want, rounds)
             want_rounds = max(want_rounds, rounds)
         assert got.iterations == want_rounds
 
 
-def test_refine_matches_reference_when_rekeyed_members_keep_their_signature():
+def test_refine_matches_reference_when_rekeyed_members_keep_their_signature(
+        monkeypatch):
     # the number of distinct successor blocks can stay the same when a
     # successor changes block, so a re-keyed member may stay with the
-    # members that were not re-keyed
-    rng = Lcg(7004)
-    for _ in range(300):
-        n = rng.randint(1, 40)
-        succ = [[rng.randint(0, n - 1) for _ in range(rng.randint(0, 3))]
-                for _ in range(n)]
-        marks = [rng.randint(0, 2) for _ in range(n)]
+    # members that were not re-keyed.  At these sizes the measured share
+    # leaves few rounds to the dirty-set path; at share 1.0 every round
+    # after the first re-keys only the dirty elements unless all are dirty
+    for share in (core.FULL_ROUND_SHARE, 1.0):
+        monkeypatch.setattr(core, "FULL_ROUND_SHARE", share)
+        rng = Lcg(7004)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            succ = [[rng.randint(0, n - 1) for _ in range(rng.randint(0, 3))]
+                    for _ in range(n)]
+            marks = [rng.randint(0, 2) for _ in range(n)]
 
-        def signature(i, blocks):
-            return marks[i], len({blocks[j] for j in succ[i]})
-        assert refine(n, signature, succ) == reference_refine(n, signature)
+            def signature(elements, blocks):
+                return [[marks[i] for i in elements],
+                        [len({blocks[j] for j in succ[i]}) for i in elements]]
+            assert refine(n, signature, succ) == reference_refine(
+                n, one_at_a_time(signature))
 
 
 def test_refine_on_a_chain_keys_each_split_once():
@@ -297,3 +339,20 @@ def test_refine_on_kth_from_end_keys_no_more_than_every_round():
     blocks, rounds = refine(size, signature, machine.trans)
     assert (blocks, rounds) == (tuple(range(size)), 11)
     assert calls[0] <= rounds * size
+
+
+def test_refine_on_a_chain_machine_keys_each_split_once():
+    # the reachable machine of a one-letter chain from {s0}: positions
+    # {s0}, ..., {s2999} and the empty set, one split per round; the
+    # plain iteration keys all 3,001 positions in each of the 3,001 rounds
+    n = 3000
+    nda = Nda(Carrier(tuple(f"s{i}" for i in range(n))), Carrier(("a",)),
+              tuple((1 << i + 1 if i + 1 < n else 0,) for i in range(n)),
+              1 << n - 1)
+    machine = moore_determinize(nda, [1], cap=n + 1)
+    size = len(machine.subset_states)
+    signature, calls = counting(machine_signature(machine))
+    blocks, rounds = refine(size, signature, machine.trans)
+    assert size == rounds == n + 1
+    assert blocks == tuple(range(size))
+    assert calls[0] <= 2 * size
