@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -326,11 +327,20 @@ def _write_json(value, newline: str, put) -> None:
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json_text(payload))
-    else:
-        for line in lines(payload):
-            print(line)
+    """Print a report.  A reader that closes stdout early stops the
+    report, not the command: the rest of its output goes to the null
+    device, also at exit, and the command keeps its exit code."""
+    try:
+        if as_json:
+            print(json_text(payload))
+        else:
+            for line in lines(payload):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _parse_state_set(system, text: str) -> int:

@@ -68,6 +68,12 @@ def as_rational(value) -> Fraction:
     raise DimensionMismatch(f"not an exact rational: {value!r}")
 
 
+def rationals(values: Iterable) -> list[Fraction]:
+    """`as_rational` of each value, in order, with no call for a value
+    that is a Fraction already."""
+    return [v if v.__class__ is Fraction else as_rational(v) for v in values]
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical text form: bare integer, else 'p/q'."""
     if q.denominator == 1:
@@ -253,9 +259,14 @@ def gfp(step: Callable, top, *, debug: bool = False) -> GfpResult:
 FULL_ROUND_SHARE = 0.15
 
 
-def refine(size: int, signature: Callable,
-           successors: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], int]:
+def refine(size: int, signature: Callable, successors: Sequence[Iterable[int]],
+           start: Sequence[int] | None = None) -> tuple[tuple[int, ...], int]:
     """Coarsest stable partition of 0..size-1 by signature refinement.
+
+    `start`, when given, is the block array that round 1 yields, with
+    ids below `size`: a caller that knows it (the elements split by what
+    they output) passes it, and round 1 is counted but not run, so that
+    the signature is first called in round 2 and need not repeat it.
 
     `signature(elements, blocks)` is called once per round.  It returns
     columns, each an iterable with one entry per element of `elements`
@@ -311,6 +322,12 @@ def refine(size: int, signature: Callable,
     fresh = size            # the least id no block has had
     preds = None
     full, rounds = True, 0
+    if start is not None:
+        rounds = 1
+        split = len(set(start))
+        if split == nblocks:    # round 1 split nothing and confirmed it
+            return (0,) * size, rounds
+        blocks, nblocks = list(start), split
     while True:
         rounds += 1
         if full:
@@ -428,6 +445,36 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# The exact arithmetic of the linear algebra, the weighted automata and
+# the weighted law suite goes through these two.  Most of its operands
+# are 0 (accumulators) or units (weights, pivots), and a Fraction
+# operation costs about 1 us.  A rational has one lowest-terms form, so
+# the skipped operation's result is the returned operand in value and
+# type.  They read Fraction's lowest-terms slots `_numerator` and
+# `_denominator`: its `numerator` and `denominator` properties cost a
+# call each, as much as the test saves.
+
+def qadd(x, y):
+    """`x + y`; for two Fractions, the other operand when one is 0."""
+    if x.__class__ is Fraction is y.__class__:
+        if not y._numerator:
+            return x
+        if not x._numerator:
+            return y
+    return x + y
+
+
+def qmul(x, y):
+    """`x * y`; for two Fractions, the zero when one is 0, and the other
+    factor or its negation when one is 1 or -1."""
+    if x.__class__ is Fraction is y.__class__:
+        if x._denominator == 1 and -1 <= x._numerator <= 1:
+            return y if x._numerator == 1 else -y if x._numerator else x
+        if y._denominator == 1 and -1 <= y._numerator <= 1:
+            return x if y._numerator == 1 else -x if y._numerator else y
+    return x * y
+
+
 def _nonzero(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     """The (column, value) pairs of a row's nonzero entries, ascending."""
     return [(c, v) for c, v in enumerate(row) if v]
@@ -437,32 +484,45 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[tuple[Fraction, ...]], list[
     """In-place reduced row echelon form; returns (pivot rows, pivot columns).
 
     Only nonzero entries are touched: a row whose entry in the pivot
-    column is zero is skipped, a lead that is already 1 divides nothing,
-    and each update runs over the pivot row's nonzero entries.  The
-    reduced form is unique, so the result is the canonical basis.
+    column is zero is skipped, a lead that is not 1 is set to 1 and
+    divides the entries after it, and in every other row the pivot
+    column is set to 0 and each update row[j] - f * b runs as
+    row[j] + f * (-b) over the pivot row's other nonzero entries, which
+    are negated once per pivot that updates a row.  The reduced form is
+    unique, so the result is the canonical basis.
     """
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    add, mul = qadd, qmul
+    ncols, nrows = len(rows[0]), len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, nrows):
+            if rows[pivot_row][c]:
+                break
+        else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
+        pivot, rest = rows[r], None
+        lead = pivot[c]
         if lead != 1:
-            rows[r] = [v / lead if v else v for v in rows[r]]
-        entries = _nonzero(rows[r])
+            # the entries before c are 0, and the lead becomes 1
+            pivot[c] = _ONE
+            for j in range(c + 1, ncols):
+                if pivot[j]:
+                    pivot[j] /= lead
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                for j, b in entries:
-                    row[j] -= f * b
+                if rest is None:
+                    rest = [(j, -pivot[j]) for j in range(c + 1, ncols) if pivot[j]]
+                row[c] = _ZERO
+                for j, b in rest:
+                    row[j] = add(row[j], mul(f, b))
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return [tuple(row) for row in rows[:r]], pivots
 
@@ -484,9 +544,14 @@ class Subspace:
 
     @cached_property
     def _sparse_basis(self) -> tuple[tuple[int, list[tuple[int, Fraction]]], ...]:
-        """Each basis row as (lead column, nonzero entries); every lead is 1."""
-        return tuple((entries[0][0], entries)
+        """Each basis row as its lead column, where it is 1, and its
+        other nonzero entries, negated."""
+        return tuple((entries[0][0], [(c, -v) for c, v in entries[1:]])
                      for entries in map(_nonzero, self.basis))
+
+    @cached_property
+    def _orthogonal_tests(self) -> tuple[Vector, ...]:
+        return nullspace(self.basis, self.dim).basis
 
     def contains(self, vector: Sequence) -> bool:
         return subspace_contains(self, vector)
@@ -501,7 +566,7 @@ def echelonize(vectors: Iterable[Sequence], dim: int | None = None) -> Subspace:
     `dim` is required when the list is empty; otherwise it must agree
     with the vectors' shared length.
     """
-    rows = [[as_rational(v) for v in vec] for vec in vectors]
+    rows = [rationals(vec) for vec in vectors]
     if rows:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
@@ -517,15 +582,18 @@ def echelonize(vectors: Iterable[Sequence], dim: int | None = None) -> Subspace:
 
 
 def subspace_contains(space: Subspace, vector: Sequence) -> bool:
-    """Exact membership test by elimination against the canonical basis."""
-    v = [as_rational(x) for x in vector]
+    """Exact membership test by elimination against the canonical basis;
+    the lead entry a basis row eliminates is set to 0."""
+    v = rationals(vector)
     if len(v) != space.dim:
         raise DimensionMismatch(f"vector length {len(v)}, ambient {space.dim}")
-    for lead, entries in space._sparse_basis:
+    add, mul = qadd, qmul
+    for lead, rest in space._sparse_basis:
         f = v[lead]
         if f:
-            for c, b in entries:
-                v[c] -= f * b
+            v[lead] = _ZERO
+            for c, b in rest:
+                v[c] = add(v[c], mul(f, b))
     return not any(v)
 
 
@@ -538,7 +606,7 @@ def nullspace(rows: Iterable[Sequence], dim: int) -> Subspace:
     the original order, so these solutions already form the canonical
     basis and need no second elimination.
     """
-    mat = [[as_rational(v) for v in reversed(row)] for row in rows]
+    mat = [rationals(reversed(row)) for row in rows]
     for row in mat:
         if len(row) != dim:
             raise DimensionMismatch(f"row length {len(row)}, expected {dim}")
@@ -560,21 +628,30 @@ def nullspace(rows: Iterable[Sequence], dim: int) -> Subspace:
 
 
 def orthogonal_tests(space: Subspace) -> tuple[Vector, ...]:
-    """Vectors z such that v in `space` iff v . z = 0 for all z."""
-    return nullspace(space.basis, space.dim).basis
+    """Vectors z such that v in `space` iff v . z = 0 for all z, found
+    once per subspace."""
+    return space._orthogonal_tests
 
 
 def preimage_subspace(matrix: Sequence[Sequence], space: Subspace) -> Subspace:
     """{v | v . matrix in space} for a dom x cod matrix, row-vector convention."""
-    mat = [[as_rational(x) for x in row] for row in matrix]
+    mat = [rationals(row) for row in matrix]
     for row in mat:
         if len(row) != space.dim:
             raise DimensionMismatch("matrix codomain does not match subspace")
+    add, mul = qadd, qmul
     constraints = []
     for z in orthogonal_tests(space):
         entries = _nonzero(z)
-        constraints.append([sum((row[j] * b for j, b in entries if row[j]), _ZERO)
-                            for row in mat])
+        constraint = []
+        for row in mat:
+            total = _ZERO
+            for j, b in entries:
+                x = row[j]
+                if x:
+                    total = add(total, mul(x, b))
+            constraint.append(total)
+        constraints.append(constraint)
     return nullspace(constraints, len(mat))
 
 

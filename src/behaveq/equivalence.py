@@ -82,18 +82,24 @@ class MachineEquiv:
 
 
 def machine_equiv(machine: DeterminizedMachine) -> MachineEquiv:
-    """Refine by output and the block of every action successor."""
+    """Refine by output and the block of every action successor.
+
+    Round 1 splits the positions by output alone, as every successor is
+    in the one block; it is passed to `refine` as the start, and later
+    rounds key the successor blocks only, since each block has one
+    output from then on."""
     out, trans = machine.out, machine.trans
     every = len(out)
     columns = [list(column) for column in zip(*trans)]
+    first: dict = {}
+    by_output = list(map(first.setdefault, out, range(every)))
 
     def signature(elements, blocks):
         block = blocks.__getitem__
         if len(elements) == every:      # the whole carrier, in order
-            return [out, *[map(block, column) for column in columns]]
-        return [map(out.__getitem__, elements),
-                *[map(block, map(column.__getitem__, elements)) for column in columns]]
-    blocks, rounds = refine(len(machine.subset_states), signature, trans)
+            return [map(block, column) for column in columns]
+        return [map(block, map(column.__getitem__, elements)) for column in columns]
+    blocks, rounds = refine(every, signature, trans, by_output)
     return MachineEquiv(machine, rounds, blocks)
 
 

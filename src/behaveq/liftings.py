@@ -19,21 +19,22 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (BitRel, Subspace, as_rational, bits, echelonize, nullspace,
-                   orthogonal_tests, preimage_subspace)
-from .rng import (WEIGHT_GRID, Lcg, random_cts, random_lwa, random_nda,
-                  random_vector, run_trials)
+                   orthogonal_tests, preimage_subspace, qadd, qmul)
+from .rng import (WEIGHT_GRID, Lcg, random_cts, random_lwa, random_masks,
+                  random_nda, random_vector, run_trials)
 from .systems import Cts, DeterminizedMachine, Lwa, moore_determinize
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One-step behaviour: an action with a target payload, or a stop marker.
 
     Payload types vary with the context (a state index, a subset, a
-    weight vector); only the shape is fixed here.
+    weight vector); only the shape is fixed here.  A tuple, so that the
+    law suite's sets and bags of steps hash and compare them in C; the
+    hash is that of (action, target), as a frozen dataclass has it.
     """
 
     action: object
@@ -104,15 +105,17 @@ def lwa_dist_law(step: Step) -> dict[Step, Fraction]:
 def lwa_det_step(bag: Mapping[Step, Fraction], num_states: int,
                  num_actions: int) -> LwaStepTable:
     """Collect a weighted bag of steps into per-action vectors and weight."""
+    add = qadd
     slices = [[_ZERO] * num_states for _ in range(num_actions)]
     weight = _ZERO
     for s, w in bag.items():
         if not w:
             continue
         if s.is_stop:
-            weight += w
+            weight = add(weight, w)
         else:
-            slices[s.action][s.target] += w
+            row = slices[s.action]
+            row[s.target] = add(row[s.target], w)
     return LwaStepTable(tuple(tuple(row) for row in slices), weight)
 
 
@@ -231,6 +234,8 @@ def _show(value) -> str:
     if isinstance(value, dict):
         items = sorted((_show(k), _show(v)) for k, v in value.items())
         return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if isinstance(value, Step):
+        return repr(value)
     if isinstance(value, tuple):
         return "(" + ",".join(_show(v) for v in value) + ")"
     if isinstance(value, Subspace):
@@ -335,19 +340,40 @@ def _nda_columns(rel_pairs, right: Sequence[NdaStepTable]):
     rejecting and the accepting tables, and per action a map from a
     target set u to the mask of the tables whose a-successors are
     related to u."""
-    accepting = sum(1 << j for j, t in enumerate(right) if t.accept)
-    accept = ((1 << len(right)) - 1 & ~accepting, accepting)
+    accept, holders = (right.holders if isinstance(right, _StepTables)
+                       else _nda_holders(right))
     related = []
-    for a in range(len(right[0].succ) if right else 0):
-        holders: dict[frozenset, int] = {}
-        for j, t in enumerate(right):
-            holders[t.succ[a]] = holders.get(t.succ[a], 0) | 1 << j
+    for held in holders:
         targets: dict[frozenset, int] = {}
         for u, v in rel_pairs:
-            if v in holders:
-                targets[u] = targets.get(u, 0) | holders[v]
+            if v in held:
+                targets[u] = targets.get(u, 0) | held[v]
         related.append(targets)
     return accept, related
+
+
+def _nda_holders(right: Sequence[NdaStepTable]):
+    """What `_nda_columns` reads of `right` alone: the masks of the
+    rejecting and the accepting tables, and per action a map from a
+    successor set to the mask of the tables that have it."""
+    accepting = sum(1 << j for j, t in enumerate(right) if t.accept)
+    accept = ((1 << len(right)) - 1 & ~accepting, accepting)
+    holders = []
+    for a in range(len(right[0].succ) if right else 0):
+        held: dict[frozenset, int] = {}
+        for j, t in enumerate(right):
+            held[t.succ[a]] = held.get(t.succ[a], 0) | 1 << j
+        holders.append(held)
+    return accept, holders
+
+
+class _StepTables(tuple):
+    """Step tables lifted by many relations, whose `_nda_holders` are
+    built once."""
+
+    @functools.cached_property
+    def holders(self):
+        return _nda_holders(self)
 
 
 def _nda_lift_pred(table: NdaStepTable, kind, region: frozenset) -> bool:
@@ -403,7 +429,15 @@ _NDA_CORRUPTIONS = {
 
 
 def _random_subset(rng: Lcg, items: Sequence) -> frozenset:
-    return frozenset(x for x in items if rng.bit())
+    """The items whose draw is 1, one draw per item in order."""
+    return frozenset(itertools.compress(items, rng.flags(len(items))))
+
+
+def _random_relation(rng: Lcg, items: Sequence) -> frozenset:
+    """The pairs (u, v) of items whose draw is 1, one draw per pair, u
+    the outer loop."""
+    return frozenset(itertools.compress(itertools.product(items, items),
+                                        rng.flags(len(items) ** 2)))
 
 
 def _differing(lhs: Sequence[int], rhs: Sequence[int]):
@@ -451,23 +485,21 @@ def _nda_draw(rng: Lcg) -> SimpleNamespace:
     t.g = tuple(_random_subset(rng, range(t.small_ny)) for _ in range(t.small_nx))
     t.big_region = frozenset(_random_subset(rng, _powerset(range(t.small_ny)))
                              for _ in range(3))
-    t.rel = frozenset((u, v) for u in _powerset(range(t.small_ny))
-                      for v in _powerset(range(t.small_ny)) if rng.bit())
+    t.rel = _random_relation(rng, _powerset(range(t.small_ny)))
     t.region_sets = frozenset(_random_subset(rng, masks) for _ in range(3))
-    t.rel2 = frozenset((u, v) for u in masks for v in masks if rng.bit())
+    t.rel2 = _random_relation(rng, masks)
     # the step sets over nx targets: all their pairs if there are at most
     # 32 sets, else 200 sampled pairs of their indices
     count = 1 << (1 + t.nx * t.m)
+    draw = rng.next_u32     # rng.randint(0, count - 1), without the call
     t.pair_draws = None if count <= 32 else [
-        (rng.randint(0, count - 1), rng.randint(0, count - 1))
-        for _ in range(200)]
+        (draw() % count, draw() % count) for _ in range(200)]
     t.nda = random_nda(rng, max_states=3, max_actions=2)
     # the machine from every subset has one position per subset
-    t.position_region = sum(1 << i for i in range(1 << len(t.nda.states))
-                            if rng.bit())
+    [t.position_region] = random_masks(rng, 1, 1 << len(t.nda.states))
     masks2 = _powerset(range(2))
-    t.r1 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
-    t.r2 = frozenset((u, v) for u in masks2 for v in masks2 if rng.bit())
+    t.r1 = _random_relation(rng, masks2)
+    t.r2 = _random_relation(rng, masks2)
     return t
 
 
@@ -636,11 +668,14 @@ def _nda_modality(t, kit: dict, memo: dict):
 
 
 def _nda_fixed_lifting(kit: dict, memo: dict):
-    """The step sets over two targets and actions, and the kit's lifting."""
-    fixed = _nda_step_rows(memo, 2, 2)
-    tables = [table for _, table in fixed]
-    return ([u for u, _ in fixed],
-            lambda rel_pairs: kit["lift_rel"](rel_pairs, tables, tables))
+    """The step sets over two targets and actions, and the kit's lifting
+    of a relation over their tables, lifted three times per trial."""
+    if ("fixed",) not in memo:
+        fixed = _nda_step_rows(memo, 2, 2)
+        memo[("fixed",)] = ([u for u, _ in fixed],
+                              _StepTables(table for _, table in fixed))
+    sets, tables = memo[("fixed",)]
+    return sets, lambda rel_pairs: kit["lift_rel"](rel_pairs, tables, tables)
 
 
 def _nda_meet(t, kit: dict, memo: dict):
@@ -678,6 +713,9 @@ _NDA = (_nda_draw, (
 # ---------------------------------------------------------------- LWA laws
 
 def _bag_norm(bag: Mapping) -> dict:
+    """The bag without its zero weights: the bag itself if it has none."""
+    if all(bag.values()):
+        return bag
     return {k: v for k, v in bag.items() if v}
 
 
@@ -734,9 +772,9 @@ def _lwa_sigma_pred(carrier_size, num_actions, kind, region, element) -> bool:
     weight kinds.
     """
     p, s = element
-    if isinstance(kind, Fraction):
-        return s == kind
-    return p[kind] in region
+    if isinstance(kind, int):
+        return p[kind] in region
+    return s == kind
 
 
 def _lwa_dist_doubles(step: Step) -> dict[Step, Fraction]:
@@ -753,7 +791,7 @@ def _lwa_det_drops_mixed_weight(bag, num_states, num_actions) -> LwaStepTable:
 
 
 def _lwa_sigma_odd_zero(carrier_size, num_actions, kind, region, element) -> bool:
-    if carrier_size % 2 == 1 and not isinstance(kind, Fraction):
+    if carrier_size % 2 == 1 and isinstance(kind, int):
         kind = _ZERO
     return _lwa_sigma_pred(carrier_size, num_actions, kind, region, element)
 
@@ -775,18 +813,20 @@ _LWA_CORRUPTIONS = {
 def _bag_apply_matrix(bag: Mapping[Step, Fraction], matrix, num_states_out,
                       num_actions) -> dict:
     """Push a step bag through a state matrix (stop weight untouched)."""
+    add, mul = qadd, qmul
     out: dict[Step, Fraction] = {}
     for step, w in bag.items():
         if not w:
             continue
         if step.is_stop:
-            out[STOP] = out.get(STOP, _ZERO) + w
+            out[STOP] = add(out.get(STOP, _ZERO), w)
         else:
+            row = matrix[step.target]
             for y in range(num_states_out):
-                c = matrix[step.target][y]
+                c = row[y]
                 if c:
                     key = Step(step.action, y)
-                    out[key] = out.get(key, _ZERO) + w * c
+                    out[key] = add(out.get(key, _ZERO), mul(w, c))
     return _bag_norm(out)
 
 
@@ -812,7 +852,7 @@ def _lwa_draw(rng: Lcg) -> SimpleNamespace:
             else:
                 key = Step(rng.randint(0, m - 1), random_vector(rng, n))
             weight = rng.choice(WEIGHT_GRID)
-            w_bag[key] = w_bag.get(key, _ZERO) + weight
+            w_bag[key] = qadd(w_bag.get(key, _ZERO), weight)
         t.nested.append(_bag_norm(w_bag))
     t.ny, t.nx2 = rng.randint(1, 3), rng.randint(1, 3)
     t.f = tuple(rng.randint(0, t.ny - 1) for _ in range(t.nx2))
@@ -851,36 +891,38 @@ def _lwa_unit(t, kit: dict, memo: dict):
 
 def _lwa_mult(t, kit: dict, memo: dict):
     """Multiplication square on sampled nested bags."""
+    add, mul = qadd, qmul
     for support, weights, a in t.mult_samples:
-        flat = tuple(sum(w * v[i] for v, w in zip(support, weights))
-                     for i in range(t.n))
+        flat = tuple(functools.reduce(add, map(mul, weights, column), _ZERO)
+                     for column in zip(*support))
         lhs = _bag_norm(kit["dist"](Step(a, flat)))
         rhs: dict[Step, Fraction] = {}
         for v, w in zip(support, weights):
             if not w:
                 continue
             for step, c in kit["dist"](Step(a, v)).items():
-                rhs[step] = rhs.get(step, _ZERO) + w * c
+                rhs[step] = add(rhs.get(step, _ZERO), mul(w, c))
         if lhs != _bag_norm(rhs):
             yield dict(action=a, vectors=tuple(support), lhs=lhs, rhs=rhs)
 
 
 def _lwa_gamma(t, kit: dict, memo: dict):
     """Compatibility of the collected table with bag flattening."""
+    add, mul = qadd, qmul
     n, m = t.n, t.m
     for w_bag in t.nested:
         flat: dict[Step, Fraction] = {}
         for step, weight in w_bag.items():
             for inner, c in kit["dist"](step).items():
-                flat[inner] = flat.get(inner, _ZERO) + weight * c
+                flat[inner] = add(flat.get(inner, _ZERO), mul(weight, c))
         lhs = kit["det"](flat, n, m)
         slices = []
         for a in range(m):
             vec = [_ZERO] * n
             for step, weight in w_bag.items():
                 if not step.is_stop and step.action == a:
-                    for i in range(n):
-                        vec[i] += weight * step.target[i]
+                    for i, x in enumerate(step.target):
+                        vec[i] = add(vec[i], mul(weight, x))
             slices.append(tuple(vec))
         rhs = LwaStepTable(tuple(slices), w_bag.get(STOP, _ZERO))
         if lhs != rhs:
@@ -893,9 +935,9 @@ def _lwa_sigma_naturality(t, kit: dict, memo: dict):
     pulled = frozenset(x for x in range(t.nx2) if f[x] in t.region)
     for kind in (*range(m), _ONE, _ZERO):
         for p in itertools.product(range(t.nx2), repeat=m):
+            fp = tuple(f[i] for i in p)
             for s in _SIGMA_WEIGHTS:
                 lhs = sigma_pred(t.nx2, m, kind, pulled, (p, s))
-                fp = tuple(f[i] for i in p)
                 rhs = sigma_pred(t.ny, m, kind, t.region, (fp, s))
                 if lhs != rhs:
                     yield dict(fn=f, kind=kind, element=(p, s), lhs=lhs, rhs=rhs)
@@ -938,25 +980,28 @@ def _lwa_rel_naturality(t, kit: dict, memo: dict):
 
 def _lwa_modality(t, kit: dict, memo: dict):
     """The machine-level modality agrees with the collected table."""
+    add, mul = qadd, qmul
     lwa, space = t.lwa, t.space
     ln, lm = len(lwa.states), len(lwa.alphabet)
+    steps = [[Step(a, x2) for x2 in range(ln)] for a in range(lm)]
     for p in t.vectors:
         bag: dict[Step, Fraction] = {}
-        for x in range(ln):
-            if not p[x]:
+        for x, px in enumerate(p):
+            if not px:
                 continue
             if lwa.out[x]:
-                bag[STOP] = bag.get(STOP, _ZERO) + p[x] * lwa.out[x]
+                bag[STOP] = add(bag.get(STOP, _ZERO), mul(px, lwa.out[x]))
             for a in range(lm):
-                for x2 in range(ln):
-                    c = lwa.mat[a][x][x2]
+                for key, c in zip(steps[a], lwa.mat[a][x]):
                     if c:
-                        key = Step(a, x2)
-                        bag[key] = bag.get(key, _ZERO) + p[x] * c
+                        bag[key] = add(bag.get(key, _ZERO), mul(px, c))
         table = kit["det"](bag, ln, lm)
         for a in range(lm):
-            direct = lwa_modality(lwa, a, p, space)
-            via_table = space.contains(table.slices[a])
+            collected = table.slices[a]
+            via_table = space.contains(collected)
+            # the stepped vector is tested only where it is not the slice
+            direct = lwa_modality(lwa, a, p, lambda v: via_table if v == collected
+                                  else space.contains(v))
             if direct != via_table:
                 yield dict(action=a, vector=p, lhs=direct, rhs=via_table)
         s = lwa.observe(p)

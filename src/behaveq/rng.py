@@ -21,6 +21,7 @@ import os
 import signal
 import threading
 from fractions import Fraction
+from itertools import compress
 
 from .core import Carrier
 from .systems import Cts, Lwa, Nda
@@ -40,11 +41,15 @@ _LETTERS = "abcdefgh"
 
 # Fewest trials worth a part of its own in `run_trials`.  A fork, pipe
 # and reap cost about 2 ms, and a part also rebuilds what its trials
-# share (the law suite's memo).  A trial costs 0.3-0.4 ms (cts laws, nda
-# and cts adequacy) to 1.4-1.9 ms (nda laws) on a 2-CPU host; there, at
-# 20 trials in two parts the cheapest kinds break even (cts laws 7.2 ->
-# 7.3 ms, cts adequacy 5.9 -> 6.1 ms) and the others gain 13-37%, while
-# at 16 cts adequacy lost 4.8 -> 5.3 ms and nda adequacy 5.2 -> 5.8 ms.
+# share (the law suite's memo).  Run serially on a shared 2-CPU host, a
+# trial costs 0.13-0.24 ms (cts laws, nda and cts adequacy), 0.4-0.6 ms
+# (lwa adequacy and laws) and 0.9 ms (nda laws).  When both parts got a
+# CPU, the cheapest kinds broke even at 20 trials in two parts (cts laws
+# 7.2 -> 7.3 ms, cts adequacy 5.9 -> 6.1 ms) and lost at 16, and the
+# dearer kinds gained; the lwa laws, since made cheaper, still break
+# even below 20.  When the two parts share one CPU, as in later runs on
+# that host, two parts lose at 16, 20 and 40 trials of every kind.  No
+# kind's break-even moved past 20 trials, so the constant stays at 10.
 MIN_TRIALS_PER_PART = 10
 
 
@@ -67,6 +72,18 @@ class Lcg:
     def bit(self) -> bool:
         return bool(self.next_u32() & 1)
 
+    def flags(self, n: int) -> list[int]:
+        """The draws of n calls of `bit()`, as 1 and 0, in one loop that
+        leaves the generator where those calls would."""
+        mult, inc, mask = _MULT, _INC, _MASK64
+        state, out = self.state, []
+        draw = out.append
+        for _ in range(n):
+            state = (mult * state + inc) & mask
+            draw(state >> 32 & 1)
+        self.state = state
+        return out
+
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
@@ -74,10 +91,18 @@ class Lcg:
         return Lcg((self.state + (index + 1) * _SPLIT) & _MASK64)
 
 
+def random_masks(rng: Lcg, count: int, n: int) -> list[int]:
+    """`count` masks over 0..n-1, drawn one after another: member x of a
+    mask iff its x-th draw is 1."""
+    flags = rng.flags(count * n)
+    powers = [1 << x for x in range(n)]
+    return [sum(compress(powers, flags[i * n:i * n + n])) for i in range(count)]
+
+
 def random_nda(rng: Lcg, max_states: int = 4, max_actions: int = 2) -> Nda:
     """`random_lts` plus acceptance bits, drawn state by state."""
     states, alphabet, delta = random_lts(rng, max_states, max_actions)
-    accepting = sum(1 << x for x in range(len(states)) if rng.bit())
+    [accepting] = random_masks(rng, 1, len(states))
     return Nda(states, alphabet, delta, accepting)
 
 
@@ -86,11 +111,8 @@ def random_lwa(rng: Lcg, max_states: int = 4, max_actions: int = 2) -> Lwa:
     m = rng.randint(1, max_actions)
     states = Carrier(tuple(f"q{i}" for i in range(n)))
     alphabet = Carrier(tuple(_LETTERS[j] for j in range(m)))
-    out = tuple(rng.choice(WEIGHT_GRID) for _ in range(n))
-    mat = tuple(
-        tuple(tuple(rng.choice(WEIGHT_GRID) for _ in range(n)) for _ in range(n))
-        for _ in range(m)
-    )
+    out = random_vector(rng, n)
+    mat = tuple(tuple(random_vector(rng, n) for _ in range(n)) for _ in range(m))
     return Lwa(states, alphabet, out, mat)
 
 
@@ -99,10 +121,8 @@ def random_cts(rng: Lcg, max_conditions: int = 3, max_states: int = 6) -> Cts:
     n = rng.randint(1, max_states)
     conditions = Carrier(tuple(f"k{i}" for i in range(k)))
     states = Carrier(tuple(f"q{i}" for i in range(n)))
-    delta = tuple(
-        tuple(sum(1 << x2 for x2 in range(n) if rng.bit()) for _ in range(n))
-        for _ in range(k)
-    )
+    masks = random_masks(rng, k * n, n)
+    delta = tuple(tuple(masks[c:c + n]) for c in range(0, k * n, n))
     return Cts(conditions, states, delta)
 
 
@@ -112,15 +132,15 @@ def random_lts(rng: Lcg, max_states: int = 4, max_actions: int = 2):
     m = rng.randint(1, max_actions)
     states = Carrier(tuple(f"q{i}" for i in range(n)))
     alphabet = Carrier(tuple(_LETTERS[j] for j in range(m)))
-    delta = tuple(
-        tuple(sum(1 << x2 for x2 in range(n) if rng.bit()) for _ in range(m))
-        for _ in range(n)
-    )
+    masks = random_masks(rng, n * m, n)
+    delta = tuple(tuple(masks[x:x + m]) for x in range(0, n * m, m))
     return states, alphabet, delta
 
 
 def random_vector(rng: Lcg, dim: int) -> tuple[Fraction, ...]:
-    return tuple(rng.choice(WEIGHT_GRID) for _ in range(dim))
+    """`dim` weights, each what `rng.choice(WEIGHT_GRID)` would draw."""
+    draw, grid = rng.next_u32, WEIGHT_GRID
+    return tuple([grid[draw() % len(grid)] for _ in range(dim)])
 
 
 # ---------------------------------------------------------- parallel trials

@@ -32,10 +32,14 @@ from .core import (
     Carrier,
     DimensionMismatch,
     Semilattice,
-    as_rational,
     bits,
+    qadd,
+    qmul,
+    rationals,
     subset_label,
 )
+
+_ZERO = Fraction(0)
 
 
 def _every_union(masks: Sequence[int]) -> list[int]:
@@ -193,18 +197,23 @@ class Lwa:
         if not (0 <= a < len(self.alphabet)):
             raise ValueError(f"unknown action index {a}")
         p = self._config(p)
-        out = [Fraction(0)] * len(p)
+        add, mul = qadd, qmul
+        out = [_ZERO] * len(p)
         for c, row in zip(p, self.mat[a]):
             if c:
                 for j, x in enumerate(row):
                     if x:
-                        out[j] += c * x
+                        out[j] = add(out[j], mul(c, x))
         return tuple(out)
 
     def observe(self, p: Sequence) -> Fraction:
         """Output weight of a configuration: p . out."""
-        return sum((c * w for c, w in zip(self._config(p), self.out) if c and w),
-                   Fraction(0))
+        add, mul = qadd, qmul
+        total = _ZERO
+        for c, w in zip(self._config(p), self.out):
+            if c and w:
+                total = add(total, mul(c, w))
+        return total
 
     def _config(self, p: Sequence) -> list[Fraction]:
         try:
@@ -213,7 +222,7 @@ class Lwa:
             raise DimensionMismatch(f"configuration {p!r} is not a vector") from None
         if size != len(self.states):
             raise DimensionMismatch("vector length does not match state count")
-        return [as_rational(c) for c in p]
+        return rationals(p)
 
 
 @dataclass(frozen=True)

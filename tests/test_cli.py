@@ -1544,3 +1544,29 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, capsys,
             assert not escaped, (argv, path.read_text(), escaped)
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("args, code", [
+    (["equiv", str(DATA / "nda-cap12.json"), "--json"], 0),
+    (["equiv", str(DATA / "kth16.json"), "--pair", "{s0}", "{s0,s1}",
+      "--cap", "17", "--json"], 1),
+], ids=["equivalent", "inequivalent"])
+def test_closed_stdout_keeps_the_verdict_exit_code(args, code):
+    # the reader takes 10 bytes of a report larger than a pipe holds
+    # (128 kB and 3.5 MB) and closes its end: the command stops quietly,
+    # with nothing on stderr, not even at interpreter exit
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"}
+    proc = subprocess.Popen([sys.executable, "-m", "behaveq.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert head == b'{\n  "class'
+    assert err == b""

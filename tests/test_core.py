@@ -14,7 +14,7 @@ from behaveq import (
     subset_label,
     subspace_contains,
 )
-from behaveq.core import Subspace, bits, nullspace, preimage_subspace
+from behaveq.core import Subspace, bits, nullspace, preimage_subspace, qadd, qmul
 from behaveq.rng import WEIGHT_GRID, Lcg
 
 from conftest import mask_of
@@ -336,6 +336,27 @@ def test_rational_grid_arithmetic():
             assert a * (1 / a) == 1
     assert Fraction(2, 4) == Fraction(1, 2)
     assert Fraction(1, -2).denominator > 0
+
+
+_OPERANDS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+             Fraction(-1, 2), Fraction(2), Fraction(3, 7)]
+
+
+@pytest.mark.parametrize("helper, plain", [(qadd, lambda x, y: x + y),
+                                           (qmul, lambda x, y: x * y)],
+                         ids=["qadd", "qmul"])
+def test_skipping_helpers_equal_the_plain_operation(helper, plain):
+    # every pair of the grid, and each pair with one operand an int of
+    # the same value: a skipped operation returns an operand, and a
+    # Fraction result never comes back as an int
+    ints = [int(v) for v in _OPERANDS if v.denominator == 1]
+    pairs = [(x, y) for x in _OPERANDS for y in _OPERANDS]
+    pairs += [(x, i) for x in _OPERANDS for i in ints]
+    pairs += [(i, y) for i in ints for y in _OPERANDS]
+    pairs += [(i, j) for i in ints for j in ints]
+    for x, y in pairs:
+        got, want = helper(x, y), plain(x, y)
+        assert got == want and type(got) is type(want), (x, y, got)
 
 
 # ------------------------------------------------------------- semilattice

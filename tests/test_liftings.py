@@ -26,7 +26,7 @@ from behaveq import (
     nda_modality,
 )
 from behaveq import liftings, rng
-from behaveq.core import bits
+from behaveq.core import Subspace, bits
 from behaveq.liftings import CORRUPTIONS
 from behaveq.rng import Lcg, random_cts
 
@@ -484,6 +484,26 @@ def test_every_law_reports_a_broken_map(monkeypatch, family, law, target, broken
     else:
         monkeypatch.setattr(liftings, target, broken)
     assert not check_lifting_laws(family, trials=10, seed=3).result(law).passed
+
+
+def test_lwa_modality_law_reports_a_modality_that_tests_before_stepping(
+        monkeypatch):
+    # the law tests the modality's stepped vector itself wherever it is
+    # not the collected slice; a modality that tests the region at the
+    # configuration, not at its successor, must be caught
+    def at_the_start(lwa, kind, p, region=None):
+        if isinstance(kind, int):
+            test = region.contains if isinstance(region, Subspace) else region
+            return bool(test(tuple(p)))
+        return lwa_modality(lwa, kind, p, region)
+
+    law = "modality-recipe-agreement"
+    draw, laws, kit, corruptions = liftings._FAMILIES["lwa"]
+    table = tuple(entry for entry in laws if entry[0] == law)
+    monkeypatch.setitem(liftings._FAMILIES, "lwa", (draw, table, kit, corruptions))
+    assert check_lifting_laws("lwa", trials=10, seed=3).all_passed
+    monkeypatch.setattr(liftings, "lwa_modality", at_the_start)
+    assert not check_lifting_laws("lwa", trials=10, seed=3).result(law).passed
 
 
 def test_full_law_is_not_evaluated_again(monkeypatch):

@@ -356,3 +356,29 @@ def test_refine_on_a_chain_machine_keys_each_split_once():
     assert size == rounds == n + 1
     assert blocks == tuple(range(size))
     assert calls[0] <= 2 * size
+
+
+def test_refine_from_the_partition_of_round_one():
+    # each element has the same number of successors, as a position of
+    # a machine has one per action, so round 1 splits the elements by
+    # their marks alone.  A start that is that partition, each block
+    # named by its least member, gives the blocks and the rounds of the
+    # plain iteration that keys the marks every round, also when round
+    # 1 splits nothing or the carrier is empty
+    rng = Lcg(7005)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        arity = rng.randint(0, 3)
+        succ = [[rng.randint(0, n - 1) for _ in range(arity)] for _ in range(n)]
+        marks = [rng.randint(0, rng.randint(0, 2)) for _ in range(n)]
+        first = {}
+        start = [first.setdefault(m, i) for i, m in enumerate(marks)]
+
+        def marked(elements, blocks):
+            return [[marks[i] for i in elements],
+                    *[[blocks[succ[i][a]] for i in elements] for a in range(arity)]]
+
+        def unmarked(elements, blocks):
+            return marked(elements, blocks)[1:]
+        assert refine(n, unmarked, succ, start) == reference_refine(
+            n, one_at_a_time(marked))

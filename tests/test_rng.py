@@ -6,7 +6,8 @@ import time
 import pytest
 
 from behaveq import rng
-from behaveq.rng import MIN_TRIALS_PER_PART, TrialPartError, run_trials
+from behaveq.rng import (MIN_TRIALS_PER_PART, Lcg, TrialPartError, random_masks,
+                         run_trials)
 
 
 def force_workers(monkeypatch, count):
@@ -110,3 +111,20 @@ def test_parent_that_raises_kills_its_children_first(monkeypatch):
         os.close(never[1])
     assert time.monotonic() - start < 10     # killed, not waited for
     assert_no_children()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_flags_are_the_bits_drawn_one_at_a_time(seed):
+    for n in range(71):
+        batched, single = Lcg(seed + n), Lcg(seed + n)
+        assert batched.flags(n) == [int(single.bit()) for _ in range(n)]
+        assert batched.state == single.state
+        assert batched.next_u32() == single.next_u32()
+
+
+def test_random_masks_read_the_bits_as_drawn():
+    for count, n in [(0, 3), (1, 0), (1, 1), (4, 3), (3, 9)]:
+        batched, single = Lcg(5 + n), Lcg(5 + n)
+        assert random_masks(batched, count, n) == [
+            sum(1 << x for x in range(n) if single.bit()) for _ in range(count)]
+        assert batched.state == single.state
